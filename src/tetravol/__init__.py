@@ -1,6 +1,8 @@
 """Exact even moments of random tetrahedron volumes and a certified
 one-sided polynomial bound on the expected volume of the pinned simplex."""
 
+__version__ = "0.1.0"
+
 from .certificate import (
     Certificate,
     DominanceProof,
@@ -13,7 +15,6 @@ from .certificate import (
 from .majorant import EvenPoly, NodeSet, expected_value, hermite_onesided
 from .moments import (
     MomentTable,
-    build_D,
     even_moment_direct,
     even_moment_fast,
     moment_table,
@@ -24,13 +25,11 @@ from .node_search import LpProblem, LpSolution, extract_nodes, polish_nodes, \
 from .rational import RationalInterval, factorial, multinomial, \
     pi_squared_enclosure, target_enclosure
 
-__version__ = "0.1.0"
-
 __all__ = [
     "Certificate", "DominanceProof", "REFERENCE_NODES", "certify",
     "parse_report", "render_report", "verify_dominance",
     "EvenPoly", "NodeSet", "expected_value", "hermite_onesided",
-    "MomentTable", "build_D", "even_moment_direct", "even_moment_fast",
+    "MomentTable", "even_moment_direct", "even_moment_fast",
     "moment_table",
     "EstimatorResult", "estimate", "tetra_volume",
     "LpProblem", "LpSolution", "extract_nodes", "polish_nodes",

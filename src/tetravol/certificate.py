@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import __version__
 from .majorant import EvenPoly, NodeSet, expected_value, hermite_onesided
 from .moments import MomentTable
 from .rational import RationalInterval, fraction_to_decimal, target_enclosure
-
-__version__ = "0.1.0"
 
 #: upper end of the interval on which dominance is verified (V <= 1/3)
 DOMAIN_MAX = Fraction(1, 3)

@@ -9,7 +9,6 @@ true), 2 = verdict false, 1 = any error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,16 +25,8 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TETRAVOL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_moments(args: argparse.Namespace) -> int:
-    table = moments_mod.moment_table(args.k_max, cache_path=args.out,
-                                     threads=args.threads)
+    table = moments_mod.moment_table(args.k_max, cache_path=args.out)
     for k in table.orders():
         v = table[k]
         print(f"k={k}: {v.numerator}/{v.denominator} "
@@ -92,8 +83,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    result = montecarlo.estimate(args.mode, args.power, args.samples,
-                                 args.seed, threads=args.threads)
+    result = montecarlo.estimate(args.mode, args.power, args.samples, args.seed)
     print(f"mode={args.mode} power={args.power} N={result.n_samples} "
           f"seed={result.seed}")
     print(f"mean = {result.mean:.9e}")
@@ -110,8 +100,7 @@ def cmd_all(args: argparse.Namespace) -> int:
     nodes_path = workdir / "nodes.txt"
     report_path = workdir / "certificate.txt"
 
-    args_m = argparse.Namespace(k_max=args.k_max, out=moments_path,
-                                threads=args.threads)
+    args_m = argparse.Namespace(k_max=args.k_max, out=moments_path)
     rc = cmd_moments(args_m)
     if rc != EXIT_OK:
         return rc
@@ -132,12 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact even moments of a pinned random simplex volume and "
                     "a certified one-sided polynomial bound on its mean.")
     sub = parser.add_subparsers(dest="command", required=True)
-    threads_default = _default_threads()
 
     p = sub.add_parser("moments", help="compute the exact moment table")
     p.add_argument("--k-max", type=int, default=13)
     p.add_argument("--out", type=Path, required=True, help="moment cache file")
-    p.add_argument("--threads", type=int, default=threads_default)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("search", help="LP node discovery")
@@ -164,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ref", type=float, default=None,
                    help="reference value for a z-score")
-    p.add_argument("--threads", type=int, default=threads_default)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("all", help="moments -> search -> certify")
@@ -173,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--max-denominator", type=int, default=100)
     p.add_argument("--workdir", type=Path, default=Path("tetravol-run"))
-    p.add_argument("--threads", type=int, default=threads_default)
     p.set_defaults(func=cmd_all)
 
     return parser

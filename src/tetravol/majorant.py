@@ -116,48 +116,53 @@ class EvenPoly:
         return cls(tuple(entries[i] for i in sorted(entries)))
 
 
-def hermite_onesided(nodes: NodeSet) -> EvenPoly:
-    """The unique even majorant interpolating x and slope 1 at every node.
+def hermite_coefficients(xs: Sequence[Fraction] | Sequence[float]) -> list:
+    """Coefficients a_0..a_(2m+1) of the even Hermite majorant on nodes xs.
 
     Divided differences on the doubled node sequence t_0, t_0, ..., t_m, t_m
     (t_j = x_j^2); the repeated-node entries take the derivative value
     1/(2 x_j).  The Newton form is then expanded to monomial coefficients in
-    t, which are exactly the even coefficients a_i.
+    t, which are exactly the even coefficients a_i.  The arithmetic follows
+    the type of the nodes: exact for `Fraction`, double precision for `float`.
     """
-    xs = list(nodes)
-    ts: list[Fraction] = []
-    fs: list[Fraction] = []
+    zero = xs[0] * 0
+    ts = []
+    column = []
     for x in xs:
         t = x * x
         ts.extend((t, t))
-        fs.extend((x, x))
+        column.extend((x, x))
     n = len(ts)
 
-    column = list(fs)
     newton = [column[0]]
     for order in range(1, n):
         nxt = []
         for i in range(n - order):
             if ts[i + order] == ts[i]:
                 assert order == 1, "nodes are distinct, only adjacent doubling occurs"
-                nxt.append(Fraction(1, 1) / (2 * xs[i // 2]))
+                nxt.append(1 / (2 * xs[i // 2]))
             else:
                 nxt.append((column[i + 1] - column[i]) / (ts[i + order] - ts[i]))
         column = nxt
         newton.append(column[0])
 
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]
+    coeffs = [zero] * n
+    basis = [zero + 1]
     for j in range(n):
         for i, b in enumerate(basis):
             coeffs[i] += newton[j] * b
         if j < n - 1:
-            nb = [Fraction(0)] * (len(basis) + 1)
+            nb = [zero] * (len(basis) + 1)
             for i, b in enumerate(basis):
                 nb[i] -= b * ts[j]
                 nb[i + 1] += b
             basis = nb
-    return EvenPoly(tuple(coeffs))
+    return coeffs
+
+
+def hermite_onesided(nodes: NodeSet) -> EvenPoly:
+    """The unique even majorant interpolating x and slope 1 at every node."""
+    return EvenPoly(tuple(hermite_coefficients(nodes.nodes)))
 
 
 def expected_value(poly: EvenPoly, moments: MomentTable) -> Fraction:

@@ -31,27 +31,21 @@ enforces that cross-check before trusting any cached values.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from .rational import factorial
-from .simplex_integrals import triple_integral
 
 __all__ = [
     "TERMS_3D",
     "VAR_NAMES",
-    "SparsePoly",
     "Abbreviations",
-    "build_D",
-    "poly_mul",
     "abbreviations",
     "enumerate_compositions",
     "composition_count",
     "even_moment_direct",
-    "even_moment_expand",
     "even_moment_fast",
     "MomentTable",
     "moment_table",
@@ -64,8 +58,8 @@ VAR_NAMES = ("x1", "y1", "z1", "x2", "y2", "z2", "x3", "y3", "z3")
 _VAR_INDEX = {v: i for i, v in enumerate(VAR_NAMES)}
 
 #: the 18 signed terms of 3*D, in the determinant-expansion order.  This is
-#: the single source of truth: the composition enumerator, the sparse
-#: expansion and the collapsed fast path are all derived from it.
+#: the single source of truth: the composition enumerator and the collapsed
+#: fast path are both derived from it.
 TERMS_3D: tuple[tuple[int, tuple[str, ...]], ...] = (
     (+1, ("x1", "z2")),
     (-1, ("x1", "z3")),
@@ -105,105 +99,6 @@ class MomentCacheError(RuntimeError):
 
 class MomentIntegrityError(RuntimeError):
     """A cached or recomputed moment disagrees with the direct enumerator."""
-
-
-# ---------------------------------------------------------------------------
-# sparse 9-variable polynomials
-# ---------------------------------------------------------------------------
-
-_FIELD_BITS = 6
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-_EXP_MAX = _FIELD_MASK
-
-
-def pack_monomial(exponents: Sequence[int]) -> int:
-    """Pack a 9-tuple of exponents into one int key (x1 in the top field).
-
-    Integer keys hash fast and order lexicographically like the tuples.
-    """
-    key = 0
-    for e in exponents:
-        if not 0 <= e <= _EXP_MAX:
-            raise ValueError(f"exponent {e} out of range 0..{_EXP_MAX}")
-        key = (key << _FIELD_BITS) | e
-    return key
-
-
-def unpack_monomial(key: int) -> tuple[int, ...]:
-    out = [0] * 9
-    for i in range(8, -1, -1):
-        out[i] = key & _FIELD_MASK
-        key >>= _FIELD_BITS
-    return tuple(out)
-
-
-class SparsePoly:
-    """Integer-coefficient polynomial in the 9 coordinates times a power of 3.
-
-    value = 3**scale_pow3 * sum(coeff * monomial).  Keys are packed exponent
-    ints; zero coefficients are never stored.
-    """
-
-    __slots__ = ("terms", "scale_pow3")
-
-    def __init__(self, terms: dict[int, int], scale_pow3: int = 0) -> None:
-        self.terms = {k: c for k, c in terms.items() if c}
-        self.scale_pow3 = scale_pow3
-
-    @classmethod
-    def from_exponent_terms(cls, items: Sequence[tuple[Sequence[int], int]],
-                            scale_pow3: int = 0) -> "SparsePoly":
-        d: dict[int, int] = {}
-        for exps, coeff in items:
-            key = pack_monomial(exps)
-            d[key] = d.get(key, 0) + coeff
-        return cls(d, scale_pow3)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def items(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms as (exponent 9-tuple, coefficient), in canonical key order."""
-        return [(unpack_monomial(k), self.terms[k]) for k in sorted(self.terms)]
-
-    def coefficient(self, exponents: Sequence[int]) -> int:
-        return self.terms.get(pack_monomial(exponents), 0)
-
-    def eval_at(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact value at a 9-tuple of rationals (term-by-term)."""
-        total = Fraction(0)
-        for key in sorted(self.terms):
-            exps = unpack_monomial(key)
-            v = Fraction(self.terms[key])
-            for x, e in zip(point, exps):
-                if e:
-                    v *= Fraction(x) ** e
-            total += v
-        return total * Fraction(3) ** self.scale_pow3
-
-
-def build_D() -> SparsePoly:
-    """The determinant polynomial D for T_o with c = (1/3, 1/3, 0).
-
-    Returned as the integer polynomial 3*D with scale_pow3 = -1: coefficients
-    are +-1 for the 12 quadratic terms and +-3 for the 6 cubic ones.
-    """
-    return SparsePoly.from_exponent_terms(
-        [(exps, coeff) for (coeff, _), exps in zip(TERMS_3D, _TERM_EXPS)],
-        scale_pow3=-1,
-    )
-
-
-def poly_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    """Exact product; scales add, cancelled terms drop out."""
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    out: dict[int, int] = {}
-    get = out.get
-    for ks, cs in small.terms.items():
-        for kl, cl in large.terms.items():
-            key = ks + kl  # disjoint bit fields add like exponent vectors
-            out[key] = get(key, 0) + cs * cl
-    return SparsePoly(out, a.scale_pow3 + b.scale_pow3)
 
 
 # ---------------------------------------------------------------------------
@@ -329,47 +224,6 @@ def even_moment_direct(k: int, cap: int = DIRECT_CAP_DEFAULT) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# sparse-expansion reference path
-# ---------------------------------------------------------------------------
-
-def power_of_three_d(power: int, check_z_degree: bool = True) -> SparsePoly:
-    """(3D)^power as a sparse polynomial (scale_pow3 = -power).
-
-    Every generator carries exactly one z coordinate, so each monomial of the
-    result must have total z-degree equal to `power`; asserted during the
-    expansion when `check_z_degree` is set.
-    """
-    d = build_D()
-    acc = SparsePoly({0: 1}, 0)
-    zmask_fields = (2, 5, 8)
-    for step in range(1, power + 1):
-        acc = poly_mul(acc, d)
-        if check_z_degree:
-            for key in acc.terms:
-                exps = unpack_monomial(key)
-                zdeg = sum(exps[i] for i in zmask_fields)
-                assert zdeg == step, f"z-degree {zdeg} != {step}"
-    return acc
-
-
-def even_moment_expand(k: int) -> Fraction:
-    """E V^(2k) by full 9-variable expansion plus term-by-term integration.
-
-    Independent of the collapsed path; practical only for small k (the term
-    count approaches C(2k+17, 17)).  Terms are summed in canonical key order
-    so intermediate sums are reproducible.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    p = power_of_three_d(2 * k)
-    total = Fraction(0)
-    for exps, coeff in p.items():
-        total += coeff * triple_integral(exps)
-    # p = (3D)^(2k) with scale -2k relative to D^(2k)
-    return 216 * total * Fraction(1, 3 ** (2 * k))
-
-
-# ---------------------------------------------------------------------------
 # collapsed fast path
 # ---------------------------------------------------------------------------
 
@@ -484,13 +338,13 @@ def _triple_contribution(P1: list[dict], P2: list[dict], P3: list[dict],
     return j
 
 
-def even_moment_fast(k: int, threads: int = 1) -> Fraction:
+def even_moment_fast(k: int) -> Fraction:
     """E V^(2k) by the collapsed point-at-a-time evaluation.
 
     Swapping two random points permutes (F1, F2, F3) up to signs that cancel
     at even total degree, so only ordered z-degree splits n1 >= n2 >= n3 are
     evaluated, weighted by their orbit size.  Results are exact integers until
-    the final division, hence bit-identical for any thread count.
+    the final division.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -502,7 +356,7 @@ def even_moment_fast(k: int, threads: int = 1) -> Fraction:
     fact = [factorial(i) for i in range(n2k + 4)]
     big = fact[n2k + 3]
 
-    splits = []
+    total = 0
     for n1 in range(n2k, -1, -1):
         for n2 in range(min(n1, n2k - n1), -1, -1):
             n3 = n2k - n1 - n2
@@ -510,18 +364,8 @@ def even_moment_fast(k: int, threads: int = 1) -> Fraction:
                 continue
             orbit = len({p for p in itertools.permutations((n1, n2, n3))})
             weight = orbit * (fact[n2k] // (fact[n1] * fact[n2] * fact[n3]))
-            splits.append(((n1, n2, n3), weight))
-
-    def contrib(item):
-        split, weight = item
-        return weight * _triple_contribution(P1, P2, P3, split, fact, big)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(contrib, splits))
-    else:
-        parts = [contrib(item) for item in splits]
-    total = sum(parts)
+            total += weight * _triple_contribution(P1, P2, P3, (n1, n2, n3),
+                                                   fact, big)
     return Fraction(216 * total, 3 ** n2k * big ** 3)
 
 
@@ -538,8 +382,9 @@ VERIFY_ORDER_MAX = 4
 class MomentTable:
     """Map k -> E V^(2k) with a provenance tag per entry.
 
-    Entries must be strictly positive, decreasing, and bounded by (1/3)^(2k)
-    (the pinned simplex volume never exceeds 1/3).
+    Orders must be at least 1 (E V^0 = 1 is implied, never stored).  Entries
+    must be strictly positive, decreasing, and bounded by (1/3)^(2k) (the
+    pinned simplex volume never exceeds 1/3).
     """
 
     def __init__(self, values: dict[int, Fraction],
@@ -552,6 +397,8 @@ class MomentTable:
         prev = None
         for k in sorted(self.values):
             v = self.values[k]
+            if k < 1:
+                raise MomentIntegrityError(f"moment order {k} is below 1")
             if v <= 0:
                 raise MomentIntegrityError(f"moment k={k} is not positive: {v}")
             if v > Fraction(1, 3 ** (2 * k)):
@@ -633,7 +480,7 @@ class MomentTable:
 
 
 def moment_table(k_max: int, cache_path: str | Path | None = None,
-                 threads: int = 1, verify: bool = True) -> MomentTable:
+                 verify: bool = True) -> MomentTable:
     """Moments 1..k_max, from cache where available, fast path otherwise.
 
     Orders up to min(4, k_max) are recomputed with the direct enumerator and
@@ -643,6 +490,8 @@ def moment_table(k_max: int, cache_path: str | Path | None = None,
     flushed to it immediately, so an interrupted run resumes where it left
     off.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     values: dict[int, Fraction] = {}
     provenance: dict[int, str] = {}
     if cache_path is not None and Path(cache_path).exists():
@@ -652,12 +501,10 @@ def moment_table(k_max: int, cache_path: str | Path | None = None,
                 values[k] = v
                 provenance[k] = "file"
 
-    changed = False
     for k in range(1, k_max + 1):
         if k not in values:
-            values[k] = even_moment_fast(k, threads=threads)
+            values[k] = even_moment_fast(k)
             provenance[k] = "fast"
-            changed = True
             if cache_path is not None:
                 MomentTable(values, provenance).write(cache_path)
 
@@ -670,7 +517,4 @@ def moment_table(k_max: int, cache_path: str | Path | None = None,
                     f"direct value {direct}")
             provenance[k] = "direct"
 
-    table = MomentTable(values, provenance)
-    if cache_path is not None and changed:
-        table.write(cache_path)
-    return table
+    return MomentTable(values, provenance)

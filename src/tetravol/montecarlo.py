@@ -8,14 +8,13 @@ Sampling is Dirichlet(1,1,1,1) barycentric: four unit exponentials normalized
 to sum one are uniform over a simplex.  Streams are counter-based (Philox
 keyed by the seed, one disjoint counter block per fixed-size sample block),
 and reductions run over blocks in index order, so a given (seed, N, mode)
-yields bit-identical results for any worker count.
+yields bit-identical results.
 
 Nothing here feeds the certificate; double precision is fine.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +88,7 @@ def _block_sums(seed: int, block_index: int, count: int, mode: str, power: int
     return float(np.sum(vp)), float(np.sum(vp * vp))
 
 
-def estimate(mode: str, power: int, n_samples: int, seed: int,
-             threads: int = 1) -> EstimatorResult:
+def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResult:
     """Sample mean and standard error of V^power over n_samples draws."""
     if mode not in (MODE_ALL_RANDOM, MODE_CENTROID):
         raise ValueError(f"unknown mode {mode!r}")
@@ -99,24 +97,8 @@ def estimate(mode: str, power: int, n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
 
-    blocks = []
-    start = 0
-    index = 0
-    while start < n_samples:
-        count = min(BLOCK_SIZE, n_samples - start)
-        blocks.append((index, count))
-        start += count
-        index += 1
-
-    def work(block):
-        idx, count = block
-        return _block_sums(seed, idx, count, mode, power)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(work, blocks))
-    else:
-        sums = [work(b) for b in blocks]
+    sums = [_block_sums(seed, index, min(BLOCK_SIZE, n_samples - start), mode, power)
+            for index, start in enumerate(range(0, n_samples, BLOCK_SIZE))]
 
     s1 = float(np.sum(np.array([s[0] for s in sums])))
     s2 = float(np.sum(np.array([s[1] for s in sums])))

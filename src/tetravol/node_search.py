@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .majorant import hermite_coefficients
 from .moments import MomentTable
 
 #: constraints with relative residual below this are reported active
@@ -65,6 +66,8 @@ class LpProblem:
 
     @classmethod
     def equispaced(cls, degree: int, intervals: int, moments: MomentTable) -> "LpProblem":
+        if intervals < 1:
+            raise ValueError(f"grid needs at least 1 interval, got {intervals}")
         grid = tuple(i / (3 * intervals) for i in range(intervals + 1))
         mu = tuple(float(moments[i]) for i in range(1, degree + 1))
         return cls(degree, grid, mu)
@@ -310,43 +313,9 @@ def _gap_minimum(solution: LpSolution, lo: float, hi: float) -> float:
 
 
 def _hermite_objective(nodes: Sequence[float], mu: np.ndarray) -> float:
-    """E P(V) for the float Hermite majorant built on `nodes`.
-
-    Mirrors the exact construction in `majorant.hermite_onesided`; degree-13
-    interpolation in t-space is well conditioned in double precision (checked
-    against the exact path to ~1e-13 relative).
-    """
-    ts: list[float] = []
-    fs: list[float] = []
-    for x in nodes:
-        t = x * x
-        ts.extend((t, t))
-        fs.extend((x, x))
-    n = len(ts)
-    column = list(fs)
-    newton = [column[0]]
-    for order in range(1, n):
-        nxt = []
-        for i in range(n - order):
-            if ts[i + order] == ts[i]:
-                nxt.append(1.0 / (2.0 * nodes[i // 2]))
-            else:
-                nxt.append((column[i + 1] - column[i]) / (ts[i + order] - ts[i]))
-        column = nxt
-        newton.append(column[0])
-    coeffs = np.zeros(n)
-    basis = np.zeros(n)
-    basis[0] = 1.0
-    blen = 1
-    for j in range(n):
-        coeffs[:blen] += newton[j] * basis[:blen]
-        if j < n - 1:
-            nb = np.zeros(n)
-            nb[:blen] -= basis[:blen] * ts[j]
-            nb[1:blen + 1] += basis[:blen]
-            basis = nb
-            blen += 1
-    return float(np.dot(coeffs, mu[:n]))
+    """E P(V) for the float Hermite majorant built on `nodes`."""
+    coeffs = hermite_coefficients(nodes)
+    return float(np.dot(np.array(coeffs), mu[:len(coeffs)]))
 
 
 def polish_nodes(nodes: Sequence[float], moments: MomentTable,
@@ -367,7 +336,7 @@ def polish_nodes(nodes: Sequence[float], moments: MomentTable,
     def objective(xs: np.ndarray) -> float:
         if not all(a < b for a, b in zip(xs, xs[1:])) or xs[0] <= 0:
             return np.inf
-        return _hermite_objective(list(xs), mu)
+        return _hermite_objective(xs.tolist(), mu)
 
     x = np.asarray(nodes, dtype=float).copy()
     step = np.full(len(x), 1e-3)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import tetravol
 from tetravol.certificate import (
     REFERENCE_NODES,
     VERDICT_FALSE,
@@ -78,6 +79,11 @@ def test_certify_single_node_fails_comparison(table13):
     assert cert.verdict is False
     assert cert.dominance.valid  # majorant fine, bound just too weak
     assert cert.margin < 0
+
+
+def test_certificate_names_the_package_version():
+    cert = certify(NodeSet((Fraction(1, 3),)), MomentTable({1: Fraction(1, 2000)}))
+    assert cert.metadata["tool"] == f"tetravol {tetravol.__version__}"
 
 
 def test_certify_requires_all_orders(table13):

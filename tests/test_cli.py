@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +102,34 @@ def test_mc_deterministic_output(capsys):
           "--seed", "3", "--ref", "0.0174"])
     assert capsys.readouterr().out == first
     assert "z    =" in first
+
+
+ORDER_1 = "tetra-moments v1\n1\t1\t2000\n"
+
+
+@pytest.mark.parametrize("argv, moments", [
+    pytest.param(["search", "--degree", "1", "--grid", "0", "--out", "n.txt"],
+                 ORDER_1, id="search-grid-0"),
+    pytest.param(["search", "--degree", "1", "--grid", "-5", "--out", "n.txt"],
+                 ORDER_1, id="search-grid-negative"),
+    pytest.param(["moments", "--k-max", "0", "--out", "new.tsv"],
+                 None, id="moments-k-max-0"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n-1\t1\t2\n1\t1\t2000\n",
+                 id="certify-order-negative"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n0\t1\t2\n1\t1\t2000\n",
+                 id="certify-order-0"),
+])
+def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys,
+                                           argv, moments):
+    monkeypatch.chdir(tmp_path)
+    NodeSet((Fraction(1, 3),)).write("nodes.txt")
+    if moments is not None:
+        Path("m.tsv").write_text(moments)
+        argv = argv + ["--moments", "m.tsv"]
+    assert main(argv) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "wrote" not in out
+    assert not any(Path(name).exists() for name in ("n.txt", "new.tsv", "r.txt"))

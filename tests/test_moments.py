@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -8,19 +9,15 @@ from tetravol.moments import (
     MomentCacheError,
     MomentIntegrityError,
     MomentTable,
-    SparsePoly,
     TERMS_3D,
+    VAR_NAMES,
+    _z_split,
     abbreviations,
-    build_D,
     composition_count,
     enumerate_compositions,
     even_moment_direct,
-    even_moment_expand,
     even_moment_fast,
     moment_table,
-    poly_mul,
-    power_of_three_d,
-    unpack_monomial,
 )
 from tetravol.rational import factorial
 from tetravol.simplex_integrals import triple_integral
@@ -73,30 +70,39 @@ def det_value(point, k_power: int) -> Fraction:
     return (3 * det(rows)) ** k_power
 
 
+def terms_3d_at(point) -> Fraction:
+    """Sum of coeff * prod(vars) over TERMS_3D at a rational 9-tuple."""
+    value = dict(zip(VAR_NAMES, point))
+    return sum(coeff * prod(value[v] for v in vars_) for coeff, vars_ in TERMS_3D)
+
+
 # ---------------------------------------------------------------------------
 # determinant polynomial and abbreviation map
 # ---------------------------------------------------------------------------
 
 def test_build_D_term_count_and_scale():
-    d = build_D()
-    assert len(d) == 18
-    assert d.scale_pow3 == -1
+    # 3D has 18 distinct monomials: 12 quadratic with coefficient +-1 and
+    # 6 cubic with +-3
+    assert len(TERMS_3D) == 18
+    assert len({frozenset(vars_) for _, vars_ in TERMS_3D}) == 18
+    for coeff, vars_ in TERMS_3D:
+        assert abs(coeff) == (1 if len(vars_) == 2 else 3)
+    assert sum(len(vars_) == 2 for _, vars_ in TERMS_3D) == 12
 
 
 def test_build_D_printed_signs():
-    d = build_D()
-    assert d.coefficient((1, 0, 0, 0, 0, 1, 0, 0, 0)) == 1    # x1 z2
-    assert d.coefficient((0, 0, 1, 1, 0, 0, 0, 0, 0)) == -1   # x2 z1
-    assert d.coefficient((1, 0, 0, 0, 1, 0, 0, 0, 1)) == 3    # x1 y2 z3
-    assert d.coefficient((0, 0, 1, 0, 1, 0, 1, 0, 0)) == -3   # x3 y2 z1
+    signs = {frozenset(vars_): coeff for coeff, vars_ in TERMS_3D}
+    assert signs[frozenset(("x1", "z2"))] == 1
+    assert signs[frozenset(("x2", "z1"))] == -1
+    assert signs[frozenset(("x1", "y2", "z3"))] == 3
+    assert signs[frozenset(("x3", "y2", "z1"))] == -3
 
 
 def test_build_D_matches_determinant_at_random_points():
     rng = random.Random(11)
-    d = build_D()
     for _ in range(10):
         point = [Fraction(rng.randrange(1, 30), 90) for _ in range(9)]
-        assert d.eval_at(point) * 3 == det_value(point, 1)
+        assert terms_3d_at(point) == det_value(point, 1)
 
 
 def test_abbreviations_all_zero():
@@ -145,59 +151,26 @@ def test_composition_count_formula():
     assert composition_count(5) == 8436285
 
 
-# ---------------------------------------------------------------------------
-# sparse polynomial arithmetic
-# ---------------------------------------------------------------------------
-
-def test_poly_mul_identity():
-    d = build_D()
-    one = SparsePoly({0: 1}, 0)
-    assert poly_mul(d, one).terms == d.terms
-
-
-def test_poly_mul_cancellation():
-    plus = SparsePoly.from_exponent_terms(
-        [((1, 0, 0, 0, 0, 0, 0, 0, 0), 1), ((0, 1, 0, 0, 0, 0, 0, 0, 0), 1)])
-    minus = SparsePoly.from_exponent_terms(
-        [((1, 0, 0, 0, 0, 0, 0, 0, 0), 1), ((0, 1, 0, 0, 0, 0, 0, 0, 0), -1)])
-    prod = poly_mul(plus, minus)
-    expected = SparsePoly.from_exponent_terms(
-        [((2, 0, 0, 0, 0, 0, 0, 0, 0), 1), ((0, 2, 0, 0, 0, 0, 0, 0, 0), -1)])
-    assert prod.terms == expected.terms
-    assert len(prod) == 2
-
-
-def test_squared_D_matches_composition_aggregation():
-    # aggregate the k=1 composition expansion into a monomial -> coeff map
-    expected: dict[tuple, int] = {}
-    for comp in enumerate_compositions(2, 18):
-        ab = abbreviations(comp)
-        mult = factorial(2)
-        for c in comp:
-            mult //= factorial(c)
-        coeff = (-1) ** ab.k_prime * 3**ab.k_double_prime * mult
-        expected[ab.exponents] = expected.get(ab.exponents, 0) + coeff
-    expected = {e: c for e, c in expected.items() if c}
-
-    d = build_D()
-    dd = poly_mul(d, d)
-    assert dd.scale_pow3 == -2
-    assert dict(dd.items()) == expected
-
-
 def test_power_z_degree_invariant_and_point_evaluation():
+    # every term holds exactly one z coordinate, so (3D)^n has z-degree n and
+    # 3D = z1*F1 + z2*F2 + z3*F3 with each F_i free of z
+    for _, vars_ in TERMS_3D:
+        assert sum(v.startswith("z") for v in vars_) == 1
+    f1, f2, f3, layouts = _z_split()
     rng = random.Random(23)
     for k in (1, 2, 3):
-        p = power_of_three_d(2 * k)  # asserts z-degree internally
         for _ in range(4 if k < 3 else 2):
             point = [Fraction(rng.randrange(1, 24), 72) for _ in range(9)]
-            # p represents D^(2k); its integer term sum is (3D)^(2k)
-            term_sum = p.eval_at(point) * Fraction(3) ** (2 * k)
-            assert term_sum == det_value(point, 2 * k)
+            value = dict(zip(VAR_NAMES, point))
+            split = sum(value[f"z{i}"] * sum(
+                c * prod(value[v] ** e for v, e in zip(layouts[i], exps))
+                for exps, c in f.items())
+                for i, f in ((1, f1), (2, f2), (3, f3)))
+            assert split ** (2 * k) == det_value(point, 2 * k)
 
 
 # ---------------------------------------------------------------------------
-# the three evaluation routes
+# the two evaluation routes
 # ---------------------------------------------------------------------------
 
 def test_direct_matches_published_low_moments():
@@ -217,18 +190,9 @@ def test_direct_cap_names_composition_count():
     assert even_moment_direct(3, cap=3) == PAPER_MOMENTS[3]
 
 
-def test_expand_route_agrees():
-    for k in (1, 2, 3):
-        assert even_moment_expand(k) == PAPER_MOMENTS[k]
-
-
 def test_fast_agrees_with_direct_low_orders():
     for k in (1, 2, 3):
         assert even_moment_fast(k) == even_moment_direct(k)
-
-
-def test_fast_threaded_is_bit_identical():
-    assert even_moment_fast(6, threads=1) == even_moment_fast(6, threads=4)
 
 
 @pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),

@@ -52,11 +52,10 @@ def test_sample_rejects_degenerate_vertices():
         sample_uniform_tetrahedron(rng, flat)
 
 
-def test_estimate_reproducible_and_thread_invariant():
+def test_estimate_reproducible():
     a = estimate(MODE_CENTROID, 1, 100_000, seed=7)
     b = estimate(MODE_CENTROID, 1, 100_000, seed=7)
-    c = estimate(MODE_CENTROID, 1, 100_000, seed=7, threads=3)
-    assert a == b == c
+    assert a == b
     d = estimate(MODE_CENTROID, 1, 100_000, seed=8)
     assert d.mean != a.mean
 
@@ -72,7 +71,7 @@ def test_estimate_input_validation():
 
 def test_estimate_matches_exact_low_moments(table13):
     for k in (1, 2):
-        r = estimate(MODE_CENTROID, 2 * k, 10**7, seed=123, threads=2)
+        r = estimate(MODE_CENTROID, 2 * k, 10**7, seed=123)
         exact = float(table13[k])
         assert abs(r.mean - exact) < 4 * r.stderr, (k, r, exact)
 
