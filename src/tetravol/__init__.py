@@ -22,8 +22,8 @@ from .moments import (
 from .montecarlo import EstimatorResult, estimate, tetra_volume
 from .node_search import LpProblem, LpSolution, extract_nodes, polish_nodes, \
     rationalize, solve_onesided_lp
-from .rational import RationalInterval, factorial, multinomial, \
-    pi_squared_enclosure, target_enclosure
+from .rational import RationalInterval, factorial, pi_squared_enclosure, \
+    target_enclosure
 
 __all__ = [
     "Certificate", "DominanceProof", "REFERENCE_NODES", "certify",
@@ -34,7 +34,7 @@ __all__ = [
     "EstimatorResult", "estimate", "tetra_volume",
     "LpProblem", "LpSolution", "extract_nodes", "polish_nodes",
     "rationalize", "solve_onesided_lp",
-    "RationalInterval", "factorial", "multinomial",
-    "pi_squared_enclosure", "target_enclosure",
+    "RationalInterval", "factorial", "pi_squared_enclosure",
+    "target_enclosure",
     "__version__",
 ]

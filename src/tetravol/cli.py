@@ -25,25 +25,32 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-def cmd_moments(args: argparse.Namespace) -> int:
-    table = moments_mod.moment_table(args.k_max, cache_path=args.out)
+def cmd_moments(*, k_max: int, out: Path) -> int:
+    table = moments_mod.moment_table(k_max, cache_path=out)
     for k in table.orders():
         v = table[k]
         print(f"k={k}: {v.numerator}/{v.denominator} "
               f"({table.provenance.get(k, '?')})")
-    print(f"wrote {args.out}")
+    print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    table = moments_mod.MomentTable.read(args.moments)
-    if table.order_max < args.degree:
+def _check_max_denominator(max_denominator: int) -> None:
+    if max_denominator < 1:
+        raise ValueError(f"--max-denominator must be >= 1, got {max_denominator}")
+
+
+def cmd_search(*, degree: int, grid: int, max_denominator: int,
+               moments: Path, out: Path) -> int:
+    _check_max_denominator(max_denominator)
+    table = moments_mod.MomentTable.read(moments)
+    if table.order_max < degree:
         print(f"error: moment file has orders up to {table.order_max}, "
-              f"degree {args.degree} needs {args.degree}", file=sys.stderr)
+              f"degree {degree} needs {degree}", file=sys.stderr)
         return EXIT_ERROR
-    problem = node_search.LpProblem.equispaced(args.degree, args.grid, table)
+    problem = node_search.LpProblem.equispaced(degree, grid, table)
     solution = node_search.solve_onesided_lp(problem)
-    print(f"LP objective (lower bound for degree {args.degree}): "
+    print(f"LP objective (lower bound for degree {degree}): "
           f"{solution.objective:.8f}")
 
     target_lo = float(target_enclosure().lo)
@@ -57,62 +64,59 @@ def cmd_search(args: argparse.Namespace) -> int:
     # keep interior tangencies; an endpoint-pinned touch is only a node when
     # nothing else touches (the constant-majorant case)
     nodes = [x for x in estimates if x < grid_max * (1 - 1e-12)] or estimates
-    if 2 * len(nodes) - 1 == args.degree and table.order_max >= args.degree:
+    if 2 * len(nodes) - 1 == degree and table.order_max >= degree:
         nodes = node_search.polish_nodes(nodes, table)
-    rationals = [node_search.rationalize(x, args.max_denominator) for x in nodes]
+    rationals = [node_search.rationalize(x, max_denominator) for x in nodes]
     node_set = NodeSet.from_rationals(rationals)
-    node_set.write(args.out)
+    node_set.write(out)
     print("nodes: " + " ".join(f"{x.numerator}/{x.denominator}" for x in node_set))
-    print(f"wrote {args.out}")
+    print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    nodes = NodeSet.read(args.nodes)
-    table = moments_mod.MomentTable.read(args.moments)
-    cert = cert_mod.certify(nodes, table,
-                            metadata={"moment-file": str(args.moments)})
-    report = cert_mod.render_report(cert)
-    Path(args.report).write_text(report, newline="\n")
+def cmd_certify(*, nodes: Path, moments: Path, report: Path) -> int:
+    node_set = NodeSet.read(nodes)
+    table = moments_mod.MomentTable.read(moments)
+    cert = cert_mod.certify(node_set, table, metadata={"moment-file": str(moments)})
+    text = cert_mod.render_report(cert)
+    Path(report).write_text(text, newline="\n")
     print(f"bound    = {fraction_to_decimal(cert.bound, 20)}")
     print(f"target   < {fraction_to_decimal(cert.target.lo, 20)}")
     print(f"margin   = {fraction_to_decimal(cert.margin, 20)}")
     print(f"verdict  : {cert_mod.VERDICT_TRUE if cert.verdict else cert_mod.VERDICT_FALSE}")
-    print(f"wrote {args.report}")
+    print(f"wrote {report}")
     return EXIT_OK if cert.verdict else EXIT_NOT_CERTIFIED
 
 
-def cmd_mc(args: argparse.Namespace) -> int:
-    result = montecarlo.estimate(args.mode, args.power, args.samples, args.seed)
-    print(f"mode={args.mode} power={args.power} N={result.n_samples} "
-          f"seed={result.seed}")
+def cmd_mc(*, mode: str, power: int, samples: int, seed: int,
+           ref: float | None) -> int:
+    result = montecarlo.estimate(mode, power, samples, seed)
+    print(f"mode={mode} power={power} N={result.n_samples} seed={result.seed}")
     print(f"mean = {result.mean:.9e}")
     print(f"s.e. = {result.stderr:.3e}")
-    if args.ref is not None:
-        print(f"z    = {result.z_score(args.ref):+.2f} vs reference {args.ref}")
+    if ref is not None:
+        print(f"z    = {result.z_score(ref):+.2f} vs reference {ref}")
     return EXIT_OK
 
 
-def cmd_all(args: argparse.Namespace) -> int:
-    workdir = Path(args.workdir)
+def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
+            workdir: Path) -> int:
+    # reject what `search` would reject before the moments are computed
+    if degree > k_max:
+        raise ValueError(f"--degree {degree} needs --k-max >= {degree}, got {k_max}")
+    _check_max_denominator(max_denominator)
     workdir.mkdir(parents=True, exist_ok=True)
-    moments_path = workdir / "moments.tsv"
-    nodes_path = workdir / "nodes.txt"
-    report_path = workdir / "certificate.txt"
+    moments = workdir / "moments.tsv"
+    nodes = workdir / "nodes.txt"
 
-    args_m = argparse.Namespace(k_max=args.k_max, out=moments_path)
-    rc = cmd_moments(args_m)
+    rc = cmd_moments(k_max=k_max, out=moments)
     if rc != EXIT_OK:
         return rc
-    args_s = argparse.Namespace(degree=args.degree, grid=args.grid,
-                                max_denominator=args.max_denominator,
-                                moments=moments_path, out=nodes_path)
-    rc = cmd_search(args_s)
+    rc = cmd_search(degree=degree, grid=grid, max_denominator=max_denominator,
+                    moments=moments, out=nodes)
     if rc != EXIT_OK:
         return rc
-    args_c = argparse.Namespace(nodes=nodes_path, moments=moments_path,
-                                report=report_path)
-    return cmd_certify(args_c)
+    return cmd_certify(nodes=nodes, moments=moments, report=workdir / "certificate.txt")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,9 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
+    func = args.pop("func")
     try:
-        return args.func(args)
+        return func(**args)
     except (OSError, ValueError, KeyError, MomentOrderError,
             moments_mod.MomentCacheError, moments_mod.MomentIntegrityError,
             node_search.LpError, cert_mod.ReportFormatError) as exc:

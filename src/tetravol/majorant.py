@@ -100,21 +100,6 @@ class EvenPoly:
             s = s * t + i * self.coeffs[i]
         return 2 * x * s
 
-    def write(self, path: str | Path) -> None:
-        lines = [f"{i}\t{c.numerator}\t{c.denominator}" for i, c in enumerate(self.coeffs)]
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
-
-    @classmethod
-    def read(cls, path: str | Path) -> "EvenPoly":
-        entries: dict[int, Fraction] = {}
-        for line in Path(path).read_text().split("\n"):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            i, num, den = line.split("\t")
-            entries[int(i)] = Fraction(int(num), int(den))
-        return cls(tuple(entries[i] for i in sorted(entries)))
-
 
 def hermite_coefficients(xs: Sequence[Fraction] | Sequence[float]) -> list:
     """Coefficients a_0..a_(2m+1) of the even Hermite majorant on nodes xs.

@@ -18,11 +18,12 @@ Two independent evaluation routes are implemented:
 * `even_moment_fast` - a collapsed evaluation that never materializes the
   9-variable expansion.  Each of the 18 terms contains exactly one z
   coordinate, so 3D = z1*F1 + z2*F2 + z3*F3 where each F_i involves only the
-  x/y coordinates of the other two points.  For each z-degree split
-  (n1, n2, n3) the integral of the product factorizes per point into factorial
-  weights, giving small exact-integer matrix sandwiches instead of a gigantic
-  monomial dictionary.  All arithmetic stays in integers until the final
-  division.
+  x/y coordinates of the other two points.  Read in their own variable
+  layouts, F2 = -F1 and F3 = F1, so one table of powers of F = F1 serves all
+  three.  For each z-degree split (n1, n2, n3) the integral of the product
+  factorizes per point into factorial weights, giving small exact-integer
+  matrix sandwiches instead of a gigantic monomial dictionary.  All
+  arithmetic stays in integers until the final division.
 
 The two routes must agree bit-exactly wherever both run; `moment_table`
 enforces that cross-check before trusting any cached values.
@@ -227,12 +228,14 @@ def even_moment_direct(k: int, cap: int = DIRECT_CAP_DEFAULT) -> Fraction:
 # collapsed fast path
 # ---------------------------------------------------------------------------
 
-def _z_split() -> tuple[dict, dict, dict, tuple]:
+def _z_split() -> tuple[dict, dict]:
     """Group the 18 terms by their z variable.
 
     3D = z1*F1 + z2*F2 + z3*F3.  F1 involves only (x2, y2, x3, y3), F2 only
-    (x1, y1, x3, y3), F3 only (x1, y1, x2, y2); each F_i is returned as a dict
-    keyed by the 4-tuple of exponents in that variable order.
+    (x1, y1, x3, y3), F3 only (x1, y1, x2, y2).  Keyed by the 4-tuple of
+    exponents in that variable order, F2 = -F1 and F3 = F1; the fast path
+    relies on this, so any other split raises MomentIntegrityError.  Returns
+    F = F1 and the three layouts.
     """
     layouts = {
         1: ("x2", "y2", "x3", "y3"),
@@ -248,7 +251,10 @@ def _z_split() -> tuple[dict, dict, dict, tuple]:
                 key[layouts[zi].index(v)] += 1
         kt = tuple(key)
         groups[zi][kt] = groups[zi].get(kt, 0) + coeff
-    return groups[1], groups[2], groups[3], layouts
+    f = groups[1]
+    if groups[2] != {kt: -c for kt, c in f.items()} or groups[3] != f:
+        raise MomentIntegrityError("TERMS_3D does not split as z1*F - z2*F + z3*F")
+    return f, layouts
 
 
 def _poly4_mul(p: dict, q: dict) -> dict:
@@ -313,18 +319,18 @@ def _transpose(m: list[list[int]]) -> list[list[int]]:
     return [list(row) for row in zip(*m)]
 
 
-def _triple_contribution(P1: list[dict], P2: list[dict], P3: list[dict],
-                         split: tuple[int, int, int],
+def _triple_contribution(mats: list[tuple], split: tuple[int, int, int],
                          fact: list[int], big: int) -> int:
     """Scaled integral of z1^n1 z2^n2 z3^n3 F1^n1 F2^n2 F3^n3 over T_o^3.
 
+    mats[n] is the matrix form of F^n; F2^n2 = (-1)^n2 F^n2 supplies the sign.
     The per-point weight kernels absorb the full monomial integrals, so the
     result is the exact integral times ((2k+3)!)^3.
     """
     n1, n2, n3 = split
-    p2_rows, p3u_cols, m1 = _as_matrix(P1[n1])
-    p1_rows, p3v_cols, m2 = _as_matrix(P2[n2])
-    p1v_rows, p2v_cols, m3 = _as_matrix(P3[n3])
+    p2_rows, p3u_cols, m1 = mats[n1]
+    p1_rows, p3v_cols, m2 = mats[n2]
+    p1v_rows, p2v_cols, m3 = mats[n3]
     w3 = _weight_kernel(p3u_cols, p3v_cols, n3, fact, big)
     g3 = _matmul(_matmul(m1, w3), _transpose(m2))          # point2 x point1
     w1 = _weight_kernel(p1_rows, p1v_rows, n1, fact, big)
@@ -335,7 +341,7 @@ def _triple_contribution(P1: list[dict], P2: list[dict], P3: list[dict],
         for jj, v in enumerate(row):
             if v:
                 j += v * h[jj][i]
-    return j
+    return -j if n2 % 2 else j
 
 
 def even_moment_fast(k: int) -> Fraction:
@@ -349,10 +355,8 @@ def even_moment_fast(k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     n2k = 2 * k
-    f1, f2, f3, _ = _z_split()
-    P1 = _poly4_powers(f1, n2k)
-    P2 = _poly4_powers(f2, n2k)
-    P3 = _poly4_powers(f3, n2k)
+    f, _ = _z_split()
+    mats = [_as_matrix(p) for p in _poly4_powers(f, n2k)]
     fact = [factorial(i) for i in range(n2k + 4)]
     big = fact[n2k + 3]
 
@@ -364,8 +368,7 @@ def even_moment_fast(k: int) -> Fraction:
                 continue
             orbit = len({p for p in itertools.permutations((n1, n2, n3))})
             weight = orbit * (fact[n2k] // (fact[n1] * fact[n2] * fact[n3]))
-            total += weight * _triple_contribution(P1, P2, P3, (n1, n2, n3),
-                                                   fact, big)
+            total += weight * _triple_contribution(mats, (n1, n2, n3), fact, big)
     return Fraction(216 * total, 3 ** n2k * big ** 3)
 
 
@@ -479,8 +482,7 @@ class MomentTable:
         return cls(values, {k: "file" for k in values})
 
 
-def moment_table(k_max: int, cache_path: str | Path | None = None,
-                 verify: bool = True) -> MomentTable:
+def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTable:
     """Moments 1..k_max, from cache where available, fast path otherwise.
 
     Orders up to min(4, k_max) are recomputed with the direct enumerator and
@@ -508,13 +510,12 @@ def moment_table(k_max: int, cache_path: str | Path | None = None,
             if cache_path is not None:
                 MomentTable(values, provenance).write(cache_path)
 
-    if verify:
-        for k in range(1, min(VERIFY_ORDER_MAX, k_max) + 1):
-            direct = even_moment_direct(k)
-            if values[k] != direct:
-                raise MomentIntegrityError(
-                    f"moment k={k}: {provenance[k]} value {values[k]} != "
-                    f"direct value {direct}")
-            provenance[k] = "direct"
+    for k in range(1, min(VERIFY_ORDER_MAX, k_max) + 1):
+        direct = even_moment_direct(k)
+        if values[k] != direct:
+            raise MomentIntegrityError(
+                f"moment k={k}: {provenance[k]} value {values[k]} != "
+                f"direct value {direct}")
+        provenance[k] = "direct"
 
     return MomentTable(values, provenance)

@@ -58,15 +58,6 @@ def tetra_volume(p1, p2, p3, p4) -> np.ndarray | float:
     return np.abs(det) / 6.0
 
 
-def sample_uniform_tetrahedron(rng: np.random.Generator, vertices) -> np.ndarray:
-    """One point uniform in the tetrahedron spanned by the four vertices."""
-    vertices = np.asarray(vertices, dtype=float)
-    if tetra_volume(vertices[0], vertices[1], vertices[2], vertices[3]) <= 0.0:
-        raise ValueError("degenerate tetrahedron")
-    e = rng.standard_exponential(4)
-    return (e / e.sum()) @ vertices
-
-
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     bg = np.random.Philox(key=seed)
     bg.advance(block_index * _BLOCK_STRIDE)

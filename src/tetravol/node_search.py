@@ -35,6 +35,9 @@ ACTIVE_TOLERANCE = 1e-9
 
 _PIVOT_TOL = 1e-11
 
+#: coordinate-descent sweeps in `polish_nodes`; it stops early once converged
+POLISH_SWEEPS = 200
+
 
 class LpError(RuntimeError):
     """Simplex solver failed (should be impossible for well-posed inputs)."""
@@ -75,12 +78,9 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    coefficients: np.ndarray        # a_0..a_n of P(x) = sum a_i x^(2i)
     objective: float
     active_indices: list[int]
-    status: str
     coefficients_exact: tuple[Fraction, ...] = field(repr=False)  # u = 3x scale
-    dual_weights: np.ndarray = field(repr=False)
     grid: np.ndarray = field(repr=False)
 
     # Degree-26 coefficients reach ~1e22 in x-scale, so float evaluation there
@@ -206,10 +206,6 @@ def solve_onesided_lp(problem: LpProblem) -> LpSolution:
             tableau[m, :] -= tableau[m, b] * tableau[r, :]
     _simplex_min(tableau, basis, cols)
 
-    y = np.zeros(cols)
-    for r, b in enumerate(basis):
-        y[b] = tableau[r, -1]
-
     # The vertex is reconstructed exactly: basis columns, grid points and the
     # float moments are all rationals, so the multipliers (= minus the primal
     # coefficients, u-scale) come out of exact elimination.  A float solve
@@ -225,7 +221,6 @@ def solve_onesided_lp(problem: LpProblem) -> LpSolution:
     nu_exact = [Fraction(1)] + [Fraction(problem.moments[i - 1]) * 9**i
                                 for i in range(1, m)]
     objective = sum(b * w for b, w in zip(b_exact, nu_exact))
-    coefficients = np.array([float(b * 9**i) for i, b in enumerate(b_exact)])
 
     active = []
     worst = Fraction(0)
@@ -243,12 +238,9 @@ def solve_onesided_lp(problem: LpProblem) -> LpSolution:
     if not active:
         raise LpError("optimal solution touches no constraint; impossible at an optimum")
     return LpSolution(
-        coefficients=coefficients,
         objective=float(objective),
         active_indices=active,
-        status="optimal",
         coefficients_exact=tuple(b_exact),
-        dual_weights=y,
         grid=np.asarray(problem.grid, dtype=float),
     )
 
@@ -266,7 +258,7 @@ def _cluster_contiguous(indices: Sequence[int]) -> list[list[int]]:
     return clusters
 
 
-def extract_nodes(solution: LpSolution, grid: Sequence[float] | None = None) -> list[float]:
+def extract_nodes(solution: LpSolution) -> list[float]:
     """One node estimate per active cluster, excluding x = 0.
 
     Contiguous active grid indices are clustered; each cluster representative
@@ -275,7 +267,7 @@ def extract_nodes(solution: LpSolution, grid: Sequence[float] | None = None) -> 
     continuous problem sits.  A cluster pinned at the right endpoint with no
     interior minimum keeps the endpoint itself.
     """
-    g = np.asarray(grid if grid is not None else solution.grid, dtype=float)
+    g = solution.grid
     active = sorted(solution.active_indices)
     clusters = _cluster_contiguous(active)
     if not clusters:
@@ -318,8 +310,7 @@ def _hermite_objective(nodes: Sequence[float], mu: np.ndarray) -> float:
     return float(np.dot(np.array(coeffs), mu[:len(coeffs)]))
 
 
-def polish_nodes(nodes: Sequence[float], moments: MomentTable,
-                 sweeps: int = 200) -> list[float]:
+def polish_nodes(nodes: Sequence[float], moments: MomentTable) -> list[float]:
     """Locally minimize the continuous objective over the node positions.
 
     For m+1 nodes the Hermite majorant has 2m+2 coefficients, so its expected
@@ -341,7 +332,7 @@ def polish_nodes(nodes: Sequence[float], moments: MomentTable,
     x = np.asarray(nodes, dtype=float).copy()
     step = np.full(len(x), 1e-3)
     f0 = objective(x)
-    for _ in range(sweeps):
+    for _ in range(POLISH_SWEEPS):
         moved = 0.0
         for j in range(len(x)):
             s = step[j]

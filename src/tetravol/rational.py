@@ -2,7 +2,7 @@
 
 Big integers are Python ints, rationals are `fractions.Fraction` (always
 reduced, positive denominator).  On top of those this module provides the
-combinatorial coefficients used by the moment engine and a rigorous rational
+memoized factorials used by the moment engine and a rigorous rational
 enclosure of the comparison constant 13/720 - pi^2/15015, the expected volume
 of a fully random simplex in a unit-volume tetrahedron (Klee's problem).
 """
@@ -13,9 +13,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-Rational = Fraction
 
 #: expected volume of the simplex of four uniform points in a unit-volume
 #: tetrahedron equals 13/720 - pi^2/15015; the rational part is exact, the
@@ -53,23 +50,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
     return math.factorial(n)
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Multinomial coefficient n! / prod(parts_i!).
-
-    The parts must be nonnegative and sum to n.
-    """
-    total = 0
-    denom = 1
-    for p in parts:
-        if p < 0:
-            raise ValueError(f"negative part {p}")
-        total += p
-        denom *= factorial(p)
-    if total != n:
-        raise ValueError(f"parts sum to {total}, expected {n}")
-    return factorial(n) // denom
 
 
 def _atan_inv_interval(x: int, eps: Fraction) -> RationalInterval:

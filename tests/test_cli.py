@@ -112,6 +112,14 @@ ORDER_1 = "tetra-moments v1\n1\t1\t2000\n"
                  ORDER_1, id="search-grid-0"),
     pytest.param(["search", "--degree", "1", "--grid", "-5", "--out", "n.txt"],
                  ORDER_1, id="search-grid-negative"),
+    pytest.param(["search", "--degree", "1", "--grid", "10",
+                  "--max-denominator", "0", "--out", "n.txt"],
+                 ORDER_1, id="search-max-denominator-0"),
+    pytest.param(["all", "--k-max", "2", "--degree", "3", "--workdir", "run"],
+                 None, id="all-degree-above-k-max"),
+    pytest.param(["all", "--k-max", "1", "--degree", "1",
+                  "--max-denominator", "0", "--workdir", "run"],
+                 None, id="all-max-denominator-0"),
     pytest.param(["moments", "--k-max", "0", "--out", "new.tsv"],
                  None, id="moments-k-max-0"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
@@ -131,5 +139,6 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys,
     assert main(argv) == EXIT_ERROR
     out, err = capsys.readouterr()
     assert err.startswith("error: ")
-    assert "wrote" not in out
-    assert not any(Path(name).exists() for name in ("n.txt", "new.tsv", "r.txt"))
+    assert "wrote" not in out and "LP objective" not in out
+    assert not any(Path(name).exists()
+                   for name in ("n.txt", "new.tsv", "r.txt", "run/moments.tsv"))

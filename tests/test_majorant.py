@@ -146,10 +146,3 @@ def test_node_file_skips_comments(tmp_path):
     path = tmp_path / "nodes.txt"
     path.write_text("# reference set\n1/4\n\n1/3\n")
     assert NodeSet.read(path).nodes == (Fraction(1, 4), Fraction(1, 3))
-
-
-def test_poly_file_round_trip(tmp_path):
-    p = hermite_onesided(NodeSet((Fraction(1, 5), Fraction(1, 4))))
-    path = tmp_path / "poly.tsv"
-    p.write(path)
-    assert EvenPoly.read(path) == p

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from tetravol import moments as moments_mod
 from tetravol.moments import (
     MomentCacheError,
     MomentIntegrityError,
@@ -153,20 +154,30 @@ def test_composition_count_formula():
 
 def test_power_z_degree_invariant_and_point_evaluation():
     # every term holds exactly one z coordinate, so (3D)^n has z-degree n and
-    # 3D = z1*F1 + z2*F2 + z3*F3 with each F_i free of z
+    # 3D = z1*F - z2*F + z3*F with F read in each point's own layout
     for _, vars_ in TERMS_3D:
         assert sum(v.startswith("z") for v in vars_) == 1
-    f1, f2, f3, layouts = _z_split()
+    f, layouts = _z_split()
     rng = random.Random(23)
     for k in (1, 2, 3):
         for _ in range(4 if k < 3 else 2):
             point = [Fraction(rng.randrange(1, 24), 72) for _ in range(9)]
             value = dict(zip(VAR_NAMES, point))
-            split = sum(value[f"z{i}"] * sum(
+            split = sum(sign * value[f"z{i}"] * sum(
                 c * prod(value[v] ** e for v, e in zip(layouts[i], exps))
                 for exps, c in f.items())
-                for i, f in ((1, f1), (2, f2), (3, f3)))
+                for i, sign in ((1, 1), (2, -1), (3, 1)))
             assert split ** (2 * k) == det_value(point, 2 * k)
+
+
+def test_z_split_rejects_a_flipped_sign(monkeypatch):
+    # the fast path reads F2 and F3 off F1; any term whose sign breaks that
+    # symmetry must stop it rather than give a wrong moment
+    for i, (coeff, vars_) in enumerate(TERMS_3D):
+        flipped = TERMS_3D[:i] + ((-coeff, vars_),) + TERMS_3D[i + 1:]
+        monkeypatch.setattr(moments_mod, "TERMS_3D", flipped)
+        with pytest.raises(MomentIntegrityError):
+            _z_split()
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +206,14 @@ def test_fast_agrees_with_direct_low_orders():
         assert even_moment_fast(k) == even_moment_direct(k)
 
 
+def test_fast_matches_published_moments():
+    # k = 4, 5 reach splits with odd and even n2, so both signs of F2^n2
+    for k in range(1, 6):
+        assert even_moment_fast(k) == PAPER_MOMENTS[k]
+
+
 @pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),
-                    reason="~4.5 min; set TETRAVOL_SLOW=1 to run")
+                    reason="~2 min; set TETRAVOL_SLOW=1 to run")
 def test_fast_agrees_with_direct_k6_slow():
     # 51.9M compositions; extends the mandatory k <= 4 cross-check one order
     # past the published values
@@ -265,17 +282,22 @@ def test_moment_table_detects_tampered_cache(tmp_path):
         moment_table(1, cache_path=path)
 
 
-def test_moment_table_resumes_partial_cache(tmp_path):
+def test_moment_table_resumes_partial_cache(tmp_path, monkeypatch):
     path = tmp_path / "m.tsv"
     MomentTable({1: Fraction(1, 2000)}).write(path)
-    table = moment_table(2, cache_path=path, verify=False)
+    calls = []
+    fast = moments_mod.even_moment_fast
+    monkeypatch.setattr(moments_mod, "even_moment_fast",
+                        lambda k: calls.append(k) or fast(k))
+    table = moment_table(2, cache_path=path)
     assert table[2] == PAPER_MOMENTS[2]
-    assert table.provenance == {1: "file", 2: "fast"}
+    assert calls == [2]
     # rerun loads everything from the file and rewrites nothing
+    calls.clear()
     before = path.read_bytes()
-    again = moment_table(2, cache_path=path, verify=False)
+    again = moment_table(2, cache_path=path)
     assert again == table
-    assert again.provenance == {1: "file", 2: "file"}
+    assert calls == []
     assert path.read_bytes() == before
 
 

@@ -9,7 +9,6 @@ from tetravol.montecarlo import (
     MODE_CENTROID,
     UNIT_TETRA_VERTICES,
     estimate,
-    sample_uniform_tetrahedron,
     tetra_volume,
 )
 
@@ -28,28 +27,6 @@ def test_tetra_volume_degenerate():
 
 def test_tetra_volume_unit_representative():
     assert tetra_volume(*UNIT_TETRA_VERTICES) == pytest.approx(1.0)
-
-
-def test_sample_containment_and_mean():
-    rng = np.random.Generator(np.random.Philox(key=42))
-    pts = np.array([sample_uniform_tetrahedron(rng, T_O_VERTICES)
-                    for _ in range(20000)])
-    assert (pts >= 0).all()
-    sums = pts.sum(axis=1)
-    assert (sums <= 1 + 1e-12).all()
-    # centroid of T_o is (1/4, 1/4, 1/4); per-coordinate sd is ~0.194
-    se = pts.std(axis=0, ddof=1) / len(pts) ** 0.5
-    assert (np.abs(pts.mean(axis=0) - 0.25) < 4 * se).all()
-    # similar-tetrahedron volume ratio: P(x+y+z <= 1/2) = (1/2)^3
-    frac = float((sums <= 0.5).mean())
-    assert abs(frac - 0.125) < 4 * (0.125 * 0.875 / len(pts)) ** 0.5
-
-
-def test_sample_rejects_degenerate_vertices():
-    rng = np.random.Generator(np.random.Philox(key=0))
-    flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-    with pytest.raises(ValueError):
-        sample_uniform_tetrahedron(rng, flat)
 
 
 def test_estimate_reproducible():

@@ -34,9 +34,8 @@ def test_problem_validation(table13):
 
 def test_degree_zero_constant_majorant(table13):
     sol = solve_onesided_lp(LpProblem.equispaced(0, 50, table13))
-    assert sol.status == "optimal"
     assert abs(sol.objective - 1 / 3) < 1e-12
-    assert abs(sol.coefficients[0] - 1 / 3) < 1e-12
+    assert abs(sol.coefficients_exact[0] - 1 / 3) < 1e-12
     nodes = extract_nodes(sol)
     assert len(nodes) == 1
     assert abs(nodes[0] - 1 / 3) < 1e-9
@@ -100,12 +99,9 @@ def test_endpoint_only_active_set():
     # only at the endpoint of the grid
     grid = np.linspace(0.0, 1 / 3, 101)
     sol = LpSolution(
-        coefficients=np.array([1 / 6, 3 / 2]),
         objective=0.0,
         active_indices=[100],
-        status="optimal",
         coefficients_exact=(Fraction(1, 6), Fraction(1, 6)),
-        dual_weights=np.zeros(101),
         grid=grid,
     )
     nodes = extract_nodes(sol)

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +8,6 @@ from tetravol.rational import (
     RationalInterval,
     factorial,
     fraction_to_decimal,
-    multinomial,
     pi_squared_enclosure,
     target_enclosure,
 )
@@ -34,31 +32,6 @@ def test_factorial_recurrence_up_to_200():
 def test_factorial_rejects_negative():
     with pytest.raises(ValueError):
         factorial(-1)
-
-
-def test_multinomial_examples():
-    assert multinomial(4, [2, 1, 1] + [0] * 15) == 12
-    assert multinomial(2, [2] + [0] * 17) == 1
-    # 26 split into 13 twos: 26!/2^13, checked against the factorial oracle
-    assert multinomial(26, [2] * 13 + [0] * 5) == factorial(26) // 2**13
-
-
-def test_multinomial_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        multinomial(4, [2, 1])
-    with pytest.raises(ValueError):
-        multinomial(4, [5, -1])
-
-
-def test_multinomial_times_part_factorials_is_factorial():
-    rng = random.Random(7)
-    for _ in range(50):
-        parts = [rng.randrange(4) for _ in range(rng.randrange(1, 10))]
-        n = sum(parts)
-        prod = 1
-        for p in parts:
-            prod *= factorial(p)
-        assert multinomial(n, parts) * prod == factorial(n)
 
 
 def test_pi_squared_enclosure():
