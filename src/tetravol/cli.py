@@ -35,14 +35,19 @@ def cmd_moments(*, k_max: int, out: Path) -> int:
     return EXIT_OK
 
 
-def _check_max_denominator(max_denominator: int) -> None:
+def _check_search_args(degree: int, grid: int, max_denominator: int) -> None:
+    """Reject what `search` cannot use before any file is read or moment computed."""
+    if degree < 0:
+        raise ValueError(f"--degree must be >= 0, got {degree}")
+    if grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {grid}")
     if max_denominator < 1:
         raise ValueError(f"--max-denominator must be >= 1, got {max_denominator}")
 
 
 def cmd_search(*, degree: int, grid: int, max_denominator: int,
                moments: Path, out: Path) -> int:
-    _check_max_denominator(max_denominator)
+    _check_search_args(degree, grid, max_denominator)
     table = moments_mod.MomentTable.read(moments)
     if table.order_max < degree:
         print(f"error: moment file has orders up to {table.order_max}, "
@@ -102,9 +107,9 @@ def cmd_mc(*, mode: str, power: int, samples: int, seed: int,
 def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
             workdir: Path) -> int:
     # reject what `search` would reject before the moments are computed
+    _check_search_args(degree, grid, max_denominator)
     if degree > k_max:
         raise ValueError(f"--degree {degree} needs --k-max >= {degree}, got {k_max}")
-    _check_max_denominator(max_denominator)
     workdir.mkdir(parents=True, exist_ok=True)
     moments = workdir / "moments.tsv"
     nodes = workdir / "nodes.txt"

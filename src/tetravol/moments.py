@@ -20,10 +20,12 @@ Two independent evaluation routes are implemented:
   coordinate, so 3D = z1*F1 + z2*F2 + z3*F3 where each F_i involves only the
   x/y coordinates of the other two points.  Read in their own variable
   layouts, F2 = -F1 and F3 = F1, so one table of powers of F = F1 serves all
-  three.  For each z-degree split (n1, n2, n3) the integral of the product
-  factorizes per point into factorial weights, giving small exact-integer
-  matrix sandwiches instead of a gigantic monomial dictionary.  All
-  arithmetic stays in integers until the final division.
+  three, and every order in the process.  For each z-degree split
+  (n1, n2, n3) the integral of the product factorizes per point into
+  factorial weights, giving small exact-integer matrix sandwiches instead of
+  a gigantic monomial dictionary; each matrix product packs its rows into
+  single big integers.  All arithmetic stays in integers until the final
+  division.
 
 The two routes must agree bit-exactly wherever both run; `moment_table`
 enforces that cross-check before trusting any cached values.
@@ -267,13 +269,6 @@ def _poly4_mul(p: dict, q: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _poly4_powers(f: dict, nmax: int) -> list[dict]:
-    out = [{(0, 0, 0, 0): 1}]
-    for _ in range(nmax):
-        out.append(_poly4_mul(out[-1], f))
-    return out
-
-
 def _as_matrix(poly4: dict) -> tuple[list, list, list[list[int]]]:
     """Split the 4-tuple keys into (front pair) x (back pair) matrix form."""
     rows = sorted({(a, b) for (a, b, _, _) in poly4})
@@ -284,6 +279,28 @@ def _as_matrix(poly4: dict) -> tuple[list, list, list[list[int]]]:
     for (a, b, c, d), coeff in poly4.items():
         m[ri[(a, b)]][ci[(c, d)]] = coeff
     return rows, cols, m
+
+
+#: matrix forms of F^0, F^1, ...: the powers of F do not depend on the order
+#: k, so every order reads them from this one table, which `_power_matrices`
+#: grows on demand
+_F_POWERS: list[tuple] = []
+
+
+def _power_matrices(nmax: int) -> list[tuple]:
+    """Matrix forms of F^0..F^nmax, extending the shared table if it is short."""
+    if len(_F_POWERS) <= nmax:
+        f, _ = _z_split()
+        if not _F_POWERS:
+            _F_POWERS.append(_as_matrix({(0, 0, 0, 0): 1}))
+        # keep only the matrix forms, not every power twice; the top one is
+        # read back into a polynomial to extend the table
+        rows, cols, m = _F_POWERS[-1]
+        p = {r + c: v for r, mrow in zip(rows, m) for c, v in zip(cols, mrow) if v}
+        while len(_F_POWERS) <= nmax:
+            p = _poly4_mul(p, f)
+            _F_POWERS.append(_as_matrix(p))
+    return _F_POWERS[:nmax + 1]
 
 
 def _weight_kernel(row_pairs: list, col_pairs: list, nz: int,
@@ -300,18 +317,36 @@ def _weight_kernel(row_pairs: list, col_pairs: list, nz: int,
 
 
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Exact integer product a @ b by Kronecker substitution.
+
+    Each row of b is packed into one integer with a w-byte slot per column,
+    so a row of the product is one sum of big-integer multiples.  Every
+    entry of the product is bounded by max|a| * max|b| * len(b) < 2^(8w-1);
+    a bias of 2^(8w-1) in every slot makes all slots non-negative and below
+    2^(8w), so the slots unpack exactly from the bytes of the row.  The
+    entries of b are below 2^(8w-1) too, so b packs with the same bias.
+    """
     ncols = len(b[0])
+    amax = max(max(max(row), -min(row)) for row in a)
+    bmax = max(max(max(row), -min(row)) for row in b)
+    if not amax or not bmax:  # w would not hold the other operand's entries
+        return [[0] * ncols for _ in a]
+    w = ((amax * bmax * len(b)).bit_length() + 8) // 8
+    size = w * ncols
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes(half.to_bytes(w, "little") * ncols, "little")
+    packed = [int.from_bytes(b"".join([(v + half).to_bytes(w, "little") for v in row]),
+                             "little") - bias
+              for row in b]
     out = []
     for arow in a:
-        acc = [0] * ncols
-        for j, av in enumerate(arow):
+        acc = bias
+        for av, pv in zip(arow, packed):
             if av:
-                brow = b[j]
-                for t in range(ncols):
-                    bv = brow[t]
-                    if bv:
-                        acc[t] += av * bv
-        out.append(acc)
+                acc += av * pv
+        raw = acc.to_bytes(size, "little")
+        out.append([int.from_bytes(raw[s:s + w], "little") - half
+                    for s in range(0, size, w)])
     return out
 
 
@@ -355,8 +390,7 @@ def even_moment_fast(k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     n2k = 2 * k
-    f, _ = _z_split()
-    mats = [_as_matrix(p) for p in _poly4_powers(f, n2k)]
+    mats = _power_matrices(n2k)
     fact = [factorial(i) for i in range(n2k + 4)]
     big = fact[n2k + 3]
 

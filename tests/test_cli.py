@@ -107,30 +107,37 @@ def test_mc_deterministic_output(capsys):
 ORDER_1 = "tetra-moments v1\n1\t1\t2000\n"
 
 
-@pytest.mark.parametrize("argv, moments", [
+@pytest.mark.parametrize("argv, moments, names", [
     pytest.param(["search", "--degree", "1", "--grid", "0", "--out", "n.txt"],
-                 ORDER_1, id="search-grid-0"),
+                 ORDER_1, "--grid", id="search-grid-0"),
     pytest.param(["search", "--degree", "1", "--grid", "-5", "--out", "n.txt"],
-                 ORDER_1, id="search-grid-negative"),
+                 ORDER_1, "--grid", id="search-grid-negative"),
     pytest.param(["search", "--degree", "1", "--grid", "10",
                   "--max-denominator", "0", "--out", "n.txt"],
-                 ORDER_1, id="search-max-denominator-0"),
+                 ORDER_1, "--max-denominator", id="search-max-denominator-0"),
+    pytest.param(["search", "--degree", "-2", "--grid", "10", "--out", "n.txt"],
+                 ORDER_1, "--degree", id="search-degree-negative"),
     pytest.param(["all", "--k-max", "2", "--degree", "3", "--workdir", "run"],
-                 None, id="all-degree-above-k-max"),
+                 None, "--degree", id="all-degree-above-k-max"),
     pytest.param(["all", "--k-max", "1", "--degree", "1",
                   "--max-denominator", "0", "--workdir", "run"],
-                 None, id="all-max-denominator-0"),
+                 None, "--max-denominator", id="all-max-denominator-0"),
+    pytest.param(["all", "--k-max", "1", "--degree", "1", "--grid", "0",
+                  "--workdir", "run"],
+                 None, "--grid", id="all-grid-0"),
+    pytest.param(["all", "--k-max", "1", "--degree", "-2", "--workdir", "run"],
+                 None, "--degree", id="all-degree-negative"),
     pytest.param(["moments", "--k-max", "0", "--out", "new.tsv"],
-                 None, id="moments-k-max-0"),
+                 None, "k_max", id="moments-k-max-0"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 "tetra-moments v1\n-1\t1\t2\n1\t1\t2000\n",
+                 "tetra-moments v1\n-1\t1\t2\n1\t1\t2000\n", "order",
                  id="certify-order-negative"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 "tetra-moments v1\n0\t1\t2\n1\t1\t2000\n",
+                 "tetra-moments v1\n0\t1\t2\n1\t1\t2000\n", "order",
                  id="certify-order-0"),
 ])
 def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys,
-                                           argv, moments):
+                                           argv, moments, names):
     monkeypatch.chdir(tmp_path)
     NodeSet((Fraction(1, 3),)).write("nodes.txt")
     if moments is not None:
@@ -139,6 +146,7 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys,
     assert main(argv) == EXIT_ERROR
     out, err = capsys.readouterr()
     assert err.startswith("error: ")
+    assert names in err
     assert "wrote" not in out and "LP objective" not in out
     assert not any(Path(name).exists()
                    for name in ("n.txt", "new.tsv", "r.txt", "run/moments.tsv"))

@@ -212,6 +212,72 @@ def test_fast_matches_published_moments():
         assert even_moment_fast(k) == PAPER_MOMENTS[k]
 
 
+def naive_matmul(a, b):
+    """Reference for the packed product: the plain triple loop."""
+    return [[sum(av * b[j][t] for j, av in enumerate(arow)) for t in range(len(b[0]))]
+            for arow in a]
+
+
+def test_packed_matmul_matches_naive_product():
+    rng = random.Random(31)
+
+    def signed(bits):
+        return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+    def rand(n, m, bits):
+        return [[signed(rng.choice(bits)) for _ in range(m)] for _ in range(n)]
+
+    cases = [([[v]], [[u]]) for v in (0, 1, -1, 5, -(1 << 200))
+             for u in (0, -1, 7, (1 << 300) - 1)]                 # 1x1 operands
+    cases += [(rand(5, 4, (9,)), rand(4, 1, (9,))) for _ in range(3)]  # one column
+    a = rand(6, 5, (40,))
+    a[0] = a[3] = [0] * 5                                         # all-zero rows
+    cases += [(a, rand(5, 7, (40,))),
+              ([[0] * 4 for _ in range(3)], rand(4, 5, (60,))),  # all-zero a
+              (rand(3, 4, (60,)), [[0] * 5 for _ in range(4)])]  # all-zero b
+    cases += [(rand(n, m, (1, 300)), rand(m, c, (1, 300)))       # 1- and 300-bit
+              for n, m, c in ((7, 9, 5), (12, 3, 11), (2, 20, 2))]
+    cases += [(rand(n, m, (1, 8, 64, 250)), rand(m, c, (1, 8, 64, 250)))
+              for n, m, c in ((rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9))
+                          for _ in range(40))]
+    for a, b in cases:
+        assert moments_mod._matmul(a, b) == naive_matmul(a, b)
+
+
+@pytest.mark.parametrize("amax, bmax, n", [
+    (1, 127, 1),                     # w = 1
+    (31, 151, 7),                    # 7 * 31 * 151 = 2^15 - 1, w = 2
+    (((1 << 303) - 1) // 7, 1, 7),   # 2^303 - 1, w = 38
+])
+def test_packed_matmul_at_the_slot_edge(amax, bmax, n):
+    # max|a| * max|b| * len(b) = 2^(8w-1) - 1 with w the slot width it sets,
+    # so the product entries land exactly on +-(2^(8w-1) - 1)
+    bound = amax * bmax * n
+    w = (bound.bit_length() + 8) // 8
+    assert bound == (1 << (8 * w - 1)) - 1
+    a = [[amax] * n, [-amax] * n, [amax, -amax] * (n // 2) + [amax] * (n % 2)]
+    b = [[bmax, -bmax, 0] for _ in range(n)]
+    product = moments_mod._matmul(a, b)
+    assert product == naive_matmul(a, b)
+    assert product[0][:2] == [bound, -bound] and product[1][:2] == [-bound, bound]
+
+
+def test_power_table_is_built_once(monkeypatch):
+    # every order reads the shared powers of F: k = 1..4 in turn need
+    # F^1..F^8, one product each, and a lower order after them needs none
+    monkeypatch.setattr(moments_mod, "_F_POWERS", [])
+    calls = []
+    mul = moments_mod._poly4_mul
+    monkeypatch.setattr(moments_mod, "_poly4_mul",
+                        lambda p, q: calls.append(1) or mul(p, q))
+    for k in range(1, 5):
+        assert even_moment_fast(k) == PAPER_MOMENTS[k]
+    assert len(calls) == 8
+    calls.clear()
+    assert even_moment_fast(2) == PAPER_MOMENTS[2]
+    assert calls == []
+
+
 @pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),
                     reason="~2 min; set TETRAVOL_SLOW=1 to run")
 def test_fast_agrees_with_direct_k6_slow():
