@@ -20,8 +20,7 @@ from .moments import (
     moment_table,
 )
 from .montecarlo import EstimatorResult, estimate, tetra_volume
-from .node_search import LpProblem, LpSolution, extract_nodes, polish_nodes, \
-    rationalize, solve_onesided_lp
+from .node_search import rationalize
 from .rational import RationalInterval, factorial, pi_squared_enclosure, \
     target_enclosure
 
@@ -32,8 +31,7 @@ __all__ = [
     "MomentTable", "even_moment_direct", "even_moment_fast",
     "moment_table",
     "EstimatorResult", "estimate", "tetra_volume",
-    "LpProblem", "LpSolution", "extract_nodes", "polish_nodes",
-    "rationalize", "solve_onesided_lp",
+    "rationalize",
     "RationalInterval", "factorial", "pi_squared_enclosure",
     "target_enclosure",
     "__version__",

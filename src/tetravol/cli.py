@@ -17,7 +17,7 @@ from . import certificate as cert_mod
 from . import moments as moments_mod
 from . import node_search
 from . import montecarlo
-from .majorant import MomentOrderError, NodeSet
+from .majorant import MomentOrderError, NodeSet, expected_value, hermite_onesided
 from .rational import fraction_to_decimal, target_enclosure
 
 EXIT_OK = 0
@@ -53,24 +53,22 @@ def cmd_search(*, degree: int, grid: int, max_denominator: int,
         print(f"error: moment file has orders up to {table.order_max}, "
               f"degree {degree} needs {degree}", file=sys.stderr)
         return EXIT_ERROR
-    problem = node_search.LpProblem.equispaced(degree, grid, table)
-    solution = node_search.solve_onesided_lp(problem)
-    print(f"LP objective (lower bound for degree {degree}): "
-          f"{solution.objective:.8f}")
+    # n nodes give degree 2n - 1 in t = x^2; degree 0 is the single node 1/3
+    n = (degree + 1) // 2
+    if n:
+        nodes = node_search.gauss_nodes(n, table)
+        exact = NodeSet.from_rationals(Fraction(x) for x in nodes)
+        optimum = float(expected_value(hermite_onesided(exact), table))
+    else:
+        nodes, optimum = [1 / 3], 1 / 3
+    print(f"Gauss optimum for degree {degree}: {optimum:.8f}")
 
     target_lo = float(target_enclosure().lo)
-    if solution.objective > target_lo:
-        print(f"warning: lower bound {solution.objective:.6f} exceeds the "
+    if optimum > target_lo:
+        print(f"warning: lower bound {optimum:.6f} exceeds the "
               f"target {target_lo:.6f}; certification at this degree will fail",
               file=sys.stderr)
 
-    estimates = node_search.extract_nodes(solution)
-    grid_max = solution.grid[-1]
-    # keep interior tangencies; an endpoint-pinned touch is only a node when
-    # nothing else touches (the constant-majorant case)
-    nodes = [x for x in estimates if x < grid_max * (1 - 1e-12)] or estimates
-    if 2 * len(nodes) - 1 == degree and table.order_max >= degree:
-        nodes = node_search.polish_nodes(nodes, table)
     rationals = [node_search.rationalize(x, max_denominator) for x in nodes]
     node_set = NodeSet.from_rationals(rationals)
     node_set.write(out)
@@ -136,11 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="moment cache file")
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("search", help="LP node discovery")
+    p = sub.add_parser("search", help="Gauss nodes of the moments, rationalized")
     p.add_argument("--degree", type=int, default=13,
                    help="highest even-power index of the polynomial")
     p.add_argument("--grid", type=int, default=1000,
-                   help="number of grid intervals on [0, 1/3]")
+                   help="accepted and checked (>= 1) for old scripts; no longer "
+                        "affects the search")
     p.add_argument("--max-denominator", type=int, default=100)
     p.add_argument("--moments", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="node file")

@@ -34,6 +34,7 @@ enforces that cross-check before trusting any cached values.
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -516,15 +517,27 @@ class MomentTable:
         return cls(values, {k: "file" for k in values})
 
 
+def _replace_cache(table: MomentTable, path: Path) -> None:
+    """Write the table beside `path` and rename it over `path`, atomically: a
+    failed or interrupted write leaves the old cache whole and no temp file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        table.write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTable:
     """Moments 1..k_max, from cache where available, fast path otherwise.
 
     Orders up to min(4, k_max) are recomputed with the direct enumerator and
     compared bit-exactly before the table is trusted; any mismatch is a hard
     integrity failure, whether the suspect value came from a file or from the
-    fast engine.  When a cache path is given, each newly computed moment is
-    flushed to it immediately, so an interrupted run resumes where it left
-    off.
+    fast engine.  When a cache path is given, the table is written to it
+    after each newly computed moment, by an atomic rename, so an interrupted
+    run resumes where it left off.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -542,7 +555,7 @@ def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTabl
             values[k] = even_moment_fast(k)
             provenance[k] = "fast"
             if cache_path is not None:
-                MomentTable(values, provenance).write(cache_path)
+                _replace_cache(MomentTable(values, provenance), Path(cache_path))
 
     for k in range(1, min(VERIFY_ORDER_MAX, k_max) + 1):
         direct = even_moment_direct(k)

@@ -1,42 +1,37 @@
-"""Heuristic discovery of good interpolation nodes via linear programming.
+"""Interpolation nodes for the Hermite majorant, and a grid-LP oracle.
 
-The best even-polynomial upper bound of fixed degree solves
+The best even-polynomial upper bound of degree 2n - 1 in t = x^2 solves
 
     min sum_i a_i mu_{2i}   s.t.   P(x) >= x on [0, 1/3],
 
-and relaxing the constraint to a finite grid x_0 < ... < x_L gives a finite
-LP whose optimum is a lower bound on the constrained optimum.  The LP is
-solved in its dual form (n+1 equality rows, one nonnegative weight per grid
-point) with a dense two-phase tableau simplex using Bland's rule; the problem
-is tiny, so no external solver is needed.  Everything here is floating-point
-scaffolding: the discovered nodes are rationalized and handed to the exact
-certificate pipeline, which never trusts this module.
+and is the Hermite majorant at the n-point Gauss nodes of the law of t (the
+Markov-Krein extremal property; Krein & Nudelman 1977).  `gauss_nodes`
+computes them from the moments over the rationals for `tetravol search`.
 
-The grid optimum's touch points sit up to one grid step away from the
-tangencies of the continuous optimum, so `extract_nodes` refines each active
-cluster to the tangency of the LP polynomial, and `polish_nodes` then drives
-the node vector to a local minimum of the continuous objective (the expected
-value of the Hermite majorant as a function of its nodes).
+The grid LP below is an independent float oracle for tests and the
+benchmark tracer: on a finite grid the problem is an LP whose optimum is a
+lower bound on the constrained one, solved in dual form by a dense
+two-phase simplex with Bland's rule.  `extract_nodes` refines each active
+cluster to the tangency of the LP polynomial.  The certificate trusts
+nothing in this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .majorant import hermite_coefficients
-from .moments import MomentTable
+from .certificate import _poly_eval, _primitive, sturm_root_count
+from .moments import MomentIntegrityError, MomentTable
 
 #: constraints with relative residual below this are reported active
 ACTIVE_TOLERANCE = 1e-9
 
 _PIVOT_TOL = 1e-11
-
-#: coordinate-descent sweeps in `polish_nodes`; it stops early once converged
-POLISH_SWEEPS = 200
 
 
 class LpError(RuntimeError):
@@ -304,64 +299,56 @@ def _gap_minimum(solution: LpSolution, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _hermite_objective(nodes: Sequence[float], mu: np.ndarray) -> float:
-    """E P(V) for the float Hermite majorant built on `nodes`."""
-    coeffs = hermite_coefficients(nodes)
-    return float(np.dot(np.array(coeffs), mu[:len(coeffs)]))
+def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
+    """Square roots of the n-point Gauss nodes of the law of t = V^2, as floats.
+
+    The nodes are the roots of the monic orthogonal polynomial p_n(t), which
+    solves the Hankel system sum_j c_j m_(i+j) = -m_(i+n), i < n, on
+    m_0 = 1, m_i = E t^i up to order 2n - 1.  The solve, the Sturm check that
+    all n roots lie in (0, 1/9) and their bisection are exact; only the square
+    root is a float.  Moments without such a rule, which V's cannot be,
+    raise MomentIntegrityError.
+    """
+    order = 2 * n - 1
+    if moments.order_max < order:
+        raise ValueError(f"need moments to order {order}, have {moments.order_max}")
+    m = [Fraction(1)] + [moments[i] for i in range(1, order + 1)]
+    lo, hi = Fraction(0), Fraction(1, 9)
+    try:
+        p = _solve_exact([m[i:i + n] for i in range(n)], [-m[i + n] for i in range(n)])
+        p = _primitive(p + [Fraction(1)])
+        found = sturm_root_count(p, lo, hi)
+    except (LpError, ValueError):  # singular system, or a root at 0 or 1/9
+        found = None
+    if found != n:
+        raise MomentIntegrityError(
+            f"moments to order {order} have no {n}-point Gauss rule with nodes "
+            f"t = V^2 in (0, 1/9), so they are not the moments of V")
+    return [math.sqrt(t) for t in _roots(p, lo, hi, n)]
+
+
+def _roots(p: list[Fraction], lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
+    """The `count` simple roots of p in (lo, hi), each to a relative width of
+    2^-60, by Sturm counts until they are apart and sign bisection after.
+    p must not vanish at lo or hi."""
+    if count == 0:
+        return []
+    if count == 1 and (hi - lo) * 2**60 <= lo:
+        return [(lo + hi) / 2]
+    mid = (lo + hi) / 2
+    while not (at_mid := _poly_eval(p, mid)):  # step off an exact root
+        mid = (lo + mid) / 2
+    if count == 1:
+        left = int((_poly_eval(p, lo) > 0) != (at_mid > 0))
+    else:
+        left = sturm_root_count(p, lo, mid)
+    return _roots(p, lo, mid, left) + _roots(p, mid, hi, count - left)
 
 
 def polish_nodes(nodes: Sequence[float], moments: MomentTable) -> list[float]:
-    """Locally minimize the continuous objective over the node positions.
-
-    For m+1 nodes the Hermite majorant has 2m+2 coefficients, so its expected
-    value needs moments up to order 2m+1.  Coordinate descent with halving
-    steps and a parabolic refinement; the objective is smooth and the LP
-    estimates start within a grid step of the optimum, so this converges to
-    ~1e-10 in a few dozen sweeps.
-    """
-    order_needed = 2 * len(nodes) - 1
-    if moments.order_max < order_needed:
-        raise ValueError(f"need moments to order {order_needed}, have {moments.order_max}")
-    mu = np.array([1.0] + [float(moments[i]) for i in range(1, order_needed + 1)])
-
-    def objective(xs: np.ndarray) -> float:
-        if not all(a < b for a, b in zip(xs, xs[1:])) or xs[0] <= 0:
-            return np.inf
-        return _hermite_objective(xs.tolist(), mu)
-
-    x = np.asarray(nodes, dtype=float).copy()
-    step = np.full(len(x), 1e-3)
-    f0 = objective(x)
-    for _ in range(POLISH_SWEEPS):
-        moved = 0.0
-        for j in range(len(x)):
-            s = step[j]
-            improved = True
-            while improved:
-                improved = False
-                xp = x.copy(); xp[j] += s
-                xm = x.copy(); xm[j] -= s
-                fp, fm = objective(xp), objective(xm)
-                if fp < f0 or fm < f0:
-                    if fp < fm:
-                        x, f0 = xp, fp
-                    else:
-                        x, f0 = xm, fm
-                    moved += s
-                    improved = True
-                else:
-                    denom = fp - 2 * f0 + fm
-                    if np.isfinite(denom) and denom > 0:
-                        delta = 0.5 * s * (fm - fp) / denom
-                        xq = x.copy(); xq[j] += delta
-                        fq = objective(xq)
-                        if fq < f0:
-                            x, f0 = xq, fq
-                            moved += abs(delta)
-            step[j] = max(s * 0.5, 1e-13)
-        if moved < 1e-12 and step.max() <= 1e-12:
-            break
-    return [float(v) for v in x]
+    """The exact minimiser of E P(V) over Hermite majorants with len(nodes)
+    nodes: the Gauss nodes.  Only the count of the estimates is used."""
+    return gauss_nodes(len(nodes), moments)
 
 
 def rationalize(x: float, max_denominator: int = 100) -> Fraction:

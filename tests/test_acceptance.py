@@ -145,14 +145,18 @@ def test_criterion_6_node_rediscovery(sol13, table13):
     than the published set's; and the LP optimum, a lower bound on every
     feasible majorant, lies below both certified bounds.
 
+    Polish is exact: it returns the seven Gauss nodes of the law of V^2,
+    computed from the moments over the rationals, which minimise E P(V)
+    over all seven-node Hermite majorants.  The LP clusters only fix how
+    many nodes there are.
+
     Equality with the published nodes is not promised.  `rationalize` gives
     the best rational approximation with denominator <= 100, while the
     published set is a coarser hand rounding (its denominators 11, 15 and 22
-    repeat) that no such rule produces: the polished tangencies near
+    repeat) that no such rule produces: the Gauss nodes
     (0.011988, 0.045798, 0.087427, 0.133610, 0.180958, 0.226479, 0.269018)
-    become {1/83, 4/87, 7/80, 2/15, 17/94, 12/53, 25/93}.  The exact nodes
-    found depend on float details of the search, so the test does not pin
-    them.
+    become {1/83, 4/87, 7/80, 2/15, 17/94, 12/53, 25/93}.  The test
+    checks the pairing and the bound, not those fractions.
     """
     estimates = extract_nodes(sol13)
     assert len(estimates) == 7, \

@@ -1,10 +1,16 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from tetravol import node_search
+from tetravol.certificate import certify
 from tetravol.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, main
 from tetravol.majorant import NodeSet
+from tetravol.moments import MomentTable
+
+GOLDEN_FACTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "golden.json"
 
 
 def test_moments_k1(tmp_path, capsys):
@@ -83,6 +89,88 @@ def test_search_degree_too_high_for_table(tmp_path, capsys):
     assert rc == EXIT_ERROR
 
 
+@pytest.fixture(scope="module")
+def moments13_file(table13, tmp_path_factory):
+    path = tmp_path_factory.mktemp("moments") / "moments.tsv"
+    table13.write(path)
+    return path
+
+
+def test_search_writes_the_gated_node_sets(moments13_file, tmp_path):
+    # read-only use of the benchmark's golden facts: every gated `search`
+    # configuration, "degree-grid-maxdenominator", must give its node set
+    configs = json.loads(GOLDEN_FACTS.read_text())["search"]
+    assert len(configs) == 6
+    for config, facts in configs.items():
+        degree, grid, max_den = config.split("-")
+        out = tmp_path / f"{config}.txt"
+        assert main(["search", "--degree", degree, "--grid", grid,
+                     "--max-denominator", max_den, "--moments", str(moments13_file),
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text().split() == facts["nodes"], config
+
+
+def test_certified_bound_never_rises_with_degree(moments13_file, table13, tmp_path):
+    # an even degree can reuse the nodes of the odd degree below it, so the
+    # bound of what `search` finds must never go up with the degree
+    bounds = []
+    for degree in range(14):
+        out = tmp_path / f"n{degree}.txt"
+        assert main(["search", "--degree", str(degree), "--moments",
+                     str(moments13_file), "--out", str(out)]) == EXIT_OK
+        bounds.append(certify(NodeSet.read(out), table13).bound)
+    for degree in range(1, 14):
+        assert bounds[degree] <= bounds[degree - 1], \
+            f"bound rises from degree {degree - 1} to {degree}"
+
+
+def test_search_needs_no_lp_or_numpy(moments13_file, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("search called the LP oracle")
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"search used numpy.{name}")
+
+    monkeypatch.setattr(node_search, "solve_onesided_lp", refuse)
+    monkeypatch.setattr(node_search, "extract_nodes", refuse)
+    monkeypatch.setattr(node_search, "np", NoNumpy())
+    out = tmp_path / "nodes.txt"
+    assert main(["search", "--degree", "13", "--moments", str(moments13_file),
+                 "--out", str(out)]) == EXIT_OK
+    assert len(NodeSet.read(out)) == 7
+    assert "Gauss optimum for degree 13: 0.0173717" in capsys.readouterr().out
+
+
+def _divide_order_13_by_1000(table):
+    values = dict(table.values)
+    values[13] /= 1000
+    return values
+
+
+@pytest.mark.parametrize("degree, tamper, order", [
+    # passes the file checks (positive, decreasing, below (1/3)^(2k)), but the
+    # degree-7 orthogonal polynomial keeps only 6 of its 7 roots in (0, 1/9)
+    pytest.param(13, _divide_order_13_by_1000, "order 13", id="k13-over-1000"),
+    # a point mass at t = 1/10 has no two-point Gauss rule: the Hankel system
+    # is singular; V has a density, so its moments never look like this
+    pytest.param(3, lambda table: {k: Fraction(1, 10**k) for k in (1, 2, 3)},
+                 "order 3", id="point-mass"),
+])
+def test_search_rejects_moments_without_gauss_rule(table13, tmp_path, capsys,
+                                                   degree, tamper, order):
+    moments = tmp_path / "m.tsv"
+    MomentTable(tamper(table13)).write(moments)
+    out = tmp_path / "n.txt"
+    rc = main(["search", "--degree", str(degree), "--moments", str(moments),
+               "--out", str(out)])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and order in captured.err
+    assert "Gauss optimum" not in captured.out
+    assert not out.exists()
+
+
 def test_small_pipeline_all(tmp_path):
     rc = main(["all", "--k-max", "3", "--degree", "3", "--grid", "60",
                "--workdir", str(tmp_path / "run")])
@@ -147,6 +235,6 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys,
     out, err = capsys.readouterr()
     assert err.startswith("error: ")
     assert names in err
-    assert "wrote" not in out and "LP objective" not in out
+    assert "wrote" not in out and "Gauss optimum" not in out
     assert not any(Path(name).exists()
                    for name in ("n.txt", "new.tsv", "r.txt", "run/moments.tsv"))

@@ -41,7 +41,7 @@ def test_reference_nodes_give_degree_26():
 
 
 def test_float_coefficients_match_exact_on_reference_nodes():
-    # node_search polishes nodes with the float path of the same routine
+    # the routine follows the type of its nodes: floats give double precision
     exact = hermite_coefficients(REFERENCE_NODES)
     approx = hermite_coefficients([float(x) for x in REFERENCE_NODES])
     assert all(type(c) is float for c in approx)

@@ -2,6 +2,7 @@ import os
 import random
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -365,6 +366,24 @@ def test_moment_table_resumes_partial_cache(tmp_path, monkeypatch):
     assert again == table
     assert calls == []
     assert path.read_bytes() == before
+
+
+def test_failed_cache_flush_keeps_the_previous_cache(tmp_path, monkeypatch):
+    path = tmp_path / "m.tsv"
+    MomentTable({1: Fraction(1, 2000)}).write(path)
+    before = path.read_bytes()
+
+    def write_half_then_fail(self, target):
+        full = "\n".join(f"{k}\t{v}" for k, v in self.values.items())
+        Path(target).write_text(full[:len(full) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(MomentTable, "write", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        moment_table(2, cache_path=path)
+    assert path.read_bytes() == before
+    assert MomentTable.read(path)[1] == PAPER_MOMENTS[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
 
 
 def test_moment_table_verification_retags_low_orders(tmp_path):

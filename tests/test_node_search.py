@@ -1,9 +1,17 @@
+import contextlib
+import io
+import os
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tetravol.certificate import certify
+from tetravol.cli import EXIT_OK, main
+from tetravol.majorant import NodeSet
+from tetravol.moments import MomentTable, even_moment_fast
 from tetravol.node_search import (
     LpError,
     LpProblem,
@@ -85,7 +93,8 @@ def test_degree_13_nodes_near_reference(sol13):
 
 
 def test_polish_reduces_objective_gap(sol13, table13):
-    # the polished continuous objective must sit in the sandwich
+    # polish is exact: it returns the Gauss nodes, the minimiser of the
+    # continuous objective, which must sit in the sandwich
     # [LP lower bound, LP lower bound + O(h^2)]
     nodes = polish_nodes(extract_nodes(sol13), table13)
     from tetravol.majorant import NodeSet, expected_value, hermite_onesided
@@ -134,3 +143,46 @@ def test_degree_12_exceeds_certified_13_bound(sol12, table13):
     from tetravol.majorant import NodeSet
     cert = certify(NodeSet(REFERENCE_NODES), table13)
     assert sol12.objective - float(cert.bound) >= 5e-5
+
+
+def _search(table, degree, tmp_path):
+    """Run `tetravol search`; return its printed optimum and the certified B."""
+    moments, out = tmp_path / f"m{degree}.tsv", tmp_path / f"n{degree}.txt"
+    table.write(moments)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["search", "--degree", str(degree), "--moments", str(moments),
+                   "--out", str(out)])
+    assert rc == EXIT_OK
+    printed = re.search(rf"^Gauss optimum for degree {degree}: (\S+)$",
+                        stdout.getvalue(), re.M)
+    return float(printed.group(1)), certify(NodeSet.read(out), table).bound
+
+
+#: half a unit in the last of the 8 printed decimals
+PRINTED_HALF_ULP = 5e-9
+
+
+@pytest.mark.parametrize("degree", [9, 11, 13])
+def test_search_optimum_between_lp_and_certified_bound(degree, sol13, table13,
+                                                       tmp_path):
+    # the grid LP relaxes the continuous problem whose optimum the Gauss
+    # nodes attain at odd degree; the rationalized nodes can only do worse
+    sol = sol13 if degree == 13 else \
+        solve_onesided_lp(LpProblem.equispaced(degree, 1000, table13))
+    optimum, bound = _search(table13, degree, tmp_path)
+    assert sol.objective <= optimum + PRINTED_HALF_ULP
+    assert optimum - PRINTED_HALF_ULP <= float(bound)
+
+
+@pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),
+                    reason="computes orders 14..17; set TETRAVOL_SLOW=1 to run")
+def test_search_optimum_below_certified_bound_degree_17_slow(table13, tmp_path):
+    # the float LP is no longer optimal at this degree, and printed a "lower
+    # bound" above the certified bound
+    values = dict(table13.values)
+    values.update((k, even_moment_fast(k)) for k in range(14, 18))
+    table17 = MomentTable(values)
+    optimum, bound = _search(table17, 17, tmp_path)
+    assert optimum - PRINTED_HALF_ULP <= float(bound)
+    assert bound < _search(table13, 13, tmp_path)[1]
