@@ -65,9 +65,15 @@ def cmd_search(*, degree: int, grid: int, max_denominator: int,
 
     target_lo = float(target_enclosure().lo)
     if optimum > target_lo:
-        print(f"warning: lower bound {optimum:.6f} exceeds the "
-              f"target {target_lo:.6f}; certification at this degree will fail",
-              file=sys.stderr)
+        # at odd degree (and 0) the optimum bounds every degree-d majorant;
+        # at even degree it is only that of the degree d - 1 nodes
+        if degree % 2 or not degree:
+            source, outcome = "", "certification at this degree will fail"
+        else:
+            source = f" of the degree {degree - 1} nodes"
+            outcome = "certification with these nodes will fail"
+        print(f"warning: Gauss optimum {optimum:.6f}{source} exceeds the "
+              f"target {target_lo:.6f}; {outcome}", file=sys.stderr)
 
     rationals = [node_search.rationalize(x, max_denominator) for x in nodes]
     node_set = NodeSet.from_rationals(rationals)

@@ -28,7 +28,9 @@ Two independent evaluation routes are implemented:
   division.
 
 The two routes must agree bit-exactly wherever both run; `moment_table`
-enforces that cross-check before trusting any cached values.
+enforces that cross-check before trusting any cached values.  It runs the
+direct route for k <= 4 in one forked child while the parent runs the fast
+route, and compares the child's values exactly once both are done.
 """
 
 from __future__ import annotations
@@ -529,15 +531,70 @@ def _replace_cache(table: MomentTable, path: Path) -> None:
         raise
 
 
+def _start_direct_oracle(k_top: int) -> tuple[int, int]:
+    """Fork a child that computes even_moment_direct(k) for k = 1..k_top.
+
+    The child writes one str(Fraction) line per order to a pipe and leaves
+    through os._exit, so it never returns into the caller, runs no atexit
+    handler and flushes none of the stdio buffers it inherited; its exit
+    status is 0 only after every order was written.  It runs only
+    pure-integer Python code, which needs none of the threads that a native
+    library such as numpy's BLAS may have started in the parent (fork copies
+    only the calling thread).  Returns the child's pid and the read end of
+    the pipe.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "w") as reply:
+            for k in range(1, k_top + 1):
+                reply.write(f"{even_moment_direct(k)}\n")
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _direct_values(k_top: int, reply: str, status: int) -> dict[int, Fraction]:
+    """Parse the oracle child's reply, naming the first order it did not give."""
+    lines = reply.splitlines()
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        raise MomentIntegrityError(
+            f"moment k={min(len(lines) + 1, k_top)}: the direct enumerator's "
+            f"process exited with status {code}")
+    direct = {}
+    for k in range(1, k_top + 1):
+        if k > len(lines):
+            raise MomentIntegrityError(
+                f"moment k={k}: the direct enumerator's reply ended early")
+        try:
+            direct[k] = Fraction(lines[k - 1])
+        except ValueError:
+            raise MomentIntegrityError(
+                f"moment k={k}: the direct enumerator replied "
+                f"{lines[k - 1]!r}") from None
+    return direct
+
+
 def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTable:
     """Moments 1..k_max, from cache where available, fast path otherwise.
 
     Orders up to min(4, k_max) are recomputed with the direct enumerator and
     compared bit-exactly before the table is trusted; any mismatch is a hard
     integrity failure, whether the suspect value came from a file or from the
-    fast engine.  When a cache path is given, the table is written to it
-    after each newly computed moment, by an atomic rename, so an interrupted
-    run resumes where it left off.
+    fast engine.  The direct enumerator runs in one forked child beside the
+    fast engine, so the two overlap on a machine with two or more cores; the
+    comparison waits for both.  A child that fails, or whose reply is short
+    or unreadable, is an integrity failure too; if the fast loop raises, the
+    child is killed and reaped before the exception propagates.  When a
+    cache path is given, the table is written to it after each newly
+    computed moment, by an atomic rename, so an interrupted run resumes
+    where it left off.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -550,15 +607,26 @@ def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTabl
                 values[k] = v
                 provenance[k] = "file"
 
-    for k in range(1, k_max + 1):
-        if k not in values:
-            values[k] = even_moment_fast(k)
-            provenance[k] = "fast"
-            if cache_path is not None:
-                _replace_cache(MomentTable(values, provenance), Path(cache_path))
+    k_top = min(VERIFY_ORDER_MAX, k_max)
+    pid, read_fd = _start_direct_oracle(k_top)
+    try:
+        with os.fdopen(read_fd) as reply:
+            for k in range(1, k_max + 1):
+                if k not in values:
+                    values[k] = even_moment_fast(k)
+                    provenance[k] = "fast"
+                    if cache_path is not None:
+                        _replace_cache(MomentTable(values, provenance), Path(cache_path))
+            text = reply.read()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        # no oracle may outlive a failed run, nor be left unreaped
+        import signal  # only this path needs it, so importing tetravol does not load it
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
 
-    for k in range(1, min(VERIFY_ORDER_MAX, k_max) + 1):
-        direct = even_moment_direct(k)
+    for k, direct in _direct_values(k_top, text, status).items():
         if values[k] != direct:
             raise MomentIntegrityError(
                 f"moment k={k}: {provenance[k]} value {values[k]} != "

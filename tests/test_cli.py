@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,6 +80,21 @@ def test_search_degree_zero(tmp_path, capsys):
     assert NodeSet.read(nodes_path).nodes == (Fraction(1, 3),)
     err = capsys.readouterr().err
     assert "certification at this degree will fail" in err
+
+
+def test_search_warning_names_what_the_optimum_is(tmp_path, capsys):
+    # an even degree reuses the nodes of d - 1, whose optimum is no lower
+    # bound for degree-d majorants; an odd degree's optimum is one
+    moments = tmp_path / "m.tsv"
+    main(["moments", "--k-max", "3", "--out", str(moments)])
+    capsys.readouterr()
+    for degree, source in (("2", " of the degree 1 nodes"), ("3", "")):
+        rc = main(["search", "--degree", degree, "--moments", str(moments),
+                   "--out", str(tmp_path / "n.txt")])
+        assert rc == EXIT_OK
+        err = capsys.readouterr().err
+        assert "lower bound" not in err
+        assert re.search(rf"warning: Gauss optimum 0\.\d{{6}}{source} exceeds the target", err)
 
 
 def test_search_degree_too_high_for_table(tmp_path, capsys):

@@ -1,5 +1,9 @@
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -368,15 +372,17 @@ def test_moment_table_resumes_partial_cache(tmp_path, monkeypatch):
     assert path.read_bytes() == before
 
 
+def write_half_then_fail(self, target):
+    """Stand-in for MomentTable.write on a full disk."""
+    full = "\n".join(f"{k}\t{v}" for k, v in self.values.items())
+    Path(target).write_text(full[:len(full) // 2])
+    raise OSError("disk full")
+
+
 def test_failed_cache_flush_keeps_the_previous_cache(tmp_path, monkeypatch):
     path = tmp_path / "m.tsv"
     MomentTable({1: Fraction(1, 2000)}).write(path)
     before = path.read_bytes()
-
-    def write_half_then_fail(self, target):
-        full = "\n".join(f"{k}\t{v}" for k, v in self.values.items())
-        Path(target).write_text(full[:len(full) // 2])
-        raise OSError("disk full")
 
     monkeypatch.setattr(MomentTable, "write", write_half_then_fail)
     with pytest.raises(OSError, match="disk full"):
@@ -389,3 +395,85 @@ def test_failed_cache_flush_keeps_the_previous_cache(tmp_path, monkeypatch):
 def test_moment_table_verification_retags_low_orders(tmp_path):
     table = moment_table(2)
     assert table.provenance == {1: "direct", 2: "direct"}
+
+
+# ---------------------------------------------------------------------------
+# the direct enumerator's forked child
+# ---------------------------------------------------------------------------
+
+def test_direct_mismatch_names_the_order(monkeypatch):
+    # the forked child inherits the patched module, so a wrong oracle value
+    # at k = 2 reaches the comparison
+    direct = moments_mod.even_moment_direct
+    monkeypatch.setattr(moments_mod, "even_moment_direct",
+                        lambda k: direct(k) + (Fraction(1, 10**40) if k == 2 else 0))
+    with pytest.raises(MomentIntegrityError, match=r"moment k=2: fast value .* != direct"):
+        moment_table(3)
+
+
+def _raise(k):
+    raise RuntimeError("oracle failed")
+
+
+def _exit_early(k):
+    if k == 2:
+        os._exit(0)  # clean exit, nothing of the buffered reply written
+    return even_moment_direct(k)
+
+
+def _killed(k):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("oracle, message", [
+    (_raise, r"k=1: .* exited with status 1"),
+    (lambda k: "not a fraction", r"k=1: .* replied 'not a fraction'"),
+    (_exit_early, r"k=1: .* reply ended early"),
+    (_killed, r"k=1: .* exited with status -9"),
+], ids=["raises", "unparsable", "short", "killed"])
+def test_failing_direct_child_is_an_integrity_error(monkeypatch, oracle, message):
+    monkeypatch.setattr(moments_mod, "even_moment_direct", oracle)
+    with pytest.raises(MomentIntegrityError, match=message):
+        moment_table(3)
+
+
+def test_failed_flush_kills_and_reaps_the_direct_child(tmp_path, monkeypatch):
+    path = tmp_path / "m.tsv"
+    MomentTable({1: Fraction(1, 2000)}).write(path)
+    before = path.read_bytes()
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    # an oracle that would outlast the test: only a kill ends it in time
+    monkeypatch.setattr(moments_mod, "even_moment_direct", lambda k: time.sleep(60))
+    monkeypatch.setattr(MomentTable, "write", write_half_then_fail)
+    t0 = time.monotonic()
+    with pytest.raises(OSError, match="disk full"):
+        moment_table(2, cache_path=path)
+    assert time.monotonic() - t0 < 30
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
+
+
+def test_direct_child_flushes_no_inherited_stdio():
+    # "before" sits unflushed in the stdout buffer at the fork; a child that
+    # left through normal interpreter shutdown would print it a second time
+    code = ("from tetravol.moments import moment_table\n"
+            "print('before')\n"
+            "moment_table(2)\n"
+            "print('after')\n")
+    src = Path(moments_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                         env=env, check=True, timeout=120).stdout
+    assert out == b"before\nafter\n"
