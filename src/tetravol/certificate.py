@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from . import __version__
@@ -93,12 +94,6 @@ def _poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]
     return _trim(quot), _trim(rem)
 
 
-def _poly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
-    if len(p) == 1:
-        return [Fraction(0)]
-    return [i * c for i, c in enumerate(p)][1:]
-
-
 def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     s = Fraction(0)
     for c in reversed(p):
@@ -110,57 +105,86 @@ def _is_zero(p: Sequence[Fraction]) -> bool:
     return all(c == 0 for c in p)
 
 
-def _primitive(p: Sequence[Fraction]) -> list[Fraction]:
-    """Scale by a positive rational to integer coefficients with gcd 1.
+# ---------------------------------------------------------------------------
+# Sturm chains over the integers (coefficients descending in x)
+# ---------------------------------------------------------------------------
 
-    Positive scaling preserves every sign, so Sturm chains may use it freely;
-    it keeps the numerators from snowballing along the chain.
+def _primitive(p: Sequence[int]) -> list[int]:
+    """p divided by the gcd of its coefficients, without leading zeros."""
+    p = list(p)
+    while len(p) > 1 and p[0] == 0:
+        del p[0]
+    g = gcd(*p)
+    return p if g <= 1 else [c // g for c in p]
+
+
+def sturm_chain(p: Sequence[Fraction]) -> list[list[int]]:
+    """The Sturm chain of p over the integers, each element highest degree first.
+
+    p (coefficients ascending in x) is scaled once to its primitive integer
+    form.  Then come its primitive derivative and, while the last element
+    has positive degree and leaves a nonzero remainder, the negated
+    pseudo-remainder of the previous two, whose multiplier |lc|^(delta + 1)
+    is positive, divided by its integer content (a primitive remainder
+    sequence: Collins, J. ACM 14, 1967).  Every element is a positive
+    multiple of the classical chain's, so every sign, and every count, is
+    the classical one; no rational is ever normalised.  Raises ValueError
+    for the zero polynomial.
     """
-    from math import gcd
-    den = 1
+    den = lcm(*(Fraction(c).denominator for c in p))
+    chain = [_primitive([int(c * den) for c in reversed(p)])]
+    if chain[0] == [0]:
+        raise ValueError("zero polynomial")
+    if len(chain[0]) > 1:
+        top = len(chain[0]) - 1
+        chain.append(_primitive([(top - i) * c for i, c in enumerate(chain[0][:-1])]))
+    while len(chain[-1]) > 1:
+        # the remainder by -b is the remainder by b: divide by the one whose
+        # leading coefficient |lc| is positive
+        b = chain[-1] if chain[-1][0] > 0 else [-c for c in chain[-1]]
+        lead = b[0]
+        r = chain[-2]
+        for _ in range(len(r) - len(b) + 1):
+            f = r[0]
+            r = [lead * x - f * y for x, y in zip(r[1:], b[1:])] + \
+                [lead * x for x in r[len(b):]]
+        if not any(r):
+            break
+        chain.append(_primitive([-c for c in r]))
+    return chain
+
+
+def _sign_at(p: Sequence[int], x: Fraction) -> int:
+    """Sign of p(x) from the homogenised integer Horner sum
+    sum_i c_i n^i d^(deg - i) = d^deg p(n/d), for x = n/d."""
+    n, d = x.numerator, x.denominator
+    s = 0
+    power = 1
     for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return [Fraction(v) for v in ints]
+        s = s * n + c * power
+        power *= d
+    return (s > 0) - (s < 0)
+
+
+def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    """Sign changes along `chain` at x, zeros skipped.  Raises ValueError when
+    x is a root of the chain's first polynomial."""
+    signs = [_sign_at(q, x) for q in chain]
+    if not signs[0]:
+        raise ValueError("Sturm endpoints must not be roots")
+    signs = [s for s in signs if s]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def sturm_root_count(p: Sequence[Fraction], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (a, b).
 
-    Classical Sturm chain p, p', then negated euclidean remainders; requires
-    p(a) != 0 and p(b) != 0 (the count is then exact, multiple roots counted
-    once).
+    Counts sign variations at a and b on the integer Sturm chain of p,
+    built once by `sturm_chain`; requires p(a) != 0 and p(b) != 0 (the count
+    is then exact, multiple roots counted once).
     """
-    p = _primitive(_trim(list(p)))
-    if len(p) == 1:
-        if p[0] == 0:
-            raise ValueError("zero polynomial")
-        return 0
-    if _poly_eval(p, a) == 0 or _poly_eval(p, b) == 0:
-        raise ValueError("Sturm endpoints must not be roots")
-    chain = [p, _primitive(_poly_deriv(p))]
-    while len(chain[-1]) > 1:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if _is_zero(rem):
-            break
-        chain.append(_primitive([-c for c in rem]))
-    if len(chain[-1]) == 1 and chain[-1][0] == 0:
-        chain.pop()
-
-    def variations(x: Fraction) -> int:
-        signs = []
-        for q in chain:
-            v = _poly_eval(q, x)
-            if v != 0:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    return variations(a) - variations(b)
+    chain = sturm_chain(p)
+    return sign_variations(chain, a) - sign_variations(chain, b)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ from .moments import MomentTable
 class MomentOrderError(KeyError):
     """The moment table lacks an order required by the polynomial."""
 
+    def __str__(self) -> str:  # the message, not KeyError's repr of it
+        return str(self.args[0]) if self.args else ""
+
 
 @dataclass(frozen=True)
 class NodeSet:

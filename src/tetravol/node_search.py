@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .certificate import _poly_eval, _primitive, sturm_root_count
+from .certificate import _sign_at, sign_variations, sturm_chain
+from .majorant import MomentOrderError
 from .moments import MomentIntegrityError, MomentTable
 
 #: constraints with relative residual below this are reported active
@@ -306,43 +307,48 @@ def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
     solves the Hankel system sum_j c_j m_(i+j) = -m_(i+n), i < n, on
     m_0 = 1, m_i = E t^i up to order 2n - 1.  The solve, the Sturm check that
     all n roots lie in (0, 1/9) and their bisection are exact; only the square
-    root is a float.  Moments without such a rule, which V's cannot be,
-    raise MomentIntegrityError.
+    root is a float.  The integer Sturm chain of p_n is built once and serves
+    every root count of the search.  A table without every order 1..2n - 1
+    raises MomentOrderError naming the missing ones; moments without such a
+    rule, which V's cannot be, raise MomentIntegrityError.
     """
     order = 2 * n - 1
-    if moments.order_max < order:
-        raise ValueError(f"need moments to order {order}, have {moments.order_max}")
+    missing = [i for i in range(1, order + 1) if i not in moments]
+    if missing:
+        raise MomentOrderError(
+            f"moment table lacks orders {missing} needed for {n} Gauss nodes")
     m = [Fraction(1)] + [moments[i] for i in range(1, order + 1)]
     lo, hi = Fraction(0), Fraction(1, 9)
     try:
         p = _solve_exact([m[i:i + n] for i in range(n)], [-m[i + n] for i in range(n)])
-        p = _primitive(p + [Fraction(1)])
-        found = sturm_root_count(p, lo, hi)
+        chain = sturm_chain(p + [Fraction(1)])
+        found = sign_variations(chain, lo) - sign_variations(chain, hi)
     except (LpError, ValueError):  # singular system, or a root at 0 or 1/9
         found = None
     if found != n:
         raise MomentIntegrityError(
             f"moments to order {order} have no {n}-point Gauss rule with nodes "
             f"t = V^2 in (0, 1/9), so they are not the moments of V")
-    return [math.sqrt(t) for t in _roots(p, lo, hi, n)]
+    return [math.sqrt(t) for t in _roots(chain, lo, hi, n)]
 
 
-def _roots(p: list[Fraction], lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
-    """The `count` simple roots of p in (lo, hi), each to a relative width of
-    2^-60, by Sturm counts until they are apart and sign bisection after.
-    p must not vanish at lo or hi."""
+def _roots(chain: list[list[int]], lo: Fraction, hi: Fraction,
+           count: int) -> list[Fraction]:
+    """The `count` simple roots of chain[0] in (lo, hi), each to a relative
+    width of 2^-60, by sign variations on its Sturm chain until they are
+    apart and sign bisection after.  chain[0] must not vanish at lo or hi."""
     if count == 0:
         return []
     if count == 1 and (hi - lo) * 2**60 <= lo:
         return [(lo + hi) / 2]
     mid = (lo + hi) / 2
-    while not (at_mid := _poly_eval(p, mid)):  # step off an exact root
+    while not (at_mid := _sign_at(chain[0], mid)):  # step off an exact root
         mid = (lo + mid) / 2
     if count == 1:
-        left = int((_poly_eval(p, lo) > 0) != (at_mid > 0))
+        left = int(_sign_at(chain[0], lo) != at_mid)
     else:
-        left = sturm_root_count(p, lo, mid)
-    return _roots(p, lo, mid, left) + _roots(p, mid, hi, count - left)
+        left = sign_variations(chain, lo) - sign_variations(chain, mid)
+    return _roots(chain, lo, mid, left) + _roots(chain, mid, hi, count - left)
 
 
 def polish_nodes(nodes: Sequence[float], moments: MomentTable) -> list[float]:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from tetravol.certificate import (
     certify,
     parse_report,
     render_report,
+    sturm_chain,
     sturm_root_count,
     verify_dominance,
 )
@@ -35,6 +37,98 @@ def test_sturm_rejects_root_at_endpoint():
     p = [Fraction(0), Fraction(1)]  # x
     with pytest.raises(ValueError):
         sturm_root_count(p, Fraction(0), Fraction(1, 3))
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _from_factors(*factors):
+    """Ascending Fraction coefficients of a product of integer polynomials."""
+    p = [1]
+    for f in factors:
+        p = _mul(p, f)
+    return [Fraction(c) for c in p]
+
+
+def _random_interval(rng):
+    """Two distinct random rationals in [0, 1/3], in order."""
+    while True:
+        a, b = sorted(Fraction(rng.randint(0, q), 3 * q)
+                      for q in (rng.randint(1, 50), rng.randint(1, 50)))
+        if a < b:
+            return a, b
+
+
+def _check_counts(p, roots, rng, intervals=6):
+    for _ in range(intervals):
+        a, b = _random_interval(rng)
+        if a in roots or b in roots:
+            with pytest.raises(ValueError):
+                sturm_root_count(p, a, b)
+        else:
+            assert sturm_root_count(p, a, b) == sum(a < r < b for r in roots), (p, a, b)
+
+
+def test_sturm_counts_constructed_roots():
+    # products of (q x - p)^m, m = 1..3, irreducible quadratics and a
+    # negative rational constant: the distinct real roots are known exactly
+    rng = random.Random(1612)
+    for _ in range(150):
+        factors, roots = [[-rng.randint(1, 9)]], set()
+        for _ in range(rng.randint(1, 4)):
+            q = rng.randint(1, 40)
+            p = rng.randint(-q // 2, q)
+            factors += [[-p, q]] * rng.randint(1, 3)
+            roots.add(Fraction(p, q))
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.randint(1, 9), rng.randint(-9, 9)
+            factors.append([b * b // (4 * a) + rng.randint(1, 9), b, a])  # b^2 < 4ac
+        scale = Fraction(1, rng.randint(1, 12))
+        _check_counts([c * scale for c in _from_factors(*factors)], roots, rng)
+
+
+def test_sturm_chains_whose_degree_drops_by_more_than_one():
+    # x^4 + 1: the remainder of x^4 + 1 by x^3 is a constant
+    p = _from_factors([1, 0, 0, 0, 1])
+    assert [len(q) - 1 for q in sturm_chain(p)] == [4, 3, 0]
+    _check_counts(p, set(), random.Random(4))
+    # x^5 - x: the remainder of x^5 - x by 5 x^4 - 1 has degree 1
+    p = _from_factors([0, -1, 0, 0, 0, 1])
+    assert [len(q) - 1 for q in sturm_chain(p)] == [5, 4, 1, 0]
+    for a, b, count in ((-2, 2, 3), (Fraction(-1, 2), Fraction(1, 3), 1),
+                        (Fraction(1, 7), 5, 1), (Fraction(1, 3), Fraction(7, 9), 0)):
+        assert sturm_root_count(p, Fraction(a), Fraction(b)) == count
+
+
+def test_sturm_negative_leading_coefficient_at_odd_power():
+    # (y + 3)(y + 1)(y^2 + 3) at y = 12x - 4: roots 1/12 and 1/4.  Its third
+    # chain element has a negative leading coefficient two degrees below the
+    # second, so the next pseudo-remainder's multiplier |lc|^3 must not be lc^3
+    p = _from_factors([-1, 12], [-1, 4], [19, -96, 144])
+    chain = sturm_chain(p)
+    assert [len(q) - 1 for q in chain] == [4, 3, 1, 0]
+    assert chain[2][0] < 0
+    assert sturm_root_count(p, Fraction(0), Fraction(1, 3)) == 2
+    assert sturm_root_count(p, Fraction(1, 10), Fraction(1, 3)) == 1
+    _check_counts(p, {Fraction(1, 12), Fraction(1, 4)}, random.Random(12), 40)
+
+
+def test_sturm_rejects_a_non_dyadic_endpoint_root():
+    p = _from_factors([-2, 7], [1, 0, 1])  # (7x - 2)(x^2 + 1)
+    assert sturm_root_count(p, Fraction(0), Fraction(1, 3)) == 1
+    for a, b in ((Fraction(0), Fraction(2, 7)), (Fraction(2, 7), Fraction(1, 3))):
+        with pytest.raises(ValueError):
+            sturm_root_count(p, a, b)
+
+
+def test_sturm_rejects_the_zero_polynomial():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        sturm_root_count([Fraction(0), Fraction(0)], Fraction(0), Fraction(1, 3))
 
 
 def test_dominance_single_node():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tetravol import node_search
-from tetravol.certificate import certify
+from tetravol.certificate import REFERENCE_NODES, certify
 from tetravol.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, main
 from tetravol.majorant import NodeSet
 from tetravol.moments import MomentTable
@@ -185,6 +185,38 @@ def test_search_rejects_moments_without_gauss_rule(table13, tmp_path, capsys,
     assert captured.err.startswith("error: ") and order in captured.err
     assert "Gauss optimum" not in captured.out
     assert not out.exists()
+
+
+@pytest.fixture
+def moments_without_order_3(moments13_file, tmp_path):
+    path = tmp_path / "m.tsv"
+    lines = moments13_file.read_text().split("\n")
+    path.write_text("\n".join(ln for ln in lines if not ln.startswith("3\t")))
+    return path
+
+
+def test_search_names_a_missing_order(moments_without_order_3, tmp_path, capsys):
+    out = tmp_path / "n.txt"
+    rc = main(["search", "--degree", "13", "--moments", str(moments_without_order_3),
+               "--out", str(out)])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: moment table lacks orders [3] ")
+    assert "Gauss optimum" not in captured.out
+    assert not out.exists()
+
+
+def test_certify_names_a_missing_order_without_quotes(moments_without_order_3,
+                                                     tmp_path, capsys):
+    nodes = tmp_path / "nodes.txt"
+    NodeSet(REFERENCE_NODES).write(nodes)
+    report = tmp_path / "r.txt"
+    rc = main(["certify", "--nodes", str(nodes), "--moments",
+               str(moments_without_order_3), "--report", str(report)])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: moment table lacks orders [3] needed for degree 26\n"
+    assert not report.exists()
 
 
 def test_small_pipeline_all(tmp_path):
