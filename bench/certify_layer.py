@@ -15,7 +15,8 @@ counts the proofs' interior root counts (-1 where the deflation or a
 boundary sign already failed) and hashes the rendered certificate report of
 every set, so a side whose proofs or reports differ shows a different
 histogram or hash.  Runs alternate between the sides, starting with a
-different side on each repeat.  Stdlib only.
+different side on each repeat.  Stdlib only; the side-by-side harness is
+`bench/sides.py`.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
 import time
 from collections import Counter
 from pathlib import Path
+
+import sides as harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GAUSS_SIZES = (5, 6, 7)
@@ -73,76 +72,46 @@ def child(src: str, seed: int) -> dict:
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
-def tree_sha256(src: Path) -> str:
-    """sha256 over the package's Python files, names and bytes, in name order."""
-    digest = hashlib.sha256()
-    for path in sorted((src / "tetravol").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
-def spawn(*args: str) -> dict:
-    cmd = [sys.executable, __file__, *args]
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
-
-
-def summary(values: list[float]) -> dict:
-    """Median and quartiles, in seconds, and the p90 once at least ten
-    samples lie beyond it."""
-    quarts = statistics.quantiles(values, n=4, method="inclusive")
-    out = {"median": round(statistics.median(values), 6),
-           "quartiles": [round(quarts[0], 6), round(quarts[2], 6)]}
-    if len(values) >= 100:
-        out["p90"] = round(statistics.quantiles(values, n=10, method="inclusive")[8], 6)
-    return out
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--side", action="append", required=True,
+    parser.add_argument("--side", action="append", required=True, type=harness.side,
                         help="LABEL=SRC_DIR; give two or more")
     parser.add_argument("--seed", type=int, default=901)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=Path("BENCH_certify_layer.json"))
     args = parser.parse_args()
-    if any("=" not in s for s in args.side):
-        parser.error("--side takes LABEL=SRC_DIR")
+    sides = args.side
     if args.repeats < 2:
         parser.error("--repeats must be >= 2")
-    sides = [tuple(s.split("=", 1)) for s in args.side]
     runs: dict[str, list] = {label: [] for label, _ in sides}
-    for r in range(args.repeats):
-        order = sides if r % 2 == 0 else sides[::-1]
-        for label, src in order:
-            run = spawn("--child", str(Path(src).resolve()), str(args.seed))
-            runs[label].append(run)
-            print(f"repeat {r} {label}: verify_dominance x{len(run['dominance_s'])} "
-                  f"{sum(run['dominance_s']):.3f} s, gauss_nodes(5..7) "
-                  f"{sum(run['gauss_s'].values()):.3f} s", file=sys.stderr)
+    for r, label, src in harness.alternate(sides, args.repeats):
+        run = harness.spawn(__file__, "--child", src, str(args.seed))
+        runs[label].append(run)
+        print(f"repeat {r} {label}: verify_dominance x{len(run['dominance_s'])} "
+              f"{sum(run['dominance_s']):.3f} s, gauss_nodes(5..7) "
+              f"{sum(run['gauss_s'].values()):.3f} s", file=sys.stderr)
 
     result = {"benchmark": "verify_dominance on every node set of the warm-certify-sweep "
                            "plan, one call each, and gauss_nodes(n) for n = 5, 6, 7 on "
                            "the golden k <= 13 cache, in one fresh process per run",
-              "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                          "platform": platform.platform()},
+              "machine": harness.machine(),
               "seed": args.seed, "repeats": args.repeats, "sides": {}}
     for label, src in sides:
         side_runs = runs[label]
         totals = [round(sum(run["dominance_s"]), 4) for run in side_runs]
         result["sides"][label] = {
-            "src_sha256": tree_sha256(Path(src)),
+            "src_sha256": harness.tree_sha256(src),
             "reports_sha256": sorted({run["reports_sha256"] for run in side_runs}),
             "root_counts": sorted({json.dumps(run["root_counts"]) for run in side_runs}),
             "peak_rss_mb": [run["peak_rss_mb"] for run in side_runs],
             "dominance_calls": len(side_runs[0]["dominance_s"]),
             "dominance_total_s": totals,
-            "dominance_total_s_summary": summary(totals),
-            "dominance_per_call_s": summary(
+            "dominance_total_s_summary": harness.summary(totals),
+            "dominance_per_call_s": harness.summary(
                 [s for run in side_runs for s in run["dominance_s"]]),
             "gauss_nodes_s": {
                 n: {"runs": [round(run["gauss_s"][n], 5) for run in side_runs],
-                    **summary([run["gauss_s"][n] for run in side_runs])}
+                    **harness.summary([run["gauss_s"][n] for run in side_runs])}
                 for n in map(str, GAUSS_SIZES)},
         }
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -21,7 +21,7 @@ width of a packed column slot,
 ((max|a| * max|b| * len(b)).bit_length() + 8) // 8; its timings are not
 used.  The values of orders 1..13 are hashed in the moment
 cache format, so a side whose moments differ shows a different hash.
-Stdlib only.
+Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import sides as harness
 
 HASHED_ORDERS = 13
 #: per-order counts of the counting run: products, then the largest operand
@@ -105,68 +104,43 @@ def stage_child(src: str, cache: str) -> dict:
             "cache_sha256": hashlib.sha256(Path(cache).read_bytes()).hexdigest()}
 
 
-def tree_sha256(src: Path) -> str:
-    """sha256 over the package's Python files, names and bytes, in name order."""
-    digest = hashlib.sha256()
-    for path in sorted((src / "tetravol").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
-def spawn(*args: str) -> dict:
-    cmd = [sys.executable, __file__, *args]
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
-
-
 def spawn_stage(src: str, workdir: Path) -> dict:
     """One moment_table(13) run into a fresh cache file under `workdir`."""
     cache = workdir / "moments.tsv"
     cache.unlink(missing_ok=True)
-    return spawn("--stage", src, str(cache))
-
-
-def quartiles(values: list[float]) -> list[float]:
-    if len(values) < 2:
-        return values * 3
-    return [round(q, 4) for q in statistics.quantiles(values, n=4, method="inclusive")]
+    return harness.spawn(__file__, "--stage", src, str(cache))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--side", action="append", required=True,
+    parser.add_argument("--side", action="append", required=True, type=harness.side,
                         help="LABEL=SRC_DIR; give two or more")
     parser.add_argument("--k-max", type=int, default=16)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=Path("BENCH_moment_engine.json"))
     args = parser.parse_args()
-    if any("=" not in s for s in args.side):
-        parser.error("--side takes LABEL=SRC_DIR")
-    sides = [tuple(s.split("=", 1)) for s in args.side]
+    sides = args.side
     runs: dict[str, list] = {label: [] for label, _ in sides}
     stages: dict[str, list] = {label: [] for label, _ in sides}
     with tempfile.TemporaryDirectory(dir=args.out.resolve().parent) as workdir:
-        for r in range(args.repeats):
-            order = sides if r % 2 == 0 else sides[::-1]
-            for label, src in order:
-                run = spawn("--child", str(Path(src).resolve()), str(args.k_max), "0")
-                runs[label].append(run)
-                stage = spawn_stage(str(Path(src).resolve()), Path(workdir))
-                stages[label].append(stage)
-                total = sum(o["s"] for o in run["orders"])
-                print(f"repeat {r} {label}: k<={args.k_max} {total:.2f} s, "
-                      f"moment_table({HASHED_ORDERS}) {stage['wall_s']:.2f} s",
-                      file=sys.stderr)
+        for r, label, src in harness.alternate(sides, args.repeats):
+            run = harness.spawn(__file__, "--child", src, str(args.k_max), "0")
+            runs[label].append(run)
+            stage = spawn_stage(src, Path(workdir))
+            stages[label].append(stage)
+            total = sum(o["s"] for o in run["orders"])
+            print(f"repeat {r} {label}: k<={args.k_max} {total:.2f} s, "
+                  f"moment_table({HASHED_ORDERS}) {stage['wall_s']:.2f} s",
+                  file=sys.stderr)
 
     result = {"benchmark": "fast moment engine, even_moment_fast(k) for k = 1..K "
                            "in one fresh process per run; moment stage, "
                            f"moment_table({HASHED_ORDERS}, cache) from an empty cache "
                            "in another fresh process per run",
-              "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                          "platform": platform.platform()},
+              "machine": harness.machine(),
               "k_max": args.k_max, "repeats": args.repeats, "sides": {}}
     for label, src in sides:
-        counts = spawn("--child", str(Path(src).resolve()), str(args.k_max), "1")
+        counts = harness.spawn(__file__, "--child", src, str(args.k_max), "1")
         per_order = []
         for k in range(1, args.k_max + 1):
             times = [run["orders"][k - 1]["s"] for run in runs[label]]
@@ -177,7 +151,7 @@ def main() -> None:
         totals = [round(sum(o["s"] for o in run["orders"][:HASHED_ORDERS]), 3)
                   for run in runs[label]]
         result["sides"][label] = {
-            "src_sha256": tree_sha256(Path(src)),
+            "src_sha256": harness.tree_sha256(src),
             "values_sha256": sorted({run["values_sha256"] for run in runs[label]}),
             "peak_rss_mb": [run["peak_rss_mb"] for run in runs[label]],
             f"total_k1_{HASHED_ORDERS}_s": totals,
@@ -188,7 +162,8 @@ def main() -> None:
                 **{key: [st[key] for st in stages[label]] for key in STAGE_FIGURES},
                 "wall_s_median": round(statistics.median(
                     st["wall_s"] for st in stages[label]), 4),
-                "wall_s_quartiles": quartiles([st["wall_s"] for st in stages[label]]),
+                "wall_s_quartiles": harness.quartiles(
+                    [st["wall_s"] for st in stages[label]], 4),
                 "tree_maxrss_mb_max": max(st["tree_maxrss_mb"] for st in stages[label]),
             },
         }

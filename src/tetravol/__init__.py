@@ -21,8 +21,7 @@ from .moments import (
 )
 from .montecarlo import EstimatorResult, estimate, tetra_volume
 from .node_search import rationalize
-from .rational import RationalInterval, factorial, pi_squared_enclosure, \
-    target_enclosure
+from .rational import RationalInterval, pi_squared_enclosure, target_enclosure
 
 __all__ = [
     "Certificate", "DominanceProof", "REFERENCE_NODES", "certify",
@@ -32,7 +31,6 @@ __all__ = [
     "moment_table",
     "EstimatorResult", "estimate", "tetra_volume",
     "rationalize",
-    "RationalInterval", "factorial", "pi_squared_enclosure",
-    "target_enclosure",
+    "RationalInterval", "pi_squared_enclosure", "target_enclosure",
     "__version__",
 ]

@@ -184,9 +184,8 @@ def main(argv: list[str] | None = None) -> int:
     func = args.pop("func")
     try:
         return func(**args)
-    except (OSError, ValueError, KeyError, MomentOrderError,
-            moments_mod.MomentCacheError, moments_mod.MomentIntegrityError,
-            node_search.LpError, cert_mod.ReportFormatError) as exc:
+    except (OSError, ValueError, MomentOrderError,
+            moments_mod.MomentCacheError, moments_mod.MomentIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

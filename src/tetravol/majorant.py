@@ -61,11 +61,14 @@ class NodeSet:
     @classmethod
     def read(cls, path: str | Path) -> "NodeSet":
         nodes = []
-        for line in Path(path).read_text().split("\n"):
+        for ln, line in enumerate(Path(path).read_text().split("\n"), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            nodes.append(Fraction(line))
+            try:
+                nodes.append(Fraction(line))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{path}:{ln}: {line!r} is not a rational node") from None
         return cls(tuple(nodes))
 
 
@@ -104,16 +107,14 @@ class EvenPoly:
         return 2 * x * s
 
 
-def hermite_coefficients(xs: Sequence[Fraction] | Sequence[float]) -> list:
-    """Coefficients a_0..a_(2m+1) of the even Hermite majorant on nodes xs.
+def hermite_coefficients(xs: Sequence[Fraction]) -> list[Fraction]:
+    """Exact coefficients a_0..a_(2m+1) of the even Hermite majorant on nodes xs.
 
     Divided differences on the doubled node sequence t_0, t_0, ..., t_m, t_m
     (t_j = x_j^2); the repeated-node entries take the derivative value
     1/(2 x_j).  The Newton form is then expanded to monomial coefficients in
-    t, which are exactly the even coefficients a_i.  The arithmetic follows
-    the type of the nodes: exact for `Fraction`, double precision for `float`.
+    t, which are exactly the even coefficients a_i.
     """
-    zero = xs[0] * 0
     ts = []
     column = []
     for x in xs:
@@ -134,13 +135,13 @@ def hermite_coefficients(xs: Sequence[Fraction] | Sequence[float]) -> list:
         column = nxt
         newton.append(column[0])
 
-    coeffs = [zero] * n
-    basis = [zero + 1]
+    coeffs = [Fraction(0)] * n
+    basis = [Fraction(1)]
     for j in range(n):
         for i, b in enumerate(basis):
             coeffs[i] += newton[j] * b
         if j < n - 1:
-            nb = [zero] * (len(basis) + 1)
+            nb = [Fraction(0)] * (len(basis) + 1)
             for i, b in enumerate(basis):
                 nb[i] -= b * ts[j]
                 nb[i + 1] += b

@@ -12,8 +12,8 @@ Two independent evaluation routes are implemented:
 
 * `even_moment_direct` - the multinomial-theorem enumerator: a sum of
   closed-form integrals over all compositions of 2k into 18 parts.  Exact and
-  simple, but the composition count C(2k+17, 17) explodes; capped by default
-  at k = 5.
+  simple, but the composition count C(2k+17, 17) explodes; capped at
+  k = DIRECT_CAP = 5.
 
 * `even_moment_fast` - a collapsed evaluation that never materializes the
   9-variable expansion.  Each of the 18 terms contains exactly one z
@@ -38,18 +38,12 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
-
-from .rational import factorial
 
 __all__ = [
     "TERMS_3D",
     "VAR_NAMES",
-    "Abbreviations",
-    "abbreviations",
-    "enumerate_compositions",
     "composition_count",
     "even_moment_direct",
     "even_moment_fast",
@@ -64,8 +58,8 @@ VAR_NAMES = ("x1", "y1", "z1", "x2", "y2", "z2", "x3", "y3", "z3")
 _VAR_INDEX = {v: i for i, v in enumerate(VAR_NAMES)}
 
 #: the 18 signed terms of 3*D, in the determinant-expansion order.  This is
-#: the single source of truth: the composition enumerator and the collapsed
-#: fast path are both derived from it.
+#: the single source of truth: the direct enumerator and the collapsed fast
+#: path are both derived from it.
 TERMS_3D: tuple[tuple[int, tuple[str, ...]], ...] = (
     (+1, ("x1", "z2")),
     (-1, ("x1", "z3")),
@@ -108,63 +102,20 @@ class MomentIntegrityError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# composition enumeration and the printed abbreviation map
+# direct enumerator
 # ---------------------------------------------------------------------------
-
-class Abbreviations(NamedTuple):
-    """Derived quantities of one composition (k_1..k_18) of 2k."""
-
-    k_prime: int                 # parity source of the sign
-    k_double_prime: int          # count of cubic-term picks (power of 3)
-    exponents: tuple[int, ...]   # (l1, m1, n1, l2, m2, n2, l3, m3, n3)
-
-
-def abbreviations(composition: Sequence[int]) -> Abbreviations:
-    """Apply the fixed linear map from a composition to its abbreviations."""
-    if len(composition) != 18:
-        raise ValueError(f"composition must have 18 parts, got {len(composition)}")
-    kp = 0
-    kpp = 0
-    exps = [0] * 9
-    for c, neg, cub, inc in zip(composition, _TERM_NEGATIVE, _TERM_CUBIC, _TERM_EXPS):
-        if neg:
-            kp += c
-        if cub:
-            kpp += c
-        if c:
-            for i in range(9):
-                exps[i] += inc[i] * c
-    return Abbreviations(kp, kpp, tuple(exps))
-
-
-def enumerate_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of `total` into `parts` nonnegative parts.
-
-    Lexicographic order: (0, ..., 0, total) first.
-    """
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in enumerate_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
 
 def composition_count(k: int) -> int:
     """Number of compositions of 2k into 18 parts: C(2k+17, 17)."""
     return comb(2 * k + 17, 17)
 
 
-# ---------------------------------------------------------------------------
-# direct enumerator
-# ---------------------------------------------------------------------------
-
-DIRECT_CAP_DEFAULT = 5
+#: highest order the direct enumerator accepts: k = 6 already walks 51.9M
+#: compositions
+DIRECT_CAP = 5
 
 
-def even_moment_direct(k: int, cap: int = DIRECT_CAP_DEFAULT) -> Fraction:
+def even_moment_direct(k: int) -> Fraction:
     """E V^(2k) by direct summation over all compositions of 2k into 18 parts.
 
     The recursion walks the composition tree once, carrying the multinomial
@@ -175,9 +126,9 @@ def even_moment_direct(k: int, cap: int = DIRECT_CAP_DEFAULT) -> Fraction:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > cap:
+    if k > DIRECT_CAP:
         raise ValueError(
-            f"k={k} exceeds the direct-path cap {cap}: "
+            f"k={k} exceeds the direct-path cap {DIRECT_CAP}: "
             f"{composition_count(k)} compositions of {2*k} into 18 parts")
     n2k = 2 * k
     fact = [factorial(i) for i in range(n2k + 4)]
@@ -441,7 +392,12 @@ class MomentTable:
                 raise MomentIntegrityError(f"moment order {k} is below 1")
             if v <= 0:
                 raise MomentIntegrityError(f"moment k={k} is not positive: {v}")
-            if v > Fraction(1, 3 ** (2 * k)):
+            # v > (1/3)^(2k) = 9^-k.  As 9^k >= 2^(3k), a denominator of at
+            # most bitlen(num) - 1 + 3k bits settles it without 9^k; past
+            # that, 9^k has at most about as many bits as den, so the exact
+            # test costs no more than the size of the input
+            num, den = v.numerator, v.denominator
+            if den.bit_length() <= num.bit_length() - 1 + 3 * k or num * 9 ** k > den:
                 raise MomentIntegrityError(f"moment k={k} exceeds (1/3)^(2k): {v}")
             if prev is not None and v >= prev:
                 raise MomentIntegrityError(f"moments not decreasing at k={k}")
@@ -459,9 +415,6 @@ class MomentTable:
 
     def orders(self) -> list[int]:
         return sorted(self.values)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MomentTable) and self.values == other.values
 
     def provenance_summary(self) -> str:
         """Compact per-source order ranges, e.g. 'direct:1-4 fast:5-13'."""

@@ -87,6 +87,8 @@ def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResul
         raise ValueError("power must be >= 1")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if not 0 <= seed < 1 << 128:  # the Philox key
+        raise ValueError(f"seed {seed} is outside [0, 2**128)")
 
     sums = [_block_sums(seed, index, min(BLOCK_SIZE, n_samples - start), mode, power)
             for index, start in enumerate(range(0, n_samples, BLOCK_SIZE))]

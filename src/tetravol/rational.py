@@ -1,16 +1,15 @@
 """Exact scalar layer: big integers, rationals, and rational enclosures.
 
 Big integers are Python ints, rationals are `fractions.Fraction` (always
-reduced, positive denominator).  On top of those this module provides the
-memoized factorials used by the moment engine and a rigorous rational
-enclosure of the comparison constant 13/720 - pi^2/15015, the expected volume
-of a fully random simplex in a unit-volume tetrahedron (Klee's problem).
+reduced, positive denominator).  On top of those this module provides a
+rigorous rational enclosure of the comparison constant 13/720 - pi^2/15015,
+the expected volume of a fully random simplex in a unit-volume tetrahedron
+(Klee's problem), and an exact decimal rendering of rationals.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,14 +41,6 @@ class RationalInterval:
 
     def __contains__(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
-
-
-@functools.lru_cache(maxsize=None)
-def factorial(n: int) -> int:
-    """n! for n >= 0.  Memoized; arbitrary precision."""
-    if n < 0:
-        raise ValueError(f"factorial of negative {n}")
-    return math.factorial(n)
 
 
 def _atan_inv_interval(x: int, eps: Fraction) -> RationalInterval:

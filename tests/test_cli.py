@@ -241,41 +241,58 @@ def test_mc_deterministic_output(capsys):
 
 
 ORDER_1 = "tetra-moments v1\n1\t1\t2000\n"
+ONE_NODE = "1/3\n"
 
 
-@pytest.mark.parametrize("argv, moments, names", [
+@pytest.mark.parametrize("argv, moments, nodes, names", [
     pytest.param(["search", "--degree", "1", "--grid", "0", "--out", "n.txt"],
-                 ORDER_1, "--grid", id="search-grid-0"),
+                 ORDER_1, ONE_NODE, "--grid", id="search-grid-0"),
     pytest.param(["search", "--degree", "1", "--grid", "-5", "--out", "n.txt"],
-                 ORDER_1, "--grid", id="search-grid-negative"),
+                 ORDER_1, ONE_NODE, "--grid", id="search-grid-negative"),
     pytest.param(["search", "--degree", "1", "--grid", "10",
                   "--max-denominator", "0", "--out", "n.txt"],
-                 ORDER_1, "--max-denominator", id="search-max-denominator-0"),
+                 ORDER_1, ONE_NODE, "--max-denominator", id="search-max-denominator-0"),
     pytest.param(["search", "--degree", "-2", "--grid", "10", "--out", "n.txt"],
-                 ORDER_1, "--degree", id="search-degree-negative"),
+                 ORDER_1, ONE_NODE, "--degree", id="search-degree-negative"),
     pytest.param(["all", "--k-max", "2", "--degree", "3", "--workdir", "run"],
-                 None, "--degree", id="all-degree-above-k-max"),
+                 None, ONE_NODE, "--degree", id="all-degree-above-k-max"),
     pytest.param(["all", "--k-max", "1", "--degree", "1",
                   "--max-denominator", "0", "--workdir", "run"],
-                 None, "--max-denominator", id="all-max-denominator-0"),
+                 None, ONE_NODE, "--max-denominator", id="all-max-denominator-0"),
     pytest.param(["all", "--k-max", "1", "--degree", "1", "--grid", "0",
                   "--workdir", "run"],
-                 None, "--grid", id="all-grid-0"),
+                 None, ONE_NODE, "--grid", id="all-grid-0"),
     pytest.param(["all", "--k-max", "1", "--degree", "-2", "--workdir", "run"],
-                 None, "--degree", id="all-degree-negative"),
+                 None, ONE_NODE, "--degree", id="all-degree-negative"),
     pytest.param(["moments", "--k-max", "0", "--out", "new.tsv"],
-                 None, "k_max", id="moments-k-max-0"),
+                 None, ONE_NODE, "k_max", id="moments-k-max-0"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 "tetra-moments v1\n-1\t1\t2\n1\t1\t2000\n", "order",
+                 "tetra-moments v1\n-1\t1\t2\n1\t1\t2000\n", ONE_NODE, "order",
                  id="certify-order-negative"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 "tetra-moments v1\n0\t1\t2\n1\t1\t2000\n", "order",
+                 "tetra-moments v1\n0\t1\t2\n1\t1\t2000\n", ONE_NODE, "order",
                  id="certify-order-0"),
+    # the cap test must not build 3^(2k) for a huge order from the file
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1 + "100000000\t1\t7\n", ONE_NODE,
+                 "k=100000000 exceeds (1/3)^(2k)", id="certify-order-huge"),
+    pytest.param(["search", "--degree", "1", "--out", "n.txt"],
+                 ORDER_1 + "100000000\t1\t7\n", ONE_NODE,
+                 "k=100000000 exceeds (1/3)^(2k)", id="search-order-huge"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1/5\n1/0\n", "nodes.txt:2", id="certify-node-1-over-0"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1/3\n# comment\n\nthird\n", "nodes.txt:4",
+                 id="certify-node-not-a-number"),
+    pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", "-1"],
+                 None, ONE_NODE, "seed -1 ", id="mc-seed-negative"),
+    pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", str(1 << 128)],
+                 None, ONE_NODE, f"seed {1 << 128} ", id="mc-seed-2-to-the-128"),
 ])
 def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys,
-                                           argv, moments, names):
+                                           argv, moments, nodes, names):
     monkeypatch.chdir(tmp_path)
-    NodeSet((Fraction(1, 3),)).write("nodes.txt")
+    Path("nodes.txt").write_text(nodes)
     if moments is not None:
         Path("m.tsv").write_text(moments)
         argv = argv + ["--moments", "m.tsv"]

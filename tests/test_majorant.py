@@ -8,7 +8,6 @@ from tetravol.majorant import (
     MomentOrderError,
     NodeSet,
     expected_value,
-    hermite_coefficients,
     hermite_onesided,
 )
 from tetravol.certificate import REFERENCE_NODES, verify_dominance
@@ -38,15 +37,6 @@ def test_reference_nodes_give_degree_26():
     p = hermite_onesided(NodeSet(REFERENCE_NODES))
     assert p.degree == 26
     assert len(p.coeffs) == 14
-
-
-def test_float_coefficients_match_exact_on_reference_nodes():
-    # the routine follows the type of its nodes: floats give double precision
-    exact = hermite_coefficients(REFERENCE_NODES)
-    approx = hermite_coefficients([float(x) for x in REFERENCE_NODES])
-    assert all(type(c) is float for c in approx)
-    for a, e in zip(approx, exact):
-        assert abs(a - float(e)) <= 1e-12 * abs(float(e))
 
 
 def test_degree_contract():

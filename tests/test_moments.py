@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -18,15 +18,13 @@ from tetravol.moments import (
     TERMS_3D,
     VAR_NAMES,
     _z_split,
-    abbreviations,
     composition_count,
-    enumerate_compositions,
     even_moment_direct,
     even_moment_fast,
     moment_table,
 )
-from tetravol.rational import factorial
-from tetravol.simplex_integrals import triple_integral
+
+from oracles import abbreviations, enumerate_compositions, triple_integral
 
 PAPER_MOMENTS = {
     1: Fraction(1, 2000),
@@ -199,11 +197,15 @@ def test_direct_matches_literal_theorem_sum():
         assert even_moment_direct(k) == theorem_sum_oracle(k)
 
 
-def test_direct_cap_names_composition_count():
+def test_direct_cap_names_composition_count(monkeypatch):
     with pytest.raises(ValueError, match=str(composition_count(6))):
         even_moment_direct(6)
-    # a raised cap unlocks the order
-    assert even_moment_direct(3, cap=3) == PAPER_MOMENTS[3]
+    # the cap is a module constant: at 3, order 3 still runs and 4 is refused
+    monkeypatch.setattr(moments_mod, "DIRECT_CAP", 3)
+    assert even_moment_direct(3) == PAPER_MOMENTS[3]
+    with pytest.raises(ValueError, match=r"k=4 exceeds the direct-path cap 3: "
+                                         + str(composition_count(4))):
+        even_moment_direct(4)
 
 
 def test_fast_agrees_with_direct_low_orders():
@@ -285,10 +287,11 @@ def test_power_table_is_built_once(monkeypatch):
 
 @pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),
                     reason="~2 min; set TETRAVOL_SLOW=1 to run")
-def test_fast_agrees_with_direct_k6_slow():
+def test_fast_agrees_with_direct_k6_slow(monkeypatch):
     # 51.9M compositions; extends the mandatory k <= 4 cross-check one order
     # past the published values
-    assert even_moment_fast(6) == even_moment_direct(6, cap=6)
+    monkeypatch.setattr(moments_mod, "DIRECT_CAP", 6)
+    assert even_moment_fast(6) == even_moment_direct(6)
 
 
 def test_moment_decay_invariants(table13):
@@ -309,7 +312,7 @@ def test_cache_round_trip(tmp_path, table13):
     path = tmp_path / "moments.tsv"
     table13.write(path)
     again = MomentTable.read(path)
-    assert again == table13
+    assert again.values == table13.values
     again.write(tmp_path / "second.tsv")
     assert (tmp_path / "second.tsv").read_bytes() == path.read_bytes()
 
@@ -346,6 +349,27 @@ def test_table_invariant_rejects_nondecreasing():
         MomentTable({1: Fraction(1, 2000), 2: Fraction(1, 2000)})
 
 
+def test_table_cap_check_is_exact_at_the_boundary():
+    # the check compares bit lengths before it builds 9^k; on values within a
+    # few units of 9^-k, and across the bit-length edge, it must agree with
+    # the exact comparison
+    rng = random.Random(41)
+    cases = 0
+    for k in (1, 2, 3, 7, 20, 64):
+        for num in (1, 2, 3, 5, rng.getrandbits(40) | 1, rng.getrandbits(200) | 1):
+            for delta in range(-3, 4):
+                v = Fraction(num, max(num * 9 ** k + delta, 1))
+                if v.numerator != num:
+                    continue
+                cases += 1
+                if v > Fraction(1, 9 ** k):
+                    with pytest.raises(MomentIntegrityError, match=r"exceeds \(1/3\)\^\(2k\)"):
+                        MomentTable({k: v})
+                else:
+                    assert MomentTable({k: v}).values == {k: v}
+    assert cases > 150
+
+
 def test_moment_table_detects_tampered_cache(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("tetra-moments v1\n1\t1\t2001\n")
@@ -367,7 +391,7 @@ def test_moment_table_resumes_partial_cache(tmp_path, monkeypatch):
     calls.clear()
     before = path.read_bytes()
     again = moment_table(2, cache_path=path)
-    assert again == table
+    assert again.values == table.values
     assert calls == []
     assert path.read_bytes() == before
 

@@ -6,32 +6,10 @@ import pytest
 
 from tetravol.rational import (
     RationalInterval,
-    factorial,
     fraction_to_decimal,
     pi_squared_enclosure,
     target_enclosure,
 )
-
-
-def test_factorial_base_cases():
-    assert factorial(0) == 1
-    assert factorial(1) == 1
-    assert factorial(6) == 720
-
-
-def test_factorial_recurrence_up_to_200():
-    # iterative-product oracle
-    acc = 1
-    for n in range(1, 201):
-        acc *= n
-        assert factorial(n) == acc
-        assert factorial(n) == n * factorial(n - 1)
-    assert len(str(factorial(81))) == 121
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_pi_squared_enclosure():

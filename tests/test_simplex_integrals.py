@@ -1,11 +1,10 @@
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from tetravol.rational import factorial
-from tetravol.simplex_integrals import monomial_integral, triple_integral
+from oracles import monomial_integral, triple_integral
 
 
 def iterated_integral_oracle(l: int, m: int, n: int) -> Fraction:
