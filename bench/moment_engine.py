@@ -2,25 +2,27 @@
 stage, for two or more source trees.
 
     python3 bench/moment_engine.py --side parent=/path/to/old/src \
-        --side change=src --k-max 16 --repeats 3 --out BENCH_moment_engine.json
+        --side change=src --k-max 20 --repeats 3 --out BENCH_moment_engine.json
 
 Each timed run is a fresh process that imports `tetravol` from one `src`
 directory and calls `even_moment_fast(k)` for k = 1..K in turn, as
 `moment_table` does, so whatever one order leaves for the next counts as it
-would in a real run.  Beside it, a second fresh process per run times one
-`moment_table(13, cache)` into an empty cache file: the fast engine, the
-direct-enumerator check of k <= 4 and the per-order cache flushes, as
-`tetravol moments --k-max 13` runs them.  It records the wall time, the
-peak RSS of the process (`RUSAGE_SELF`) and of its largest reaped child
-(`RUSAGE_CHILDREN`), their sum as a bound on the memory of the process
+would in a real run; with `--direct-k-max N` it then times
+`even_moment_direct(k)` for k = 1..N the same way.  Beside it, a second
+fresh process per run times one `moment_table(13, cache)` into an empty
+cache file: the fast engine, the direct-enumerator check and the cache
+write, as `tetravol moments --k-max 13` runs them.  It records the wall
+time, the peak RSS of the process (`RUSAGE_SELF`) and of its largest reaped
+child (`RUSAGE_CHILDREN`), their sum as a bound on the memory of the process
 tree, and the sha256 of the cache file.  Runs alternate between the sides,
 starting with a different side on each repeat.  After the timed runs, one
-counting run per side wraps the engine's `_matmul` to record, per order,
-the products and the largest operand shapes, entry bit lengths and the byte
-width of a packed column slot,
-((max|a| * max|b| * len(b)).bit_length() + 8) // 8; its timings are not
-used.  The values of orders 1..13 are hashed in the moment
-cache format, so a side whose moments differ shows a different hash.
+counting run per side wraps the engine's `_centred_integrals` and
+`_split_sum` to record, per order, the z-degree splits evaluated, the size
+of the centred-integral table and the largest bit lengths of its entries
+and of the split sums; a side whose engine has no such helpers records no
+counts.  Its timings are not used.  The values of orders 1..13 are hashed
+in the moment cache format, so a side whose moments differ shows a
+different hash.
 Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
 
@@ -38,50 +40,65 @@ from pathlib import Path
 import sides as harness
 
 HASHED_ORDERS = 13
-#: per-order counts of the counting run: products, then the largest operand
-#: rows, inner dimension, columns, entry bit lengths and packed slot bytes
-COUNTERS = ("matmul_calls", "rows_max", "inner_max", "cols_max",
-            "a_bits_max", "b_bits_max", "slot_bytes_max")
+#: per-order counts of the counting run: z-degree splits, centred-integral
+#: table entries, and the largest bit lengths of an entry and of a split sum
+COUNTERS = ("splits", "table_entries", "table_bits_max", "split_bits_max")
 #: per-run figures of the moment-stage process
 STAGE_FIGURES = ("wall_s", "self_maxrss_mb", "children_maxrss_mb", "tree_maxrss_mb")
 
 
-def child(src: str, k_max: int, count: bool) -> dict:
+def child(src: str, k_max: int, direct_k_max: int, count: bool) -> dict:
     sys.path.insert(0, src)
     import resource
 
     from tetravol import moments
 
     stats: dict[int, dict] = {}
-    if count:
-        matmul = moments._matmul
+    if count and hasattr(moments, "_split_sum"):
+        integrals, split_sum = moments._centred_integrals, moments._split_sum
 
-        def counted(a, b):
-            amax = max(max(max(row), -min(row)) for row in a)
-            bmax = max(max(max(row), -min(row)) for row in b)
-            s = stats.setdefault(k, dict.fromkeys(COUNTERS, 0))
-            s["matmul_calls"] += 1
-            for name, value in zip(COUNTERS[1:], (
-                    len(a), len(b), len(b[0]), amax.bit_length(), bmax.bit_length(),
-                    ((amax * bmax * len(b)).bit_length() + 8) // 8)):
-                s[name] = max(s[name], value)
-            return matmul(a, b)
+        def order_stats() -> dict:
+            return stats.setdefault(k, dict.fromkeys(COUNTERS, 0))
 
-        moments._matmul = counted
+        def counted_integrals(order):
+            table = integrals(order)
+            s = order_stats()
+            s["table_entries"] = sum(map(len, table))
+            s["table_bits_max"] = max(abs(v).bit_length() for row in table for v in row)
+            return table
+
+        def counted_split(table, *split):
+            value = split_sum(table, *split)
+            s = order_stats()
+            s["splits"] += 1
+            s["split_bits_max"] = max(s["split_bits_max"], abs(value).bit_length())
+            return value
+
+        moments._centred_integrals = counted_integrals
+        moments._split_sum = counted_split
     orders = []
+    values = []
     lines = ["tetra-moments v1"]
     for k in range(1, k_max + 1):
         t0 = time.perf_counter()
         v = moments.even_moment_fast(k)
         seconds = time.perf_counter() - t0
+        values.append(v)
         orders.append({"k": k, "s": round(seconds, 4),
                        "value_bits": max(v.numerator.bit_length(),
                                          v.denominator.bit_length()),
                        **stats.get(k, {})})
         if k <= HASHED_ORDERS:
             lines.append(f"{k}\t{v.numerator}\t{v.denominator}")
+    direct = []
+    for k in range(1, direct_k_max + 1):
+        t0 = time.perf_counter()
+        v = moments.even_moment_direct(k)
+        direct.append({"k": k, "s": round(time.perf_counter() - t0, 4),
+                       "equals_fast": k > k_max or v == values[k - 1]})
     text = "\n".join(lines) + "\n"
-    return {"orders": orders,
+    return {"orders": orders, "direct": direct,
+            "verify_order_max": moments.VERIFY_ORDER_MAX, "direct_cap": moments.DIRECT_CAP,
             "values_sha256": hashlib.sha256(text.encode()).hexdigest(),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
@@ -116,6 +133,8 @@ def main() -> None:
     parser.add_argument("--side", action="append", required=True, type=harness.side,
                         help="LABEL=SRC_DIR; give two or more")
     parser.add_argument("--k-max", type=int, default=16)
+    parser.add_argument("--direct-k-max", type=int, default=0,
+                        help="also time even_moment_direct(k) for k = 1..N in each run")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=Path("BENCH_moment_engine.json"))
     args = parser.parse_args()
@@ -124,12 +143,15 @@ def main() -> None:
     stages: dict[str, list] = {label: [] for label, _ in sides}
     with tempfile.TemporaryDirectory(dir=args.out.resolve().parent) as workdir:
         for r, label, src in harness.alternate(sides, args.repeats):
-            run = harness.spawn(__file__, "--child", src, str(args.k_max), "0")
+            run = harness.spawn(__file__, "--child", src, str(args.k_max),
+                                str(args.direct_k_max), "0")
             runs[label].append(run)
             stage = spawn_stage(src, Path(workdir))
             stages[label].append(stage)
             total = sum(o["s"] for o in run["orders"])
+            direct = sum(o["s"] for o in run["direct"])
             print(f"repeat {r} {label}: k<={args.k_max} {total:.2f} s, "
+                  f"direct k<={args.direct_k_max} {direct:.2f} s, "
                   f"moment_table({HASHED_ORDERS}) {stage['wall_s']:.2f} s",
                   file=sys.stderr)
 
@@ -138,9 +160,10 @@ def main() -> None:
                            f"moment_table({HASHED_ORDERS}, cache) from an empty cache "
                            "in another fresh process per run",
               "machine": harness.machine(),
-              "k_max": args.k_max, "repeats": args.repeats, "sides": {}}
+              "k_max": args.k_max, "direct_k_max": args.direct_k_max,
+              "repeats": args.repeats, "sides": {}}
     for label, src in sides:
-        counts = harness.spawn(__file__, "--child", src, str(args.k_max), "1")
+        counts = harness.spawn(__file__, "--child", src, str(args.k_max), "0", "1")
         per_order = []
         for k in range(1, args.k_max + 1):
             times = [run["orders"][k - 1]["s"] for run in runs[label]]
@@ -150,13 +173,23 @@ def main() -> None:
             per_order.append(entry)
         totals = [round(sum(o["s"] for o in run["orders"][:HASHED_ORDERS]), 3)
                   for run in runs[label]]
+        direct = []
+        for k in range(1, args.direct_k_max + 1):
+            times = [run["direct"][k - 1]["s"] for run in runs[label]]
+            direct.append({"k": k, "s_median": round(statistics.median(times), 4),
+                           "s_runs": times,
+                           "equals_fast": all(run["direct"][k - 1]["equals_fast"]
+                                              for run in runs[label])})
         result["sides"][label] = {
             "src_sha256": harness.tree_sha256(src),
+            "verify_order_max": counts["verify_order_max"],
+            "direct_cap": counts["direct_cap"],
             "values_sha256": sorted({run["values_sha256"] for run in runs[label]}),
             "peak_rss_mb": [run["peak_rss_mb"] for run in runs[label]],
             f"total_k1_{HASHED_ORDERS}_s": totals,
             f"total_k1_{HASHED_ORDERS}_s_median": round(statistics.median(totals), 3),
             "orders": per_order,
+            "direct": direct,
             "stage": {
                 "cache_sha256": sorted({st["cache_sha256"] for st in stages[label]}),
                 **{key: [st[key] for st in stages[label]] for key in STAGE_FIGURES},
@@ -173,7 +206,8 @@ def main() -> None:
 
 if __name__ == "__main__":
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
-        print(json.dumps(child(sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1")))
+        print(json.dumps(child(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]),
+                               sys.argv[5] == "1")))
     elif len(sys.argv) > 1 and sys.argv[1] == "--stage":
         print(json.dumps(stage_child(sys.argv[2], sys.argv[3])))
     else:

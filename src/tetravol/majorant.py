@@ -14,12 +14,19 @@ of V, and it is a rational affine combination of the even moments.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .moments import MomentTable
+
+#: the forms a node file line may take: an integer or p/q, at most
+#: NODE_LINE_MAX characters, so no line can stand for a huge rational (as
+#: `1e-3000000` would through `Fraction(str)`)
+_NODE_LINE = re.compile(r"[+-]?[0-9]+|[0-9]+/[0-9]+")
+NODE_LINE_MAX = 1000
 
 
 class MomentOrderError(KeyError):
@@ -66,9 +73,13 @@ class NodeSet:
             if not line or line.startswith("#"):
                 continue
             try:
+                if len(line) > NODE_LINE_MAX or not _NODE_LINE.fullmatch(line):
+                    raise ValueError
                 nodes.append(Fraction(line))
             except (ValueError, ZeroDivisionError):
-                raise ValueError(f"{path}:{ln}: {line!r} is not a rational node") from None
+                shown = line if len(line) <= 40 else line[:40] + "..."
+                raise ValueError(f"{path}:{ln}: {shown!r} is not a rational node p/q "
+                                 f"of at most {NODE_LINE_MAX} characters") from None
         return cls(tuple(nodes))
 
 

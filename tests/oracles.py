@@ -1,11 +1,14 @@
-"""Pieces of the literal composition sum behind the explicit even-moment
-formula, kept beside the tests as an oracle for `even_moment_direct`.
+"""The paper's explicit even-moment formula, kept beside the tests as an
+oracle for the library's two moment routes.
 
-The direct enumerator walks the compositions of 2k into 18 parts
-incrementally; the tests rebuild the same sum term by term from these
-pieces: every composition, its abbreviations (sign parity, power of 3,
-exponent vector) and the closed-form monomial integrals over the standard
-tetrahedron T_o = {x, y, z >= 0, x + y + z <= 1}, which has volume 1/6:
+The paper expands the determinant polynomial D in the uncentred coordinates
+x, y, z, where 3D has 18 signed terms (`TERMS_3D`), and sums closed-form
+integrals over every composition of 2k into 18 parts.  `even_moment_18`
+walks those compositions incrementally; the tests also rebuild the same sum
+term by term from the pieces below: every composition, its abbreviations
+(sign parity, power of 3, exponent vector) and the closed-form monomial
+integrals over the standard tetrahedron
+T_o = {x, y, z >= 0, x + y + z <= 1}, which has volume 1/6:
 
     int_{T_o} x^l y^m z^n dV = l! m! n! / (l + m + n + 3)!
 """
@@ -14,12 +17,116 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, NamedTuple, Sequence
 
-from tetravol.moments import _TERM_CUBIC, _TERM_EXPS, _TERM_NEGATIVE
-
 Exponent3 = tuple[int, int, int]
+
+#: variable order of the exponent 9-tuple (l1, m1, n1, l2, m2, n2, l3, m3, n3)
+VAR_NAMES = ("x1", "y1", "z1", "x2", "y2", "z2", "x3", "y3", "z3")
+_VAR_INDEX = {v: i for i, v in enumerate(VAR_NAMES)}
+
+#: the 18 signed terms of 3*D, in the determinant-expansion order
+TERMS_3D: tuple[tuple[int, tuple[str, ...]], ...] = (
+    (+1, ("x1", "z2")),
+    (-1, ("x1", "z3")),
+    (-1, ("x2", "z1")),
+    (+1, ("x2", "z3")),
+    (+1, ("x3", "z1")),
+    (-1, ("x3", "z2")),
+    (-1, ("y1", "z2")),
+    (+1, ("y1", "z3")),
+    (+1, ("y2", "z1")),
+    (-1, ("y2", "z3")),
+    (-1, ("y3", "z1")),
+    (+1, ("y3", "z2")),
+    (+3, ("x1", "y2", "z3")),
+    (-3, ("x1", "y3", "z2")),
+    (-3, ("x2", "y1", "z3")),
+    (+3, ("x2", "y3", "z1")),
+    (+3, ("x3", "y1", "z2")),
+    (-3, ("x3", "y2", "z1")),
+)
+
+
+def _term_exponents(vars_: tuple[str, ...]) -> tuple[int, ...]:
+    e = [0] * 9
+    for v in vars_:
+        e[_VAR_INDEX[v]] += 1
+    return tuple(e)
+
+
+_TERM_EXPS = tuple(_term_exponents(vs) for _, vs in TERMS_3D)
+_TERM_NEGATIVE = tuple(c < 0 for c, _ in TERMS_3D)
+_TERM_CUBIC = tuple(abs(c) == 3 for c, _ in TERMS_3D)
+
+
+def composition_count(k: int) -> int:
+    """Number of compositions of 2k into 18 parts: C(2k+17, 17)."""
+    return comb(2 * k + 17, 17)
+
+
+def even_moment_18(k: int) -> Fraction:
+    """E V^(2k) by direct summation over all compositions of 2k into 18 parts.
+
+    The recursion walks the composition tree once, carrying the multinomial
+    coefficient, the sign/power-of-3 counters and the exponent vector
+    incrementally; each leaf costs a handful of integer multiplies.  The
+    denominators (l+m+n+3)! all divide (2k+3)!, so the whole sum accumulates
+    over the common denominator ((2k+3)!)^3 in pure integer arithmetic.  The
+    count C(2k+17, 17) explodes: k = 5 walks 8.4M compositions (~40 s) and
+    k = 6 51.9M.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n2k = 2 * k
+    fact = [factorial(i) for i in range(n2k + 4)]
+    big = fact[n2k + 3]
+    ratio = [big // fact[s + 3] for s in range(n2k + 1)]
+    exps = [0] * 9
+    total = 0
+
+    def leaf(c: int, mult: int, kp: int, kpp: int, acc: int) -> None:
+        nonlocal total
+        mult *= comb(acc + c, c)
+        if _TERM_NEGATIVE[17] and c % 2:
+            kp += 1
+        if _TERM_CUBIC[17]:
+            kpp += c
+        inc = _TERM_EXPS[17]
+        for i in range(9):
+            exps[i] += inc[i] * c
+        l1, m1, n1, l2, m2, n2, l3, m3, n3 = exps
+        term = (mult * 3 ** kpp
+                * fact[l1] * fact[m1] * fact[n1] * ratio[l1 + m1 + n1]
+                * fact[l2] * fact[m2] * fact[n2] * ratio[l2 + m2 + n2]
+                * fact[l3] * fact[m3] * fact[n3] * ratio[l3 + m3 + n3])
+        total += -term if kp % 2 else term
+        for i in range(9):
+            exps[i] -= inc[i] * c
+
+    def walk(slot: int, rem: int, mult: int, kp: int, kpp: int, acc: int) -> None:
+        if slot == 17:
+            leaf(rem, mult, kp, kpp, acc)
+            return
+        neg = _TERM_NEGATIVE[slot]
+        cub = _TERM_CUBIC[slot]
+        inc = _TERM_EXPS[slot]
+        for c in range(rem + 1):
+            if c:
+                for i in range(9):
+                    exps[i] += inc[i]
+            walk(slot + 1, rem - c,
+                 mult * comb(acc + c, c),
+                 kp + (c if neg else 0),
+                 kpp + (c if cub else 0),
+                 acc + c)
+        for i in range(9):
+            exps[i] -= inc[i] * rem
+
+    walk(0, n2k, 1, 0, 0, 0)
+    # E = 8/3^(2k-3) * total/((2k+3)!)^3 = 216 * total / (3^2k * ((2k+3)!)^3)
+    return Fraction(216 * total, 3 ** n2k * big ** 3)
 
 
 # ---------------------------------------------------------------------------

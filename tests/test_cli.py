@@ -284,6 +284,15 @@ ONE_NODE = "1/3\n"
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "1/3\n# comment\n\nthird\n", "nodes.txt:4",
                  id="certify-node-not-a-number"),
+    # decimal exponents would make a huge rational (1e-3000000 ran past 40 s)
+    # or trip Python's int digit limit without naming the line (1e-4000)
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1e-3000000\n", "nodes.txt:1", id="certify-node-exponent-huge"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1e-4000\n", "nodes.txt:1", id="certify-node-exponent-4000"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1/5\n1/" + "7" * 1000 + "\n", "nodes.txt:2",
+                 id="certify-node-line-too-long"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", "-1"],
                  None, ONE_NODE, "seed -1 ", id="mc-seed-negative"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", str(1 << 128)],

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -15,16 +15,20 @@ from tetravol.moments import (
     MomentCacheError,
     MomentIntegrityError,
     MomentTable,
-    TERMS_3D,
-    VAR_NAMES,
-    _z_split,
-    composition_count,
     even_moment_direct,
     even_moment_fast,
     moment_table,
 )
 
-from oracles import abbreviations, enumerate_compositions, triple_integral
+from oracles import (
+    TERMS_3D,
+    VAR_NAMES,
+    abbreviations,
+    composition_count,
+    enumerate_compositions,
+    even_moment_18,
+    triple_integral,
+)
 
 PAPER_MOMENTS = {
     1: Fraction(1, 2000),
@@ -38,7 +42,7 @@ PAPER_MOMENTS = {
 def theorem_sum_oracle(k: int) -> Fraction:
     """Literal Theorem-2 summation: materialize every composition, apply the
     abbreviation map, sum closed-form integrals.  Independent of the
-    incremental recursion inside even_moment_direct."""
+    incremental recursion inside even_moment_18."""
     n2k = 2 * k
     total = Fraction(0)
     for comp in enumerate_compositions(n2k, 18):
@@ -78,6 +82,12 @@ def terms_3d_at(point) -> Fraction:
     """Sum of coeff * prod(vars) over TERMS_3D at a rational 9-tuple."""
     value = dict(zip(VAR_NAMES, point))
     return sum(coeff * prod(value[v] for v in vars_) for coeff, vars_ in TERMS_3D)
+
+
+def centred(point):
+    """(u1, v1, z1, u2, v2, z2, u3, v3, z3) with u = x - 1/3, v = y - 1/3."""
+    third = Fraction(1, 3)
+    return [Fraction(c) - (third if i % 3 < 2 else 0) for i, c in enumerate(point)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +166,31 @@ def test_composition_count_formula():
 
 
 def test_power_z_degree_invariant_and_point_evaluation():
-    # every term holds exactly one z coordinate, so (3D)^n has z-degree n and
-    # 3D = z1*F - z2*F + z3*F with F read in each point's own layout
+    # every term holds exactly one z coordinate, so (3D)^n has z-degree n;
+    # in centred coordinates D = z1*A1 - z2*A2 + z3*A3 with the 2x2 minors
+    # of the (u, v) columns, the expansion the fast route sums
     for _, vars_ in TERMS_3D:
         assert sum(v.startswith("z") for v in vars_) == 1
-    f, layouts = _z_split()
     rng = random.Random(23)
     for k in (1, 2, 3):
         for _ in range(4 if k < 3 else 2):
             point = [Fraction(rng.randrange(1, 24), 72) for _ in range(9)]
-            value = dict(zip(VAR_NAMES, point))
-            split = sum(sign * value[f"z{i}"] * sum(
-                c * prod(value[v] ** e for v, e in zip(layouts[i], exps))
-                for exps, c in f.items())
-                for i, sign in ((1, 1), (2, -1), (3, 1)))
-            assert split ** (2 * k) == det_value(point, 2 * k)
+            u1, v1, z1, u2, v2, z2, u3, v3, z3 = centred(point)
+            split = (z1 * (u2 * v3 - u3 * v2) - z2 * (u1 * v3 - u3 * v1)
+                     + z3 * (u1 * v2 - u2 * v1))
+            assert (3 * split) ** (2 * k) == det_value(point, 2 * k)
 
 
-def test_z_split_rejects_a_flipped_sign(monkeypatch):
-    # the fast path reads F2 and F3 off F1; any term whose sign breaks that
-    # symmetry must stop it rather than give a wrong moment
-    for i, (coeff, vars_) in enumerate(TERMS_3D):
-        flipped = TERMS_3D[:i] + ((-coeff, vars_),) + TERMS_3D[i + 1:]
-        monkeypatch.setattr(moments_mod, "TERMS_3D", flipped)
-        with pytest.raises(MomentIntegrityError):
-            _z_split()
+def test_centred_determinant_matches_terms_3d():
+    # the six signed terms the direct route enumerates are D = TERMS_3D / 3
+    # at every point, beside the 4x4 cofactor check above
+    rng = random.Random(17)
+    for _ in range(20):
+        point = [Fraction(rng.randrange(-40, 41), rng.randrange(1, 30)) for _ in range(9)]
+        u1, v1, z1, u2, v2, z2, u3, v3, z3 = centred(point)
+        six = (u1 * v2 * z3 - u1 * v3 * z2 - u2 * v1 * z3
+               + u2 * v3 * z1 + u3 * v1 * z2 - u3 * v2 * z1)
+        assert six == terms_3d_at(point) / 3
 
 
 # ---------------------------------------------------------------------------
@@ -188,110 +198,53 @@ def test_z_split_rejects_a_flipped_sign(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_direct_matches_published_low_moments():
-    for k in (1, 2, 3):
+    for k in range(1, 6):
         assert even_moment_direct(k) == PAPER_MOMENTS[k]
 
 
 def test_direct_matches_literal_theorem_sum():
     for k in (1, 2):
         assert even_moment_direct(k) == theorem_sum_oracle(k)
+        assert even_moment_18(k) == theorem_sum_oracle(k)
 
 
-def test_direct_cap_names_composition_count(monkeypatch):
-    with pytest.raises(ValueError, match=str(composition_count(6))):
-        even_moment_direct(6)
-    # the cap is a module constant: at 3, order 3 still runs and 4 is refused
-    monkeypatch.setattr(moments_mod, "DIRECT_CAP", 3)
-    assert even_moment_direct(3) == PAPER_MOMENTS[3]
-    with pytest.raises(ValueError, match=r"k=4 exceeds the direct-path cap 3: "
-                                         + str(composition_count(4))):
-        even_moment_direct(4)
-
-
-def test_fast_agrees_with_direct_low_orders():
-    for k in (1, 2, 3):
-        assert even_moment_fast(k) == even_moment_direct(k)
-
-
-def test_fast_matches_published_moments():
-    # k = 4, 5 reach splits with odd and even n2, so both signs of F2^n2
-    for k in range(1, 6):
-        assert even_moment_fast(k) == PAPER_MOMENTS[k]
-
-
-def naive_matmul(a, b):
-    """Reference for the packed product: the plain triple loop."""
-    return [[sum(av * b[j][t] for j, av in enumerate(arow)) for t in range(len(b[0]))]
-            for arow in a]
-
-
-def test_packed_matmul_matches_naive_product():
-    rng = random.Random(31)
-
-    def signed(bits):
-        return rng.choice((-1, 1)) * rng.getrandbits(bits)
-
-    def rand(n, m, bits):
-        return [[signed(rng.choice(bits)) for _ in range(m)] for _ in range(n)]
-
-    cases = [([[v]], [[u]]) for v in (0, 1, -1, 5, -(1 << 200))
-             for u in (0, -1, 7, (1 << 300) - 1)]                 # 1x1 operands
-    cases += [(rand(5, 4, (9,)), rand(4, 1, (9,))) for _ in range(3)]  # one column
-    a = rand(6, 5, (40,))
-    a[0] = a[3] = [0] * 5                                         # all-zero rows
-    cases += [(a, rand(5, 7, (40,))),
-              ([[0] * 4 for _ in range(3)], rand(4, 5, (60,))),  # all-zero a
-              (rand(3, 4, (60,)), [[0] * 5 for _ in range(4)])]  # all-zero b
-    cases += [(rand(n, m, (1, 300)), rand(m, c, (1, 300)))       # 1- and 300-bit
-              for n, m, c in ((7, 9, 5), (12, 3, 11), (2, 20, 2))]
-    cases += [(rand(n, m, (1, 8, 64, 250)), rand(m, c, (1, 8, 64, 250)))
-              for n, m, c in ((rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9))
-                          for _ in range(40))]
-    for a, b in cases:
-        assert moments_mod._matmul(a, b) == naive_matmul(a, b)
-
-
-@pytest.mark.parametrize("amax, bmax, n", [
-    (1, 127, 1),                     # w = 1
-    (31, 151, 7),                    # 7 * 31 * 151 = 2^15 - 1, w = 2
-    (((1 << 303) - 1) // 7, 1, 7),   # 2^303 - 1, w = 38
-])
-def test_packed_matmul_at_the_slot_edge(amax, bmax, n):
-    # max|a| * max|b| * len(b) = 2^(8w-1) - 1 with w the slot width it sets,
-    # so the product entries land exactly on +-(2^(8w-1) - 1)
-    bound = amax * bmax * n
-    w = (bound.bit_length() + 8) // 8
-    assert bound == (1 << (8 * w - 1)) - 1
-    a = [[amax] * n, [-amax] * n, [amax, -amax] * (n // 2) + [amax] * (n % 2)]
-    b = [[bmax, -bmax, 0] for _ in range(n)]
-    product = moments_mod._matmul(a, b)
-    assert product == naive_matmul(a, b)
-    assert product[0][:2] == [bound, -bound] and product[1][:2] == [-bound, bound]
-
-
-def test_power_table_is_built_once(monkeypatch):
-    # every order reads the shared powers of F: k = 1..4 in turn need
-    # F^1..F^8, one product each, and a lower order after them needs none
-    monkeypatch.setattr(moments_mod, "_F_POWERS", [])
-    calls = []
-    mul = moments_mod._poly4_mul
-    monkeypatch.setattr(moments_mod, "_poly4_mul",
-                        lambda p, q: calls.append(1) or mul(p, q))
+def test_18_term_enumerator_matches_direct():
+    # the paper's uncentred 18-term sum against the centred 6-term one
     for k in range(1, 5):
-        assert even_moment_fast(k) == PAPER_MOMENTS[k]
-    assert len(calls) == 8
-    calls.clear()
-    assert even_moment_fast(2) == PAPER_MOMENTS[2]
-    assert calls == []
+        assert even_moment_18(k) == even_moment_direct(k)
 
 
 @pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),
                     reason="~2 min; set TETRAVOL_SLOW=1 to run")
-def test_fast_agrees_with_direct_k6_slow(monkeypatch):
-    # 51.9M compositions; extends the mandatory k <= 4 cross-check one order
-    # past the published values
-    monkeypatch.setattr(moments_mod, "DIRECT_CAP", 6)
-    assert even_moment_fast(6) == even_moment_direct(6)
+def test_18_term_enumerator_matches_direct_slow():
+    # 8.4M and 51.9M compositions of 2k into 18 parts
+    for k in (5, 6):
+        assert even_moment_18(k) == even_moment_direct(k)
+
+
+def test_direct_cap_names_composition_count(monkeypatch):
+    cap = moments_mod.DIRECT_CAP
+    with pytest.raises(ValueError, match=f"k={cap + 1} .* {comb(2 * cap + 7, 5)} "
+                                         f"compositions of {2 * cap + 2} into 6 parts"):
+        even_moment_direct(cap + 1)
+    # the cap is a module constant: at 3, order 3 still runs and 4 is refused
+    monkeypatch.setattr(moments_mod, "DIRECT_CAP", 3)
+    assert even_moment_direct(3) == PAPER_MOMENTS[3]
+    with pytest.raises(ValueError, match=r"k=4 exceeds the direct-path cap 3: "
+                                         + str(comb(13, 5))):
+        even_moment_direct(4)
+
+
+def test_fast_agrees_with_direct_low_orders():
+    # every order that moment_table cross-checks
+    for k in range(1, moments_mod.VERIFY_ORDER_MAX + 1):
+        assert even_moment_fast(k) == even_moment_direct(k)
+
+
+def test_fast_matches_published_moments():
+    # k = 4, 5 reach splits with odd and even n2, so both signs of A2^n2
+    for k in range(1, 6):
+        assert even_moment_fast(k) == PAPER_MOMENTS[k]
 
 
 def test_moment_decay_invariants(table13):
@@ -371,29 +324,45 @@ def test_table_cap_check_is_exact_at_the_boundary():
 
 
 def test_moment_table_detects_tampered_cache(tmp_path):
+    # a failed cross-check writes nothing, not even the orders it computed
     path = tmp_path / "m.tsv"
     path.write_text("tetra-moments v1\n1\t1\t2001\n")
-    with pytest.raises(MomentIntegrityError):
-        moment_table(1, cache_path=path)
+    for k_max in (1, 3):
+        with pytest.raises(MomentIntegrityError, match="moment k=1: file value"):
+            moment_table(k_max, cache_path=path)
+        assert path.read_text() == "tetra-moments v1\n1\t1\t2001\n"
 
 
-def test_moment_table_resumes_partial_cache(tmp_path, monkeypatch):
+def test_moment_table_resumes_partial_cache(tmp_path, monkeypatch, table13):
     path = tmp_path / "m.tsv"
-    MomentTable({1: Fraction(1, 2000)}).write(path)
+    MomentTable({k: table13[k] for k in range(1, 11)}).write(path)
     calls = []
     fast = moments_mod.even_moment_fast
     monkeypatch.setattr(moments_mod, "even_moment_fast",
                         lambda k: calls.append(k) or fast(k))
-    table = moment_table(2, cache_path=path)
-    assert table[2] == PAPER_MOMENTS[2]
-    assert calls == [2]
+    table = moment_table(13, cache_path=path)
+    assert table.values == table13.values
+    assert calls == [11, 12, 13]
+    table13.write(tmp_path / "whole.tsv")
+    assert path.read_bytes() == (tmp_path / "whole.tsv").read_bytes()
     # rerun loads everything from the file and rewrites nothing
     calls.clear()
-    before = path.read_bytes()
-    again = moment_table(2, cache_path=path)
+    before = path.stat().st_mtime_ns, path.read_bytes()
+    again = moment_table(13, cache_path=path)
     assert again.values == table.values
     assert calls == []
-    assert path.read_bytes() == before
+    assert (path.stat().st_mtime_ns, path.read_bytes()) == before
+
+
+def test_moment_table_writes_the_cache_once(tmp_path, monkeypatch, table13):
+    path = tmp_path / "m.tsv"
+    replaced = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(dst) or replace(src, dst))
+    table = moment_table(13, cache_path=path)
+    assert replaced == [path]
+    assert MomentTable.read(path).values == table.values == table13.values
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
 
 
 def write_half_then_fail(self, target):
@@ -461,7 +430,13 @@ def test_failing_direct_child_is_an_integrity_error(monkeypatch, oracle, message
         moment_table(3)
 
 
-def test_failed_flush_kills_and_reaps_the_direct_child(tmp_path, monkeypatch):
+def _fast_fails(k):
+    if k == 2:
+        raise RuntimeError("fast engine failed")
+    return even_moment_fast(k)
+
+
+def test_failed_fast_engine_kills_and_reaps_the_direct_child(tmp_path, monkeypatch):
     path = tmp_path / "m.tsv"
     MomentTable({1: Fraction(1, 2000)}).write(path)
     before = path.read_bytes()
@@ -477,9 +452,9 @@ def test_failed_flush_kills_and_reaps_the_direct_child(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", recording_fork)
     # an oracle that would outlast the test: only a kill ends it in time
     monkeypatch.setattr(moments_mod, "even_moment_direct", lambda k: time.sleep(60))
-    monkeypatch.setattr(MomentTable, "write", write_half_then_fail)
+    monkeypatch.setattr(moments_mod, "even_moment_fast", _fast_fails)
     t0 = time.monotonic()
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(RuntimeError, match="fast engine failed"):
         moment_table(2, cache_path=path)
     assert time.monotonic() - t0 < 30
     assert len(pids) == 1
