@@ -15,8 +15,10 @@ write, as `tetravol moments --k-max 13` runs them.  It records the wall
 time, the peak RSS of the process (`RUSAGE_SELF`) and of its largest reaped
 child (`RUSAGE_CHILDREN`), their sum as a bound on the memory of the process
 tree, and the sha256 of the cache file.  Runs alternate between the sides,
-starting with a different side on each repeat.  After the timed runs, one
-counting run per side wraps the engine's `_centred_integrals` and
+starting with a different side on each repeat.  Then IMPORT_RUNS more
+fresh processes per side, alternating, each measure how long
+`import tetravol.cli` takes and whether it loaded numpy.  After the timed
+runs, one counting run per side wraps the engine's `_centred_integrals` and
 `_split_sum` to record, per order, the z-degree splits evaluated, the size
 of the centred-integral table and the largest bit lengths of its entries
 and of the split sums; a side whose engine has no such helpers records no
@@ -45,6 +47,8 @@ HASHED_ORDERS = 13
 COUNTERS = ("splits", "table_entries", "table_bits_max", "split_bits_max")
 #: per-run figures of the moment-stage process
 STAGE_FIGURES = ("wall_s", "self_maxrss_mb", "children_maxrss_mb", "tree_maxrss_mb")
+#: fresh processes per side that time `import tetravol.cli`
+IMPORT_RUNS = 15
 
 
 def child(src: str, k_max: int, direct_k_max: int, count: bool) -> dict:
@@ -121,6 +125,14 @@ def stage_child(src: str, cache: str) -> dict:
             "cache_sha256": hashlib.sha256(Path(cache).read_bytes()).hexdigest()}
 
 
+def import_child(src: str) -> dict:
+    sys.path.insert(0, src)
+    t0 = time.perf_counter()
+    import tetravol.cli  # noqa: F401
+    seconds = time.perf_counter() - t0
+    return {"import_s": round(seconds, 4), "numpy_loaded": "numpy" in sys.modules}
+
+
 def spawn_stage(src: str, workdir: Path) -> dict:
     """One moment_table(13) run into a fresh cache file under `workdir`."""
     cache = workdir / "moments.tsv"
@@ -154,11 +166,15 @@ def main() -> None:
                   f"direct k<={args.direct_k_max} {direct:.2f} s, "
                   f"moment_table({HASHED_ORDERS}) {stage['wall_s']:.2f} s",
                   file=sys.stderr)
+    imports: dict[str, list] = {label: [] for label, _ in sides}
+    for _, label, src in harness.alternate(sides, IMPORT_RUNS):
+        imports[label].append(harness.spawn(__file__, "--import", src))
 
     result = {"benchmark": "fast moment engine, even_moment_fast(k) for k = 1..K "
                            "in one fresh process per run; moment stage, "
                            f"moment_table({HASHED_ORDERS}, cache) from an empty cache "
-                           "in another fresh process per run",
+                           "in another fresh process per run; `import tetravol.cli` "
+                           f"in {IMPORT_RUNS} more fresh processes per side",
               "machine": harness.machine(),
               "k_max": args.k_max, "direct_k_max": args.direct_k_max,
               "repeats": args.repeats, "sides": {}}
@@ -199,6 +215,12 @@ def main() -> None:
                     [st["wall_s"] for st in stages[label]], 4),
                 "tree_maxrss_mb_max": max(st["tree_maxrss_mb"] for st in stages[label]),
             },
+            "import_cli": {
+                "import_s": [run["import_s"] for run in imports[label]],
+                "import_s_median": round(statistics.median(
+                    run["import_s"] for run in imports[label]), 4),
+                "numpy_loaded": sorted({run["numpy_loaded"] for run in imports[label]}),
+            },
         }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
@@ -210,5 +232,7 @@ if __name__ == "__main__":
                                sys.argv[5] == "1")))
     elif len(sys.argv) > 1 and sys.argv[1] == "--stage":
         print(json.dumps(stage_child(sys.argv[2], sys.argv[3])))
+    elif len(sys.argv) > 1 and sys.argv[1] == "--import":
+        print(json.dumps(import_child(sys.argv[2])))
     else:
         main()

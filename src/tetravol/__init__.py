@@ -19,7 +19,6 @@ from .moments import (
     even_moment_fast,
     moment_table,
 )
-from .montecarlo import EstimatorResult, estimate, tetra_volume
 from .node_search import rationalize
 from .rational import RationalInterval, pi_squared_enclosure, target_enclosure
 
@@ -34,3 +33,14 @@ __all__ = [
     "RationalInterval", "pi_squared_enclosure", "target_enclosure",
     "__version__",
 ]
+
+#: served on first use by __getattr__, so that only `mc` and its callers load
+#: numpy
+_MONTECARLO_NAMES = ("EstimatorResult", "estimate", "tetra_volume")
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,9 +46,11 @@ class NodeSet:
         if not self.nodes:
             raise ValueError("empty node set")
         prev = Fraction(0)
-        for x in self.nodes:
+        for i, x in enumerate(self.nodes, start=1):
             if x <= prev:
-                raise ValueError(f"nodes must be positive and strictly increasing, got {self.nodes}")
+                after = f" after {prev.numerator}/{prev.denominator}" if i > 1 else ""
+                raise ValueError(f"nodes must be positive and strictly increasing: "
+                                 f"node {i} is {x.numerator}/{x.denominator}{after}")
             prev = x
 
     @classmethod

@@ -36,9 +36,10 @@ they share no helper, so a bug in one cannot hide in the other:
 
 Both routes stay in integers until the final division.  `moment_table`
 requires the two to agree bit-exactly for k <= VERIFY_ORDER_MAX before it
-trusts any value: it runs the direct route in one forked child while the
-parent runs the fast route, and compares the child's values once both are
-done.
+trusts any value.  The direct route is split between two processes: one
+forked child takes the top order and every second order below it (the odd
+orders for k <= 13), while the parent runs the fast route and then the
+remaining direct orders.  The values are compared once both are done.
 """
 
 from __future__ import annotations
@@ -334,17 +335,17 @@ def _replace_cache(table: MomentTable, path: Path) -> None:
         raise
 
 
-def _start_direct_oracle(k_top: int) -> tuple[int, int]:
-    """Fork a child that computes even_moment_direct(k) for k = 1..k_top.
+def _start_direct_oracle(orders: list[int]) -> tuple[int, int]:
+    """Fork a child that computes even_moment_direct(k) for each k in `orders`.
 
-    The child writes one str(Fraction) line per order to a pipe and leaves
-    through os._exit, so it never returns into the caller, runs no atexit
-    handler and flushes none of the stdio buffers it inherited; its exit
-    status is 0 only after every order was written.  It runs only
-    pure-integer Python code, which needs none of the threads that a native
-    library such as numpy's BLAS may have started in the parent (fork copies
-    only the calling thread).  Returns the child's pid and the read end of
-    the pipe.
+    The child writes one str(Fraction) line per order, in the given order,
+    to a pipe and leaves through os._exit, so it never returns into the
+    caller, runs no atexit handler and flushes none of the stdio buffers it
+    inherited; its exit status is 0 only after every order was written.  It
+    runs only pure-integer Python code, which needs none of the threads that
+    a native library may have started in the parent (fork copies only the
+    calling thread).  The parent runs the other direct orders meanwhile.
+    Returns the child's pid and the read end of the pipe.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -355,51 +356,57 @@ def _start_direct_oracle(k_top: int) -> tuple[int, int]:
     try:
         os.close(read_fd)
         with os.fdopen(write_fd, "w") as reply:
-            for k in range(1, k_top + 1):
+            for k in orders:
                 reply.write(f"{even_moment_direct(k)}\n")
         status = 0
     finally:
         os._exit(status)
 
 
-def _direct_values(k_top: int, reply: str, status: int) -> dict[int, Fraction]:
-    """Parse the oracle child's reply, naming the first order it did not give."""
+def _direct_values(orders: list[int], reply: str, status: int) -> dict[int, Fraction]:
+    """Parse the oracle child's reply, whose line i is the value of orders[i],
+    naming the first order it did not give."""
     lines = reply.splitlines()
     code = os.waitstatus_to_exitcode(status)
     if code:
         raise MomentIntegrityError(
-            f"moment k={min(len(lines) + 1, k_top)}: the direct enumerator's "
-            f"process exited with status {code}")
+            f"moment k={orders[min(len(lines), len(orders) - 1)]}: the direct "
+            f"enumerator's process exited with status {code}")
     direct = {}
-    for k in range(1, k_top + 1):
-        if k > len(lines):
+    for i, k in enumerate(orders):
+        if i >= len(lines):
             raise MomentIntegrityError(
                 f"moment k={k}: the direct enumerator's reply ended early")
         try:
-            direct[k] = Fraction(lines[k - 1])
+            direct[k] = Fraction(lines[i])
         except ValueError:
             raise MomentIntegrityError(
-                f"moment k={k}: the direct enumerator replied "
-                f"{lines[k - 1]!r}") from None
+                f"moment k={k}: the direct enumerator replied {lines[i]!r}") from None
     return direct
 
 
 def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTable:
     """Moments 1..k_max, from cache where available, fast path otherwise.
 
-    Orders up to min(VERIFY_ORDER_MAX, k_max) are recomputed with the direct
-    enumerator and compared bit-exactly before the table is trusted; any
-    mismatch is a hard integrity failure, whether the suspect value came
-    from a file or from the fast engine.  The direct enumerator runs in one
-    forked child beside the fast engine, so the two overlap on a machine
-    with two or more cores; the comparison waits for both.  A child that
-    fails, or whose reply is short or unreadable, is an integrity failure
-    too; if the fast loop raises, the child is killed and reaped before the
-    exception propagates.  When a cache path is given and any order was
-    computed, the checked table is written to it once, by an atomic rename.
+    Orders up to k_top = min(VERIFY_ORDER_MAX, k_max) are recomputed with
+    the direct enumerator, each exactly once, and compared bit-exactly before
+    the table is trusted; any mismatch is a hard integrity failure, whether
+    the suspect value came from a file or from the fast engine.  One forked
+    child runs the direct orders k_top, k_top - 2, ... while the parent runs
+    the fast engine and then the other direct orders, so the two overlap on
+    a machine with two or more cores; the comparison waits for both.  A
+    child that fails, or whose reply is short or unreadable, is an
+    integrity failure too; if the parent's fast loop or direct share
+    raises, the child is killed and reaped before the exception propagates.
+    A cache path in a missing directory is refused before any work.  When a
+    cache path is given and any order was computed, the checked table is
+    written to it once, by an atomic rename.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if cache_path is not None and not Path(cache_path).parent.is_dir():
+        raise FileNotFoundError(
+            f"{cache_path}: directory {Path(cache_path).parent} does not exist")
     values: dict[int, Fraction] = {}
     provenance: dict[int, str] = {}
     if cache_path is not None and Path(cache_path).exists():
@@ -411,12 +418,18 @@ def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTabl
     missing = [k for k in range(1, k_max + 1) if k not in values]
 
     k_top = min(VERIFY_ORDER_MAX, k_max)
-    pid, read_fd = _start_direct_oracle(k_top)
+    # the direct cost grows about as k^6, so the child's orders k_top,
+    # k_top - 2, ... and the parent's fast loop plus the orders between take
+    # about as long at k_top = 13
+    child_orders = list(range(2 - k_top % 2, k_top + 1, 2))
+    pid, read_fd = _start_direct_oracle(child_orders)
     try:
         with os.fdopen(read_fd) as reply:
             for k in missing:
                 values[k] = even_moment_fast(k)
                 provenance[k] = "fast"
+            direct = {k: even_moment_direct(k) for k in range(1, k_top + 1)
+                      if k not in child_orders}
             text = reply.read()
         _, status = os.waitpid(pid, 0)
     except BaseException:
@@ -426,11 +439,12 @@ def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTabl
         os.waitpid(pid, 0)
         raise
 
-    for k, direct in _direct_values(k_top, text, status).items():
-        if values[k] != direct:
+    direct.update(_direct_values(child_orders, text, status))
+    for k in range(1, k_top + 1):
+        if values[k] != direct[k]:
             raise MomentIntegrityError(
                 f"moment k={k}: {provenance[k]} value {values[k]} != "
-                f"direct value {direct}")
+                f"direct value {direct[k]}")
         provenance[k] = "direct"
 
     table = MomentTable(values, provenance)

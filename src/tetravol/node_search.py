@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .certificate import _sign_at, sign_variations, sturm_chain
 from .majorant import MomentOrderError
 from .moments import MomentIntegrityError, MomentTable
@@ -166,6 +164,8 @@ def solve_onesided_lp(problem: LpProblem) -> LpSolution:
     then solves the dual (max sum_l x_l y_l subject to the moment-matching
     equalities) whose simplex multipliers are minus the primal coefficients.
     """
+    import numpy as np  # only the LP oracle needs it; `search` never loads it
+
     n = problem.degree
     m = n + 1
     u = np.asarray(problem.grid, dtype=float) * 3.0

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import pytest
 
 from tetravol import node_search
 from tetravol.certificate import REFERENCE_NODES, certify
-from tetravol.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, main
+from tetravol.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, MC_MODES, main
 from tetravol.majorant import NodeSet
 from tetravol.moments import MomentTable
 
@@ -144,18 +147,40 @@ def test_search_needs_no_lp_or_numpy(moments13_file, tmp_path, monkeypatch, caps
     def refuse(*args, **kwargs):
         raise AssertionError("search called the LP oracle")
 
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"search used numpy.{name}")
-
     monkeypatch.setattr(node_search, "solve_onesided_lp", refuse)
     monkeypatch.setattr(node_search, "extract_nodes", refuse)
-    monkeypatch.setattr(node_search, "np", NoNumpy())
     out = tmp_path / "nodes.txt"
     assert main(["search", "--degree", "13", "--moments", str(moments13_file),
                  "--out", str(out)]) == EXIT_OK
     assert len(NodeSet.read(out)) == 7
     assert "Gauss optimum for degree 13: 0.0173717" in capsys.readouterr().out
+
+    # numpy is for `mc` only: a fresh interpreter runs the exact commands
+    # without loading it, and still serves the Monte Carlo names after
+    code = f"""
+import sys
+import tetravol, tetravol.cli
+from tetravol.cli import main
+d = {str(tmp_path)!r}
+assert main(["search", "--degree", "13", "--moments", {str(moments13_file)!r},
+             "--out", d + "/fresh.txt"]) == 0
+assert main(["certify", "--nodes", d + "/fresh.txt", "--moments", {str(moments13_file)!r},
+             "--report", d + "/cert.txt"]) == 0
+assert "numpy" not in sys.modules, "an exact command loaded numpy"
+assert callable(tetravol.estimate)
+assert main(["mc", "--mode", "centroid", "--samples", "1000", "--seed", "1"]) == 0
+assert "numpy" in sys.modules
+"""
+    src = Path(node_search.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_mc_modes_are_the_montecarlo_modes():
+    from tetravol import montecarlo
+    assert MC_MODES == (montecarlo.MODE_ALL_RANDOM, montecarlo.MODE_CENTROID)
 
 
 def _divide_order_13_by_1000(table):
@@ -266,6 +291,11 @@ ONE_NODE = "1/3\n"
                  None, ONE_NODE, "--degree", id="all-degree-negative"),
     pytest.param(["moments", "--k-max", "0", "--out", "new.tsv"],
                  None, ONE_NODE, "k_max", id="moments-k-max-0"),
+    # refused before any order is computed, naming the path as given, not
+    # the temporary file beside it
+    pytest.param(["moments", "--k-max", "2", "--out", "missing/m.tsv"],
+                 None, ONE_NODE, "missing/m.tsv: directory missing does not exist",
+                 id="moments-out-in-missing-directory"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n-1\t1\t2\n1\t1\t2000\n", ONE_NODE, "order",
                  id="certify-order-negative"),
@@ -293,6 +323,9 @@ ONE_NODE = "1/3\n"
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "1/5\n1/" + "7" * 1000 + "\n", "nodes.txt:2",
                  id="certify-node-line-too-long"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1/5\n1/5\n", "strictly increasing: node 2 is 1/5 after 1/5",
+                 id="certify-node-repeated"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", "-1"],
                  None, ONE_NODE, "seed -1 ", id="mc-seed-negative"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", str(1 << 128)],
@@ -309,6 +342,7 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys,
     out, err = capsys.readouterr()
     assert err.startswith("error: ")
     assert names in err
+    assert "Fraction(" not in err
     assert "wrote" not in out and "Gauss optimum" not in out
     assert not any(Path(name).exists()
-                   for name in ("n.txt", "new.tsv", "r.txt", "run/moments.tsv"))
+                   for name in ("n.txt", "new.tsv", "r.txt", "run/moments.tsv", "missing"))

@@ -386,8 +386,11 @@ def test_failed_cache_flush_keeps_the_previous_cache(tmp_path, monkeypatch):
 
 
 def test_moment_table_verification_retags_low_orders(tmp_path):
-    table = moment_table(2)
-    assert table.provenance == {1: "direct", 2: "direct"}
+    # the parent and the child each check part of the orders; every order
+    # up to VERIFY_ORDER_MAX must be checked by one of them
+    for k_max in (1, 2, 3, 13):
+        table = moment_table(k_max)
+        assert table.provenance == {k: "direct" for k in range(1, k_max + 1)}, k_max
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +398,24 @@ def test_moment_table_verification_retags_low_orders(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_direct_mismatch_names_the_order(monkeypatch):
-    # the forked child inherits the patched module, so a wrong oracle value
-    # at k = 2 reaches the comparison
+    # at k_max = 3 the parent checks k = 2 and the child k = 1 and 3; the
+    # child inherits the patched module, so a wrong oracle value reaches the
+    # comparison from either side
     direct = moments_mod.even_moment_direct
-    monkeypatch.setattr(moments_mod, "even_moment_direct",
-                        lambda k: direct(k) + (Fraction(1, 10**40) if k == 2 else 0))
-    with pytest.raises(MomentIntegrityError, match=r"moment k=2: fast value .* != direct"):
-        moment_table(3)
+    for wrong in (2, 3):
+        monkeypatch.setattr(moments_mod, "even_moment_direct",
+                            lambda k: direct(k) + (Fraction(1, 10**40) if k == wrong else 0))
+        with pytest.raises(MomentIntegrityError,
+                           match=rf"moment k={wrong}: fast value .* != direct"):
+            moment_table(3)
+
+
+def _in_child(oracle, here=even_moment_direct):
+    """`oracle` in a forked child and `here` in this process, by default the
+    real enumerator, so a stand-in that exits or kills itself cannot end the
+    test run."""
+    parent = os.getpid()
+    return lambda k: here(k) if os.getpid() == parent else oracle(k)
 
 
 def _raise(k):
@@ -409,7 +423,7 @@ def _raise(k):
 
 
 def _exit_early(k):
-    if k == 2:
+    if k == 3:  # the child's second order at k_max = 3
         os._exit(0)  # clean exit, nothing of the buffered reply written
     return even_moment_direct(k)
 
@@ -425,7 +439,7 @@ def _killed(k):
     (_killed, r"k=1: .* exited with status -9"),
 ], ids=["raises", "unparsable", "short", "killed"])
 def test_failing_direct_child_is_an_integrity_error(monkeypatch, oracle, message):
-    monkeypatch.setattr(moments_mod, "even_moment_direct", oracle)
+    monkeypatch.setattr(moments_mod, "even_moment_direct", _in_child(oracle))
     with pytest.raises(MomentIntegrityError, match=message):
         moment_table(3)
 
@@ -436,10 +450,8 @@ def _fast_fails(k):
     return even_moment_fast(k)
 
 
-def test_failed_fast_engine_kills_and_reaps_the_direct_child(tmp_path, monkeypatch):
-    path = tmp_path / "m.tsv"
-    MomentTable({1: Fraction(1, 2000)}).write(path)
-    before = path.read_bytes()
+def _recording_fork(monkeypatch) -> list[int]:
+    """Patch os.fork to record the pid of every child it starts."""
     pids = []
     fork = os.fork
 
@@ -450,16 +462,50 @@ def test_failed_fast_engine_kills_and_reaps_the_direct_child(tmp_path, monkeypat
         return pid
 
     monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_killed_and_reaped(pids, t0):
+    assert time.monotonic() - t0 < 30
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_failed_fast_engine_kills_and_reaps_the_direct_child(tmp_path, monkeypatch):
+    path = tmp_path / "m.tsv"
+    MomentTable({1: Fraction(1, 2000)}).write(path)
+    before = path.read_bytes()
+    pids = _recording_fork(monkeypatch)
     # an oracle that would outlast the test: only a kill ends it in time
     monkeypatch.setattr(moments_mod, "even_moment_direct", lambda k: time.sleep(60))
     monkeypatch.setattr(moments_mod, "even_moment_fast", _fast_fails)
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="fast engine failed"):
         moment_table(2, cache_path=path)
-    assert time.monotonic() - t0 < 30
-    assert len(pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
+    _assert_killed_and_reaped(pids, t0)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
+
+
+def _parent_share_fails(k):
+    raise RuntimeError("parent's direct share failed")
+
+
+def test_failed_parent_direct_share_kills_and_reaps_the_direct_child(tmp_path, monkeypatch):
+    # at k_max = 2 the child checks k = 2 and the parent k = 1, after its
+    # fast loop computed k = 2
+    path = tmp_path / "m.tsv"
+    MomentTable({1: Fraction(1, 2000)}).write(path)
+    before = path.read_bytes()
+    pids = _recording_fork(monkeypatch)
+    # the child's oracle would outlast the test: only a kill ends it in time
+    monkeypatch.setattr(moments_mod, "even_moment_direct",
+                        _in_child(lambda k: time.sleep(60), here=_parent_share_fails))
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent's direct share failed"):
+        moment_table(2, cache_path=path)
+    _assert_killed_and_reaped(pids, t0)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
 
