@@ -9,9 +9,10 @@ directory and calls `even_moment_fast(k)` for k = 1..K in turn, as
 `moment_table` does, so whatever one order leaves for the next counts as it
 would in a real run; with `--direct-k-max N` it then times
 `even_moment_direct(k)` for k = 1..N the same way.  Beside it, a second
-fresh process per run times one `moment_table(13, cache)` into an empty
-cache file: the fast engine, the direct-enumerator check and the cache
-write, as `tetravol moments --k-max 13` runs them.  It records the wall
+fresh process per run times one `tetravol moments --k-max 13 --out FILE`
+into an empty directory, through `tetravol.cli.main`: the fast engine, the
+direct-enumerator check and the file write, on any tree that has the
+command.  It records the wall
 time, the peak RSS of the process (`RUSAGE_SELF`) and of its largest reaped
 child (`RUSAGE_CHILDREN`), their sum as a bound on the memory of the process
 tree, and the sha256 of the cache file.  Runs alternate between the sides,
@@ -31,7 +32,9 @@ Stdlib only; the side-by-side harness is `bench/sides.py`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import statistics
 import sys
@@ -111,11 +114,14 @@ def stage_child(src: str, cache: str) -> dict:
     sys.path.insert(0, src)
     import resource
 
-    from tetravol import moments
+    from tetravol import cli
 
     t0 = time.perf_counter()
-    moments.moment_table(HASHED_ORDERS, cache)
+    with contextlib.redirect_stdout(io.StringIO()):  # stdout carries the JSON result
+        rc = cli.main(["moments", "--k-max", str(HASHED_ORDERS), "--out", cache])
     seconds = time.perf_counter() - t0
+    if rc:
+        raise SystemExit(f"tetravol moments exited {rc}")
     mb = [resource.getrusage(who).ru_maxrss / 1024
           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
     return {"wall_s": round(seconds, 4),
@@ -134,7 +140,7 @@ def import_child(src: str) -> dict:
 
 
 def spawn_stage(src: str, workdir: Path) -> dict:
-    """One moment_table(13) run into a fresh cache file under `workdir`."""
+    """One `tetravol moments --k-max 13` run into a fresh file under `workdir`."""
     cache = workdir / "moments.tsv"
     cache.unlink(missing_ok=True)
     return harness.spawn(__file__, "--stage", src, str(cache))
@@ -164,7 +170,7 @@ def main() -> None:
             direct = sum(o["s"] for o in run["direct"])
             print(f"repeat {r} {label}: k<={args.k_max} {total:.2f} s, "
                   f"direct k<={args.direct_k_max} {direct:.2f} s, "
-                  f"moment_table({HASHED_ORDERS}) {stage['wall_s']:.2f} s",
+                  f"moments --k-max {HASHED_ORDERS} {stage['wall_s']:.2f} s",
                   file=sys.stderr)
     imports: dict[str, list] = {label: [] for label, _ in sides}
     for _, label, src in harness.alternate(sides, IMPORT_RUNS):
@@ -172,8 +178,8 @@ def main() -> None:
 
     result = {"benchmark": "fast moment engine, even_moment_fast(k) for k = 1..K "
                            "in one fresh process per run; moment stage, "
-                           f"moment_table({HASHED_ORDERS}, cache) from an empty cache "
-                           "in another fresh process per run; `import tetravol.cli` "
+                           f"`tetravol moments --k-max {HASHED_ORDERS}` into an empty "
+                           "directory in another fresh process per run; `import tetravol.cli` "
                            f"in {IMPORT_RUNS} more fresh processes per side",
               "machine": harness.machine(),
               "k_max": args.k_max, "direct_k_max": args.direct_k_max,

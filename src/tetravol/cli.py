@@ -28,8 +28,19 @@ EXIT_NOT_CERTIFIED = 2
 MC_MODES = ("four", "centroid")
 
 
+def _check_output(path: Path) -> None:
+    """Refuse an output path that cannot be written, naming it as given,
+    before any input is read or anything computed."""
+    if path.is_dir():
+        raise IsADirectoryError(f"{path}: is a directory")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"{path}: directory {path.parent} does not exist")
+
+
 def cmd_moments(*, k_max: int, out: Path) -> int:
-    table = moments_mod.moment_table(k_max, cache_path=out)
+    _check_output(out)
+    table = moments_mod.moment_table(k_max)
+    table.write(out)
     for k in table.orders():
         v = table[k]
         print(f"k={k}: {v.numerator}/{v.denominator} "
@@ -51,6 +62,7 @@ def _check_search_args(degree: int, grid: int, max_denominator: int) -> None:
 def cmd_search(*, degree: int, grid: int, max_denominator: int,
                moments: Path, out: Path) -> int:
     _check_search_args(degree, grid, max_denominator)
+    _check_output(out)
     table = moments_mod.MomentTable.read(moments)
     if table.order_max < degree:
         print(f"error: moment file has orders up to {table.order_max}, "
@@ -87,6 +99,7 @@ def cmd_search(*, degree: int, grid: int, max_denominator: int,
 
 
 def cmd_certify(*, nodes: Path, moments: Path, report: Path) -> int:
+    _check_output(report)
     node_set = NodeSet.read(nodes)
     table = moments_mod.MomentTable.read(moments)
     cert = cert_mod.certify(node_set, table, metadata={"moment-file": str(moments)})

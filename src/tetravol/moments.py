@@ -35,11 +35,13 @@ they share no helper, so a bug in one cannot hide in the other:
   random determinants by this route).
 
 Both routes stay in integers until the final division.  `moment_table`
-requires the two to agree bit-exactly for k <= VERIFY_ORDER_MAX before it
-trusts any value.  The direct route is split between two processes: one
-forked child takes the top order and every second order below it (the odd
-orders for k <= 13), while the parent runs the fast route and then the
-remaining direct orders.  The values are compared once both are done.
+computes every order with the fast route and requires the two to agree
+bit-exactly for k <= VERIFY_ORDER_MAX before it returns; it reads and writes
+no file.  The direct route is split between two processes: one forked child
+takes the top order and every second order below it (the odd orders for
+k <= 13), while the parent runs the fast route and then the remaining direct
+orders.  The values are compared once both are done.  `MomentTable.write`
+is the one writer of the moment file format, and writes atomically.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class MomentCacheError(RuntimeError):
 
 
 class MomentIntegrityError(RuntimeError):
-    """A cached or recomputed moment disagrees with the direct enumerator."""
+    """A moment disagrees with the direct enumerator, or a table breaks the
+    bounds that the moments of V obey."""
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +292,21 @@ class MomentTable:
         return " ".join(parts)
 
     def write(self, path: str | Path) -> None:
+        """Write the table to a temporary file beside `path` and rename it over
+        `path`, atomically: a failed or interrupted write leaves whatever was
+        at `path` whole and no temporary file behind."""
         lines = [CACHE_HEADER]
         for k in sorted(self.values):
             v = self.values[k]
             lines.append(f"{k}\t{v.numerator}\t{v.denominator}")
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_text("\n".join(lines) + "\n", newline="\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def read(cls, path: str | Path) -> "MomentTable":
@@ -321,18 +334,6 @@ class MomentTable:
                 raise MomentCacheError(f"{path}:{ln}: fraction {num}/{den} not reduced")
             values[k] = frac
         return cls(values, {k: "file" for k in values})
-
-
-def _replace_cache(table: MomentTable, path: Path) -> None:
-    """Write the table beside `path` and rename it over `path`, atomically: a
-    failed or interrupted write leaves the old cache whole and no temp file."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        table.write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _start_direct_oracle(orders: list[int]) -> tuple[int, int]:
@@ -385,38 +386,23 @@ def _direct_values(orders: list[int], reply: str, status: int) -> dict[int, Frac
     return direct
 
 
-def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTable:
-    """Moments 1..k_max, from cache where available, fast path otherwise.
+def moment_table(k_max: int) -> MomentTable:
+    """Moments 1..k_max by the fast route, checked against the direct route.
 
     Orders up to k_top = min(VERIFY_ORDER_MAX, k_max) are recomputed with
     the direct enumerator, each exactly once, and compared bit-exactly before
-    the table is trusted; any mismatch is a hard integrity failure, whether
-    the suspect value came from a file or from the fast engine.  One forked
-    child runs the direct orders k_top, k_top - 2, ... while the parent runs
-    the fast engine and then the other direct orders, so the two overlap on
-    a machine with two or more cores; the comparison waits for both.  A
-    child that fails, or whose reply is short or unreadable, is an
-    integrity failure too; if the parent's fast loop or direct share
-    raises, the child is killed and reaped before the exception propagates.
-    A cache path in a missing directory is refused before any work.  When a
-    cache path is given and any order was computed, the checked table is
-    written to it once, by an atomic rename.
+    the table is returned; any mismatch is a hard integrity failure.  One
+    forked child runs the direct orders k_top, k_top - 2, ... while the
+    parent runs the fast engine and then the other direct orders, so the two
+    overlap on a machine with two or more cores; the comparison waits for
+    both.  A child that fails, or whose reply is short or unreadable, is an
+    integrity failure too; if the parent's fast loop or direct share raises,
+    the child is killed and reaped before the exception propagates.  Checked
+    orders are tagged "direct", the others "fast".  No file is read or
+    written.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if cache_path is not None and not Path(cache_path).parent.is_dir():
-        raise FileNotFoundError(
-            f"{cache_path}: directory {Path(cache_path).parent} does not exist")
-    values: dict[int, Fraction] = {}
-    provenance: dict[int, str] = {}
-    if cache_path is not None and Path(cache_path).exists():
-        cached = MomentTable.read(cache_path)
-        for k, v in cached.values.items():
-            if k <= k_max:
-                values[k] = v
-                provenance[k] = "file"
-    missing = [k for k in range(1, k_max + 1) if k not in values]
-
     k_top = min(VERIFY_ORDER_MAX, k_max)
     # the direct cost grows about as k^6, so the child's orders k_top,
     # k_top - 2, ... and the parent's fast loop plus the orders between take
@@ -425,9 +411,7 @@ def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTabl
     pid, read_fd = _start_direct_oracle(child_orders)
     try:
         with os.fdopen(read_fd) as reply:
-            for k in missing:
-                values[k] = even_moment_fast(k)
-                provenance[k] = "fast"
+            values = {k: even_moment_fast(k) for k in range(1, k_max + 1)}
             direct = {k: even_moment_direct(k) for k in range(1, k_top + 1)
                       if k not in child_orders}
             text = reply.read()
@@ -443,11 +427,5 @@ def moment_table(k_max: int, cache_path: str | Path | None = None) -> MomentTabl
     for k in range(1, k_top + 1):
         if values[k] != direct[k]:
             raise MomentIntegrityError(
-                f"moment k={k}: {provenance[k]} value {values[k]} != "
-                f"direct value {direct[k]}")
-        provenance[k] = "direct"
-
-    table = MomentTable(values, provenance)
-    if cache_path is not None and missing:
-        _replace_cache(table, Path(cache_path))
-    return table
+                f"moment k={k}: fast value {values[k]} != direct value {direct[k]}")
+    return MomentTable(values, {k: "direct" if k <= k_top else "fast" for k in values})

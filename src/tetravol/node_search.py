@@ -101,13 +101,14 @@ class LpSolution:
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals (partial pivoting on magnitude)."""
+    """Gaussian elimination over the rationals (partial pivoting on magnitude);
+    a singular matrix raises ValueError."""
     n = len(rhs)
     aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
         if aug[pivot][col] == 0:
-            raise LpError("singular basis matrix")
+            raise ValueError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
@@ -323,7 +324,7 @@ def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
         p = _solve_exact([m[i:i + n] for i in range(n)], [-m[i + n] for i in range(n)])
         chain = sturm_chain(p + [Fraction(1)])
         found = sign_variations(chain, lo) - sign_variations(chain, hi)
-    except (LpError, ValueError):  # singular system, or a root at 0 or 1/9
+    except ValueError:  # singular system, or a root at 0 or 1/9
         found = None
     if found != n:
         raise MomentIntegrityError(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,13 +9,18 @@ from pathlib import Path
 
 import pytest
 
+from tetravol import moments as moments_mod
 from tetravol import node_search
 from tetravol.certificate import REFERENCE_NODES, certify
 from tetravol.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, MC_MODES, main
 from tetravol.majorant import NodeSet
 from tetravol.moments import MomentTable
 
-GOLDEN_FACTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "golden.json"
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+GOLDEN_FACTS = GOLDEN_DIR / "golden.json"
+#: the k <= 13 moment file, as `tetravol moments --k-max 13` writes it
+GOLDEN_MOMENTS = GOLDEN_DIR / "moments13.tsv"
+GOLDEN_MOMENTS_SHA256 = "2ad5ab20d6185f819638ea6c27397c06f69275bb7fb7573a59544fb5b717e3f5"
 
 
 def test_moments_k1(tmp_path, capsys):
@@ -28,17 +34,40 @@ def test_moments_rerun_is_idempotent(tmp_path):
     out = tmp_path / "m.tsv"
     main(["moments", "--k-max", "2", "--out", str(out)])
     first = out.read_bytes()
-    stamp = out.stat().st_mtime_ns
     assert main(["moments", "--k-max", "2", "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == first
-    assert out.stat().st_mtime_ns == stamp  # untouched, not rewritten
 
 
-def test_moments_tampered_cache_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("old", [
+    GOLDEN_MOMENTS.read_text().split("\n11\t")[0] + "\n",
+    "tetra-moments v1\n1\t1\t2001\n",
+    "not a moment file\n",
+], ids=["partial", "tampered", "not-a-moment-file"])
+def test_moments_replaces_an_existing_file_with_the_verified_table(tmp_path, capsys, old):
+    # `moments` never reads its output: whatever was there is replaced
+    out = tmp_path / "m.tsv"
+    out.write_text(old)
+    assert main(["moments", "--k-max", "13", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MOMENTS_SHA256
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14 and all(line.endswith("(direct)") for line in lines[:13])
+
+
+def test_moments_failed_check_leaves_the_existing_file(tmp_path, monkeypatch, capsys):
+    # the forked child inherits the patched oracle, so k = 1 (parent) and
+    # k = 2 (child) are each shown wrong in turn
     out = tmp_path / "m.tsv"
     out.write_text("tetra-moments v1\n1\t1\t2001\n")
-    assert main(["moments", "--k-max", "1", "--out", str(out)]) == EXIT_ERROR
-    assert "direct" in capsys.readouterr().err
+    before = out.read_bytes()
+    direct = moments_mod.even_moment_direct
+    for wrong in (1, 2):
+        monkeypatch.setattr(moments_mod, "even_moment_direct",
+                            lambda k: direct(k) + (Fraction(1, 10**40) if k == wrong else 0))
+        assert main(["moments", "--k-max", "2", "--out", str(out)]) == EXIT_ERROR
+        assert f"moment k={wrong}: fast value" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
 
 
 def test_certify_weak_nodes_exits_2(tmp_path):
@@ -296,6 +325,14 @@ ONE_NODE = "1/3\n"
     pytest.param(["moments", "--k-max", "2", "--out", "missing/m.tsv"],
                  None, ONE_NODE, "missing/m.tsv: directory missing does not exist",
                  id="moments-out-in-missing-directory"),
+    pytest.param(["search", "--degree", "1", "--out", "missing/n.txt"],
+                 ORDER_1, ONE_NODE, "missing/n.txt: directory missing does not exist",
+                 id="search-out-in-missing-directory"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "missing/r.txt"],
+                 ORDER_1, ONE_NODE, "missing/r.txt: directory missing does not exist",
+                 id="certify-report-in-missing-directory"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "."],
+                 ORDER_1, ONE_NODE, ".: is a directory", id="certify-report-is-a-directory"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n-1\t1\t2\n1\t1\t2000\n", ONE_NODE, "order",
                  id="certify-order-negative"),

@@ -323,74 +323,58 @@ def test_table_cap_check_is_exact_at_the_boundary():
     assert cases > 150
 
 
-def test_moment_table_detects_tampered_cache(tmp_path):
-    # a failed cross-check writes nothing, not even the orders it computed
-    path = tmp_path / "m.tsv"
-    path.write_text("tetra-moments v1\n1\t1\t2001\n")
-    for k_max in (1, 3):
-        with pytest.raises(MomentIntegrityError, match="moment k=1: file value"):
-            moment_table(k_max, cache_path=path)
-        assert path.read_text() == "tetra-moments v1\n1\t1\t2001\n"
-
-
-def test_moment_table_resumes_partial_cache(tmp_path, monkeypatch, table13):
-    path = tmp_path / "m.tsv"
-    MomentTable({k: table13[k] for k in range(1, 11)}).write(path)
-    calls = []
-    fast = moments_mod.even_moment_fast
-    monkeypatch.setattr(moments_mod, "even_moment_fast",
-                        lambda k: calls.append(k) or fast(k))
-    table = moment_table(13, cache_path=path)
-    assert table.values == table13.values
-    assert calls == [11, 12, 13]
-    table13.write(tmp_path / "whole.tsv")
-    assert path.read_bytes() == (tmp_path / "whole.tsv").read_bytes()
-    # rerun loads everything from the file and rewrites nothing
-    calls.clear()
-    before = path.stat().st_mtime_ns, path.read_bytes()
-    again = moment_table(13, cache_path=path)
-    assert again.values == table.values
-    assert calls == []
-    assert (path.stat().st_mtime_ns, path.read_bytes()) == before
-
-
 def test_moment_table_writes_the_cache_once(tmp_path, monkeypatch, table13):
+    # one rename of a temporary file over the target, nothing left beside it
     path = tmp_path / "m.tsv"
     replaced = []
     replace = os.replace
     monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(dst) or replace(src, dst))
-    table = moment_table(13, cache_path=path)
+    table13.write(path)
     assert replaced == [path]
-    assert MomentTable.read(path).values == table.values == table13.values
+    assert MomentTable.read(path).values == table13.values
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
 
 
-def write_half_then_fail(self, target):
-    """Stand-in for MomentTable.write on a full disk."""
-    full = "\n".join(f"{k}\t{v}" for k, v in self.values.items())
-    Path(target).write_text(full[:len(full) // 2])
+def write_half_then_fail(self, data, **kwargs):
+    """Stand-in for Path.write_text on a full disk."""
+    Path.write_bytes(self, data[:len(data) // 2].encode())
     raise OSError("disk full")
 
 
+def replace_fails(src, dst):
+    raise OSError("rename failed")
+
+
 def test_failed_cache_flush_keeps_the_previous_cache(tmp_path, monkeypatch):
+    # a write that fails half way, then a rename that fails after a whole
+    # temporary file was written: either way the old file stays whole and
+    # the temporary file goes
     path = tmp_path / "m.tsv"
     MomentTable({1: Fraction(1, 2000)}).write(path)
     before = path.read_bytes()
+    table = MomentTable({1: Fraction(1, 2000), 2: PAPER_MOMENTS[2]})
 
-    monkeypatch.setattr(MomentTable, "write", write_half_then_fail)
-    with pytest.raises(OSError, match="disk full"):
-        moment_table(2, cache_path=path)
-    assert path.read_bytes() == before
-    assert MomentTable.read(path)[1] == PAPER_MOMENTS[1]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
+    for target, name, stand_in, message in (
+            (Path, "write_text", write_half_then_fail, "disk full"),
+            (os, "replace", replace_fails, "rename failed")):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, stand_in)
+            with pytest.raises(OSError, match=message):
+                table.write(path)
+        assert path.read_bytes() == before
+        assert MomentTable.read(path)[1] == PAPER_MOMENTS[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
 
 
-def test_moment_table_verification_retags_low_orders(tmp_path):
+def test_moment_table_verification_retags_low_orders():
     # the parent and the child each check part of the orders; every order
-    # up to VERIFY_ORDER_MAX must be checked by one of them
-    for k_max in (1, 2, 3, 13):
+    # up to VERIFY_ORDER_MAX must be checked by one of them, and the orders
+    # above it come from the fast route alone
+    top = moments_mod.VERIFY_ORDER_MAX
+    for k_max in (1, 2, 3, top, top + 1):
         table = moment_table(k_max)
-        assert table.provenance == {k: "direct" for k in range(1, k_max + 1)}, k_max
+        assert table.provenance == {k: "direct" if k <= top else "fast"
+                                    for k in range(1, k_max + 1)}, k_max
 
 
 # ---------------------------------------------------------------------------
@@ -472,42 +456,32 @@ def _assert_killed_and_reaped(pids, t0):
         os.waitpid(pids[0], os.WNOHANG)
 
 
-def test_failed_fast_engine_kills_and_reaps_the_direct_child(tmp_path, monkeypatch):
-    path = tmp_path / "m.tsv"
-    MomentTable({1: Fraction(1, 2000)}).write(path)
-    before = path.read_bytes()
+def test_failed_fast_engine_kills_and_reaps_the_direct_child(monkeypatch):
     pids = _recording_fork(monkeypatch)
     # an oracle that would outlast the test: only a kill ends it in time
     monkeypatch.setattr(moments_mod, "even_moment_direct", lambda k: time.sleep(60))
     monkeypatch.setattr(moments_mod, "even_moment_fast", _fast_fails)
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="fast engine failed"):
-        moment_table(2, cache_path=path)
+        moment_table(2)
     _assert_killed_and_reaped(pids, t0)
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
 
 
 def _parent_share_fails(k):
     raise RuntimeError("parent's direct share failed")
 
 
-def test_failed_parent_direct_share_kills_and_reaps_the_direct_child(tmp_path, monkeypatch):
+def test_failed_parent_direct_share_kills_and_reaps_the_direct_child(monkeypatch):
     # at k_max = 2 the child checks k = 2 and the parent k = 1, after its
     # fast loop computed k = 2
-    path = tmp_path / "m.tsv"
-    MomentTable({1: Fraction(1, 2000)}).write(path)
-    before = path.read_bytes()
     pids = _recording_fork(monkeypatch)
     # the child's oracle would outlast the test: only a kill ends it in time
     monkeypatch.setattr(moments_mod, "even_moment_direct",
                         _in_child(lambda k: time.sleep(60), here=_parent_share_fails))
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="parent's direct share failed"):
-        moment_table(2, cache_path=path)
+        moment_table(2)
     _assert_killed_and_reaped(pids, t0)
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
 
 
 def test_direct_child_flushes_no_inherited_stdio():
