@@ -55,8 +55,11 @@ def tree_sha256(src: str | Path) -> str:
 
 
 def machine() -> dict:
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
-            "platform": platform.platform()}
+    """The interpreter and platform, with the CPU count and the CPUs this
+    process may run on (its affinity mask where the platform has one)."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"nproc": os.cpu_count(), "usable_cpus": usable,
+            "python": platform.python_version(), "platform": platform.platform()}
 
 
 def quartiles(values: list[float], digits: int) -> list[float]:

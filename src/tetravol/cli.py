@@ -134,6 +134,10 @@ def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
     workdir.mkdir(parents=True, exist_ok=True)
     moments = workdir / "moments.tsv"
     nodes = workdir / "nodes.txt"
+    report = workdir / "certificate.txt"
+    # refuse the later stages' outputs before any stage runs
+    for path in (nodes, report):
+        _check_output(path)
 
     rc = cmd_moments(k_max=k_max, out=moments)
     if rc != EXIT_OK:
@@ -142,7 +146,7 @@ def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
                     moments=moments, out=nodes)
     if rc != EXIT_OK:
         return rc
-    return cmd_certify(nodes=nodes, moments=moments, report=workdir / "certificate.txt")
+    return cmd_certify(nodes=nodes, moments=moments, report=report)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,14 +7,18 @@ representative body is 6^(1/3) T_o so volumes need no rescaling.
 Sampling is Dirichlet(1,1,1,1) barycentric: four unit exponentials normalized
 to sum one are uniform over a simplex.  Streams are counter-based (Philox
 keyed by the seed, one disjoint counter block per fixed-size sample block),
-and reductions run over blocks in index order, so a given (seed, N, mode)
-yields bit-identical results.
+so the blocks are independent: they run on a thread pool with one worker per
+usable CPU (numpy's generator and ufuncs release the interpreter lock), and
+their sums are reduced in block-index order.  A given (seed, N, mode, power)
+yields bit-identical results for any worker count.
 
 Nothing here feeds the certificate; double precision is fine.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +73,33 @@ def _block_sums(seed: int, block_index: int, count: int, mode: str, power: int
     gen = _block_generator(seed, block_index)
     n_random = 4 if mode == MODE_ALL_RANDOM else 3
     e = gen.standard_exponential((count, n_random, 4))
-    w = e / e.sum(axis=2, keepdims=True)
-    pts = w @ UNIT_TETRA_VERTICES
+    # barycentric weights times UNIT_TETRA_VERTICES = _SCALE * [0; I3] are the
+    # last three weights times _SCALE: every other matmul term is an exact 0.
+    # The row sum goes into column 0 in np.sum's order for four terms,
+    # ((e0 + e1) + e2) + e3, so the points are the matmul's bits.
+    total = e[..., :1]
+    total += e[..., 1:2]
+    total += e[..., 2:3]
+    total += e[..., 3:4]
+    pts = e[..., 1:]
+    pts /= total
+    pts *= _SCALE
     if mode == MODE_ALL_RANDOM:
         vol = tetra_volume(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
     else:
         vol = tetra_volume(pts[:, 0], pts[:, 1], pts[:, 2], FACET_CENTROID)
+    del e, total, pts
     vp = vol ** power
     return float(np.sum(vp)), float(np.sum(vp * vp))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResult:
@@ -90,8 +113,12 @@ def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResul
     if not 0 <= seed < 1 << 128:  # the Philox key
         raise ValueError(f"seed {seed} is outside [0, 2**128)")
 
-    sums = [_block_sums(seed, index, min(BLOCK_SIZE, n_samples - start), mode, power)
-            for index, start in enumerate(range(0, n_samples, BLOCK_SIZE))]
+    counts = [min(BLOCK_SIZE, n_samples - start) for start in range(0, n_samples, BLOCK_SIZE)]
+    # the pool is joined before estimate returns, so no thread outlives it
+    # (moments.moment_table forks)
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(counts))) as pool:
+        sums = list(pool.map(lambda index, count: _block_sums(seed, index, count, mode, power),
+                             range(len(counts)), counts))
 
     s1 = float(np.sum(np.array([s[0] for s in sums])))
     s2 = float(np.sum(np.array([s[1] for s in sums])))

@@ -296,6 +296,10 @@ def test_mc_deterministic_output(capsys):
 
 ORDER_1 = "tetra-moments v1\n1\t1\t2000\n"
 ONE_NODE = "1/3\n"
+#: output paths that a case of test_bad_input_exits_1_with_error_line makes
+#: into directories before it runs
+DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
+                          "all-report-is-a-directory": ["run/certificate.txt"]}
 
 
 @pytest.mark.parametrize("argv, moments, nodes, names", [
@@ -363,15 +367,25 @@ ONE_NODE = "1/3\n"
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "1/5\n1/5\n", "strictly increasing: node 2 is 1/5 after 1/5",
                  id="certify-node-repeated"),
+    # refused before the moment stage, which would otherwise print every
+    # order and write run/moments.tsv first
+    pytest.param(["all", "--k-max", "3", "--degree", "3", "--workdir", "run"],
+                 None, ONE_NODE, "run/nodes.txt: is a directory",
+                 id="all-nodes-is-a-directory"),
+    pytest.param(["all", "--k-max", "3", "--degree", "3", "--workdir", "run"],
+                 None, ONE_NODE, "run/certificate.txt: is a directory",
+                 id="all-report-is-a-directory"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", "-1"],
                  None, ONE_NODE, "seed -1 ", id="mc-seed-negative"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", str(1 << 128)],
                  None, ONE_NODE, f"seed {1 << 128} ", id="mc-seed-2-to-the-128"),
 ])
-def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys,
+def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, request,
                                            argv, moments, nodes, names):
     monkeypatch.chdir(tmp_path)
     Path("nodes.txt").write_text(nodes)
+    for directory in DIRECTORIES_MADE_FIRST.get(request.node.callspec.id, ()):
+        Path(directory).mkdir(parents=True)
     if moments is not None:
         Path("m.tsv").write_text(moments)
         argv = argv + ["--moments", "m.tsv"]

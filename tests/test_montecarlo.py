@@ -1,13 +1,17 @@
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tetravol import montecarlo
 from tetravol.montecarlo import (
+    BLOCK_SIZE,
     FACET_CENTROID,
     MODE_ALL_RANDOM,
     MODE_CENTROID,
     UNIT_TETRA_VERTICES,
+    EstimatorResult,
     estimate,
     tetra_volume,
 )
@@ -35,6 +39,49 @@ def test_estimate_reproducible():
     assert a == b
     d = estimate(MODE_CENTROID, 1, 100_000, seed=8)
     assert d.mean != a.mean
+
+
+#: (mode, power, n_samples, seed) -> float.hex of the mean and the standard
+#: error, as the one-worker matmul kernel computed them before the blocks ran
+#: on a thread pool
+PINNED = [
+    # a partial last block: 3 full blocks and 1,699 samples
+    (MODE_ALL_RANDOM, 1, 100_003, 11, "0x1.1daaada8d501ap-6", "0x1.1b1a8fffa382dp-14"),
+    # n < BLOCK_SIZE: one partial block
+    (MODE_ALL_RANDOM, 2, 1_000, 12, "0x1.715c6647abe94p-11", "0x1.4bcf9c8a9cad9p-14"),
+    (MODE_CENTROID, 1, 1_000, 13, "0x1.01685cd49b990p-6", "0x1.061164cc3093cp-11"),
+    (MODE_CENTROID, 2, 70_001, 14, "0x1.088177809d4bcp-11", "0x1.238a9e2c6c3f6p-18"),
+    # three full blocks
+    (MODE_CENTROID, 1, 3 * BLOCK_SIZE, 15, "0x1.03925111e300dp-6", "0x1.ab04b2136df49p-15"),
+]
+
+
+def _pinned_result(mode, power, n, seed, mean, stderr):
+    return EstimatorResult(mean=float.fromhex(mean), stderr=float.fromhex(stderr),
+                           n_samples=n, seed=seed)
+
+
+@pytest.mark.parametrize("mode, power, n, seed, mean, stderr", PINNED)
+def test_estimate_bits_are_pinned(mode, power, n, seed, mean, stderr):
+    r = estimate(mode, power, n, seed)
+    assert (r.mean.hex(), r.stderr.hex()) == (mean, stderr)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_estimate_same_bits_for_any_worker_count(monkeypatch, cpus):
+    """One worker or three: the same results, and every pool thread is gone
+    when estimate returns."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    threads = threading.active_count()
+    for case in PINNED:
+        assert estimate(*case[:4]) == _pinned_result(*case)
+    assert threading.active_count() == threads
+
+
+def test_unit_tetra_vertices_is_the_scaled_corner():
+    """_block_sums replaces `weights @ UNIT_TETRA_VERTICES` by the last three
+    weights times _SCALE, which holds only for this body."""
+    assert np.array_equal(UNIT_TETRA_VERTICES, montecarlo._SCALE * T_O_VERTICES)
 
 
 def test_estimate_input_validation():
