@@ -13,7 +13,8 @@ majorant property is only needed on [0, 1/3].
 Dominance of P over |x| is not taken on faith from the interpolation
 construction: P(x) - x is deflated by the known double roots at the nodes and
 the quotient is proven positive on [0, 1/3] by a Sturm-sequence root count
-plus boundary signs.  A corrupted node file or a buggy interpolation breaks
+plus boundary signs.  Deflation and Sturm run on Python integers; only the
+reported quotient is turned back into fractions.  A corrupted node file or a buggy interpolation breaks
 the deflation or the root count, never the verdict's soundness.
 """
 
@@ -25,7 +26,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 from . import __version__
-from .majorant import EvenPoly, NodeSet, expected_value, hermite_onesided
+from .majorant import (EvenPoly, NodeSet, _require_orders, expected_value,
+                       hermite_onesided)
 from .moments import MomentTable
 from .rational import RationalInterval, fraction_to_decimal, target_enclosure
 
@@ -55,54 +57,6 @@ _NOTE = (
 
 class ReportFormatError(ValueError):
     """Certificate report text does not parse."""
-
-
-# ---------------------------------------------------------------------------
-# dense exact polynomial helpers (coefficients ascending in x)
-# ---------------------------------------------------------------------------
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _trim(out)
-
-
-def _poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]
-                 ) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(p)
-    dn = len(d) - 1
-    lead = d[-1]
-    if len(rem) - 1 < dn:
-        return [Fraction(0)], _trim(rem)
-    quot = [Fraction(0)] * (len(rem) - dn)
-    for i in range(len(rem) - 1, dn - 1, -1):
-        c = rem[i] / lead
-        quot[i - dn] = c
-        if c:
-            for j in range(dn + 1):
-                rem[i - dn + j] -= c * d[j]
-    return _trim(quot), _trim(rem)
-
-
-def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    s = Fraction(0)
-    for c in reversed(p):
-        s = s * x + c
-    return s
-
-
-def _is_zero(p: Sequence[Fraction]) -> bool:
-    return all(c == 0 for c in p)
 
 
 # ---------------------------------------------------------------------------
@@ -211,37 +165,66 @@ class DominanceProof:
                 and self.sign_at_zero > 0 and self.sign_at_end > 0)
 
 
+def _deflate(nums: Sequence[int], p: int, q: int) -> tuple[list[int], int, bool]:
+    """Divide the integer polynomial nums (highest degree first) by q x - p.
+
+    Returns (quot, g, exact) with g * nums = (q x - p) * quot + r, integer
+    quot, positive integer g and exact = (r == 0).  Synthetic division from
+    the top; a partial sum that q does not divide raises g by the least
+    factor that makes it divisible and rescales the quotient so far.  When
+    q x - p divides nums over the rationals, g stays 1 (Gauss's lemma).
+    """
+    *head, last = nums or [0]
+    quot, g, carry = [], 1, 0
+    for c in head:
+        t = c * g + carry
+        if t % q:
+            f = q // gcd(t, q)
+            quot = [v * f for v in quot]
+            g *= f
+            t *= f
+        quot.append(t // q)
+        carry = p * quot[-1]
+    return quot, g, last * g + carry == 0
+
+
 def verify_dominance(poly: EvenPoly, nodes: NodeSet) -> DominanceProof:
     """Deflate P(x) - x by the squared node factors and certify positivity.
 
     A nonzero remainder means the polynomial was not built from these nodes;
     a root of the quotient inside (0, 1/3) or a nonpositive boundary value
-    means dominance fails.  All arithmetic is exact.
+    means dominance fails.  P(x) - x is scaled once to integers and divided
+    twice by each q x - p (x_j = p/q); division being unique, this gives the
+    quotient and zero test of the long division by prod_j (x - x_j)^2.  The
+    quotient is nums times one positive scale, so its signs and Sturm count
+    are those of the integers nums.
     """
-    n = poly.degree
-    diff = [Fraction(0)] * max(n + 1, 2)
+    diff = [Fraction(0)] * max(poly.degree + 1, 2)
     for i, a in enumerate(poly.coeffs):
         diff[2 * i] = a
     diff[1] -= 1
-    diff = _trim(diff)
 
-    divisor = [Fraction(1)]
+    den = lcm(*(c.denominator for c in diff))
+    nums = [c.numerator * (den // c.denominator) for c in reversed(diff)]
+    scale = Fraction(1, den)
+    remainder_is_zero = True
     for x in nodes:
-        divisor = _poly_mul(divisor, [x * x, -2 * x, Fraction(1)])
-
-    quotient, remainder = _poly_divmod(diff, divisor)
-    remainder_is_zero = _is_zero(remainder)
+        for _ in range(2):
+            # the quotient by x - p/q is q times the one by q x - p
+            nums, g, exact = _deflate(nums, x.numerator, x.denominator)
+            scale *= Fraction(x.denominator, g)
+            remainder_is_zero = remainder_is_zero and exact
+    quotient = tuple(Fraction(c * scale.numerator, scale.denominator)
+                     for c in reversed(nums)) or (Fraction(0),)
     if not remainder_is_zero:
-        return DominanceProof(tuple(quotient), False, -1, 0, 0)
+        return DominanceProof(quotient, False, -1, 0, 0)
 
-    r0 = _poly_eval(quotient, Fraction(0))
-    r1 = _poly_eval(quotient, DOMAIN_MAX)
-    sign0 = 0 if r0 == 0 else (1 if r0 > 0 else -1)
-    sign1 = 0 if r1 == 0 else (1 if r1 > 0 else -1)
+    sign0 = (nums[-1] > 0) - (nums[-1] < 0)
+    sign1 = _sign_at(nums, DOMAIN_MAX)
     if sign0 == 0 or sign1 == 0:
-        return DominanceProof(tuple(quotient), True, -1, sign0, sign1)
-    count = sturm_root_count(quotient, Fraction(0), DOMAIN_MAX)
-    return DominanceProof(tuple(quotient), True, count, sign0, sign1)
+        return DominanceProof(quotient, True, -1, sign0, sign1)
+    count = sturm_root_count(nums[::-1], Fraction(0), DOMAIN_MAX)
+    return DominanceProof(quotient, True, count, sign0, sign1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +251,12 @@ def certify(nodes: NodeSet, moments: MomentTable,
             metadata: dict | None = None) -> Certificate:
     """Build the majorant on `nodes` and verify the full chain exactly.
 
-    Missing moment orders raise (no verdict is rendered from incomplete
-    data); a failed dominance proof or a non-strict comparison yields a
-    verdict-false certificate with full diagnostics.
+    Missing moment orders raise before the majorant is built (no verdict is
+    rendered from incomplete data); a failed dominance proof or a non-strict
+    comparison yields a verdict-false certificate with full diagnostics.
     """
+    # n nodes give degree 2(2n - 1) in x
+    _require_orders(moments, 2 * (2 * len(nodes) - 1))
     p_cert = hermite_onesided(nodes)
     bound = expected_value(p_cert, moments)
     dominance = verify_dominance(p_cert, nodes)

@@ -6,7 +6,8 @@ node, and it satisfies P(x) >= |x| for all real x: substituting t = x^2 turns
 the conditions into standard Hermite interpolation of f(t) = sqrt(t) at
 t_j = x_j^2, whose error term has one sign because every derivative
 f^(n+1) < 0.  All interpolation data are rational, so the coefficients come
-out exact.
+out exact: divided differences in `Fraction`, then the Newton form expanded
+on integer numerators over one common denominator.
 
 E P(V) is then an upper bound for E V whenever P majorizes |x| on the range
 of V, and it is a rational affine combination of the even moments.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -82,6 +84,8 @@ class NodeSet:
                 shown = line if len(line) <= 40 else line[:40] + "..."
                 raise ValueError(f"{path}:{ln}: {shown!r} is not a rational node p/q "
                                  f"of at most {NODE_LINE_MAX} characters") from None
+        if not nodes:
+            raise ValueError(f"{path}: empty node set")
         return cls(tuple(nodes))
 
 
@@ -126,7 +130,10 @@ def hermite_coefficients(xs: Sequence[Fraction]) -> list[Fraction]:
     Divided differences on the doubled node sequence t_0, t_0, ..., t_m, t_m
     (t_j = x_j^2); the repeated-node entries take the derivative value
     1/(2 x_j).  The Newton form is then expanded to monomial coefficients in
-    t, which are exactly the even coefficients a_i.
+    t, which are exactly the even coefficients a_i, by Horner's rule
+    c <- c * (t - t_j) + newton[j] on integer numerators over one running
+    denominator: for t_j = a/b that step multiplies by (b t - a), so only the
+    n coefficients at the end are reduced to lowest terms.
     """
     ts = []
     column = []
@@ -148,23 +155,31 @@ def hermite_coefficients(xs: Sequence[Fraction]) -> list[Fraction]:
         column = nxt
         newton.append(column[0])
 
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for j in range(n):
-        for i, b in enumerate(basis):
-            coeffs[i] += newton[j] * b
-        if j < n - 1:
-            nb = [Fraction(0)] * (len(basis) + 1)
-            for i, b in enumerate(basis):
-                nb[i] -= b * ts[j]
-                nb[i + 1] += b
-            basis = nb
-    return coeffs
+    # c = nums / den, coefficients ascending in t
+    nums, den = [newton[-1].numerator], newton[-1].denominator
+    for j in range(n - 2, -1, -1):
+        a, b = ts[j].numerator, ts[j].denominator
+        c = newton[j]
+        new_den = lcm(den * b, c.denominator)
+        s = new_den // (den * b)
+        nums = [(b * lo - a * hi) * s for lo, hi in zip([0, *nums], [*nums, 0])]
+        nums[0] += c.numerator * (new_den // c.denominator)
+        den = new_den
+    return [Fraction(v, den) for v in nums]
 
 
 def hermite_onesided(nodes: NodeSet) -> EvenPoly:
     """The unique even majorant interpolating x and slope 1 at every node."""
     return EvenPoly(tuple(hermite_coefficients(nodes.nodes)))
+
+
+def _require_orders(moments: MomentTable, degree: int) -> None:
+    """Raise MomentOrderError naming every order 1..degree/2 that an even
+    polynomial of degree `degree` needs and `moments` lacks."""
+    missing = [i for i in range(1, degree // 2 + 1) if i not in moments]
+    if missing:
+        raise MomentOrderError(
+            f"moment table lacks orders {missing} needed for degree {degree}")
 
 
 def expected_value(poly: EvenPoly, moments: MomentTable) -> Fraction:
@@ -173,10 +188,7 @@ def expected_value(poly: EvenPoly, moments: MomentTable) -> Fraction:
     The zeroth moment is 1 and is injected here rather than stored in the
     table.  Raises MomentOrderError when the table is too short.
     """
-    missing = [i for i in range(1, len(poly.coeffs)) if i not in moments]
-    if missing:
-        raise MomentOrderError(
-            f"moment table lacks orders {missing} needed for degree {poly.degree}")
+    _require_orders(moments, poly.degree)
     total = poly.coeffs[0]
     for i in range(1, len(poly.coeffs)):
         total += poly.coeffs[i] * moments[i]

@@ -1,7 +1,10 @@
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
+from tetravol.majorant import NodeSet
 from tetravol.moments import moment_table
 
 
@@ -17,3 +20,19 @@ def table13_timed():
 @pytest.fixture(scope="session")
 def table13(table13_timed):
     return table13_timed[0]
+
+
+@pytest.fixture(scope="session")
+def seeded_node_sets():
+    """200 seeded node sets of 1-8 nodes in (0, 1/3] with denominators up to
+    10^4 (the bound drawn per node from 10, 100, 10^3 and 10^4); every third
+    set holds the node 1/3."""
+    rng = random.Random(1612)
+    sets = []
+    for i in range(200):
+        xs = {Fraction(1, 3)} if i % 3 == 0 else set()
+        while len(xs) < 1 + i % 8:
+            q = rng.randint(3, 10 ** rng.randint(1, 4))
+            xs.add(Fraction(rng.randint(1, q // 3), q))
+        sets.append(NodeSet(tuple(sorted(xs))))
+    return sets

@@ -11,6 +11,12 @@ integrals over the standard tetrahedron
 T_o = {x, y, z >= 0, x + y + z <= 1}, which has volume 1/6:
 
     int_{T_o} x^l y^m z^n dV = l! m! n! / (l + m + n + 3)!
+
+The module also keeps the `Fraction` forms of the certificate's two exact
+layers as references for the library's integer ones: the Newton-basis
+expansion of the Hermite majorant (`hermite_coefficients_newton`) and the
+dominance proof by long division of P(x) - x by prod_j (x - x_j)^2
+(`verify_dominance_long_division`).
 """
 
 from __future__ import annotations
@@ -208,3 +214,112 @@ def triple_integral(exponents: Sequence[int]) -> Fraction:
     for i in (0, 3, 6):
         out *= monomial_integral(exponents[i], exponents[i + 1], exponents[i + 2])
     return out
+
+
+# ---------------------------------------------------------------------------
+# certificate references: every step in Fraction
+# ---------------------------------------------------------------------------
+
+def hermite_coefficients_newton(xs: Sequence[Fraction]) -> list[Fraction]:
+    """The even Hermite majorant's coefficients a_0..a_(2m+1) on nodes xs.
+
+    Divided differences of sqrt on the doubled nodes t_j = x_j^2 (slope
+    1/(2 x_j) at a repeated node), then the Newton form summed term by term:
+    coefficient += newton[j] * prod_{i<j} (t - t_i), with the basis product
+    kept as a Fraction list.
+    """
+    ts, column = [], []
+    for x in xs:
+        ts.extend((x * x, x * x))
+        column.extend((x, x))
+    n = len(ts)
+    newton = [column[0]]
+    for order in range(1, n):
+        nxt = []
+        for i in range(n - order):
+            if ts[i + order] == ts[i]:
+                nxt.append(1 / (2 * xs[i // 2]))
+            else:
+                nxt.append((column[i + 1] - column[i]) / (ts[i + order] - ts[i]))
+        column = nxt
+        newton.append(column[0])
+
+    coeffs = [Fraction(0)] * n
+    basis = [Fraction(1)]
+    for j in range(n):
+        for i, b in enumerate(basis):
+            coeffs[i] += newton[j] * b
+        if j < n - 1:
+            nb = [Fraction(0)] * (len(basis) + 1)
+            for i, b in enumerate(basis):
+                nb[i] -= b * ts[j]
+                nb[i + 1] += b
+            basis = nb
+    return coeffs
+
+
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+    """Product of two polynomials, coefficients ascending."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]
+                ) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of the long division of p by d, coefficients
+    ascending, both trimmed; the quotient is [0] when deg p < deg d."""
+    rem = list(p)
+    dn = len(d) - 1
+    if len(rem) - 1 < dn:
+        return [Fraction(0)], _trim(rem)
+    quot = [Fraction(0)] * (len(rem) - dn)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i] / d[-1]
+        quot[i - dn] = c
+        for j in range(dn + 1):
+            rem[i - dn + j] -= c * d[j]
+    return _trim(quot), _trim(rem)
+
+
+def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
+    s = Fraction(0)
+    for c in reversed(p):
+        s = s * x + c
+    return s
+
+
+def verify_dominance_long_division(poly, nodes):
+    """The dominance proof of P on nodes with Fraction long division.
+
+    P(x) - x is divided by prod_j (x - x_j)^2; a nonzero remainder gives
+    (quotient, False, -1, 0, 0), a zero boundary value a root count of -1,
+    and otherwise the library's `sturm_root_count` counts the quotient's
+    roots in (0, 1/3).  Returns a `tetravol.certificate.DominanceProof`.
+    """
+    from tetravol.certificate import DOMAIN_MAX, DominanceProof, sturm_root_count
+
+    diff = [Fraction(0)] * max(poly.degree + 1, 2)
+    for i, a in enumerate(poly.coeffs):
+        diff[2 * i] = a
+    diff[1] -= 1
+    divisor = [Fraction(1)]
+    for x in nodes:
+        divisor = poly_mul(divisor, [x * x, -2 * x, Fraction(1)])
+    quotient, remainder = poly_divmod(_trim(diff), divisor)
+    if any(remainder):
+        return DominanceProof(tuple(quotient), False, -1, 0, 0)
+    r0, r1 = poly_eval(quotient, Fraction(0)), poly_eval(quotient, DOMAIN_MAX)
+    sign0, sign1 = (r0 > 0) - (r0 < 0), (r1 > 0) - (r1 < 0)
+    if sign0 == 0 or sign1 == 0:
+        return DominanceProof(tuple(quotient), True, -1, sign0, sign1)
+    count = sturm_root_count(quotient, Fraction(0), DOMAIN_MAX)
+    return DominanceProof(tuple(quotient), True, count, sign0, sign1)

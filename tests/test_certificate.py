@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 import tetravol
+from tetravol import certificate
 from tetravol.certificate import (
     REFERENCE_NODES,
     VERDICT_FALSE,
@@ -18,6 +20,8 @@ from tetravol.certificate import (
 from tetravol.majorant import EvenPoly, MomentOrderError, NodeSet, hermite_onesided
 from tetravol.moments import MomentTable
 from tetravol.rational import fraction_to_decimal
+
+from oracles import poly_eval, verify_dominance_long_division
 
 
 def test_sturm_known_roots():
@@ -152,11 +156,86 @@ def test_dominance_reference_nodes():
 def test_dominance_rejects_tampered_polynomial():
     nodes = NodeSet(REFERENCE_NODES)
     p = hermite_onesided(nodes)
-    coeffs = list(p.coeffs)
-    coeffs[0] -= Fraction(1, 10**6)
-    proof = verify_dominance(EvenPoly(tuple(coeffs)), nodes)
-    assert not proof.valid
-    assert not proof.remainder_is_zero
+    untampered = verify_dominance(p, nodes).quotient
+    # a_0 changes only the remainder; a_13 changes the quotient as well
+    for i, same_quotient in ((0, True), (13, False)):
+        coeffs = list(p.coeffs)
+        coeffs[i] -= Fraction(1, 10**6)
+        tampered = EvenPoly(tuple(coeffs))
+        proof = verify_dominance(tampered, nodes)
+        assert not proof.valid
+        assert not proof.remainder_is_zero
+        # the report prints this quotient too: it is the long division's
+        assert proof.quotient == verify_dominance_long_division(tampered, nodes).quotient
+        assert (proof.quotient == untampered) is same_quotient
+
+
+def test_dominance_equals_the_long_division(seeded_node_sets):
+    rng = random.Random(15)
+    for nodes in seeded_node_sets:
+        poly = hermite_onesided(nodes)
+        proof = verify_dominance(poly, nodes)
+        assert proof.valid, nodes
+        assert proof == verify_dominance_long_division(poly, nodes), nodes
+        # one coefficient nudged: a nonzero remainder, and the same quotient
+        coeffs = list(poly.coeffs)
+        coeffs[rng.randrange(len(coeffs))] += Fraction(rng.choice((-1, 1)),
+                                                      10 ** rng.randint(1, 12))
+        nudged = EvenPoly(tuple(coeffs))
+        proof = verify_dominance(nudged, nodes)
+        assert not proof.remainder_is_zero, nodes
+        assert proof == verify_dominance_long_division(nudged, nodes), nodes
+
+
+def test_dominance_of_other_polynomials_through_the_nodes_equals_the_long_division(
+        seeded_node_sets):
+    # P + prod_j (t - t_j)^2 E(t), t = x^2, for a polynomial E: P(x) - x keeps
+    # its double roots at the nodes, and the quotient R_P becomes
+    # R_P + D(-x) E(x^2), where D(x) = prod_j (x - x_j)^2.  So the remainder
+    # stays zero while E sets the signs at 0 and 1/3 and the roots between.
+    rng = random.Random(37)
+    outcomes = set()
+    for i, nodes in enumerate(s for s in seeded_node_sets if len(s) <= 5):
+        poly = hermite_onesided(nodes)
+        r = verify_dominance(poly, nodes).quotient
+        d0 = prod(x * x for x in nodes)
+        c = Fraction(1, 6)
+        # D(-c) c^2 (c^2 - 1/9): the change at c per unit of gamma in t (t - 1/9)
+        dc = prod((c + x) ** 2 for x in nodes) * c * c * (c * c - Fraction(1, 9))
+        gamma = -2 * poly_eval(r, c) / dc
+        e = ([-r[0] / d0],  # R(0) = 0
+             [-2 * r[0] / d0, Fraction(rng.randint(-9, 9))],  # R(0) < 0
+             [0, -gamma / 9, gamma],  # R(1/6) < 0 < R(0), R(1/3)
+             [Fraction(rng.randint(-9, 9), rng.randint(1, 9))])[i % 4]
+        square = [Fraction(1)]
+        for x in nodes:
+            square = _mul(square, [x ** 4, -2 * x * x, Fraction(1)])
+        coeffs = [a + b for a, b in zip(list(poly.coeffs) + [0] * len(square), _mul(square, e))]
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        other = EvenPoly(tuple(coeffs))
+        proof = verify_dominance(other, nodes)
+        assert proof.remainder_is_zero, nodes
+        assert proof == verify_dominance_long_division(other, nodes), nodes
+        outcomes.add((proof.sign_at_zero, proof.sign_at_end, proof.interior_root_count > 0))
+    assert {s0 for s0, _, _ in outcomes} == {-1, 0, 1}
+    assert {(1, 1, True), (1, 1, False), (-1, -1, False)} <= outcomes
+
+
+def test_dominance_of_any_even_polynomial_equals_the_long_division(seeded_node_sets):
+    # polynomials not built from the nodes, of degree below, at and above
+    # 4 * len(nodes): the quotient and every other field still match
+    rng = random.Random(26)
+    seen = set()
+    for nodes in seeded_node_sets:
+        for size in (1, 2 * len(nodes), 2 * len(nodes) + 1, rng.randint(1, 2 * len(nodes) + 3)):
+            coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(size)]
+            coeffs[-1] = coeffs[-1] or Fraction(1)
+            poly = EvenPoly(tuple(coeffs))
+            proof = verify_dominance(poly, nodes)
+            assert proof == verify_dominance_long_division(poly, nodes), (poly, nodes)
+            seen.add(proof.quotient == (Fraction(0),))
+    assert seen == {True, False}
 
 
 def test_certify_reference_nodes(table13):
@@ -184,6 +263,17 @@ def test_certify_requires_all_orders(table13):
     truncated = MomentTable({k: table13[k] for k in range(1, 13)})
     with pytest.raises(MomentOrderError):
         certify(NodeSet(REFERENCE_NODES), truncated)
+
+
+def test_certify_checks_the_orders_before_building_the_majorant(table13, monkeypatch):
+    def fail(nodes):
+        raise AssertionError("the majorant was built")
+
+    monkeypatch.setattr(certificate, "hermite_onesided", fail)
+    short = MomentTable({k: table13[k] for k in range(1, 13)})
+    with pytest.raises(MomentOrderError) as info:
+        certify(NodeSet(REFERENCE_NODES), short)
+    assert str(info.value) == "moment table lacks orders [13] needed for degree 26"
 
 
 def test_report_contains_verdict_and_round_trips(table13):

@@ -367,6 +367,11 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "1/5\n1/5\n", "strictly increasing: node 2 is 1/5 after 1/5",
                  id="certify-node-repeated"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "", "nodes.txt: empty node set", id="certify-node-file-empty"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "# no nodes\n\n  # none here either\n", "nodes.txt: empty node set",
+                 id="certify-node-file-only-comments"),
     # refused before the moment stage, which would otherwise print every
     # order and write run/moments.tsv first
     pytest.param(["all", "--k-max", "3", "--degree", "3", "--workdir", "run"],

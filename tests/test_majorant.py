@@ -8,10 +8,13 @@ from tetravol.majorant import (
     MomentOrderError,
     NodeSet,
     expected_value,
+    hermite_coefficients,
     hermite_onesided,
 )
 from tetravol.certificate import REFERENCE_NODES, verify_dominance
 from tetravol.moments import MomentTable
+
+from oracles import hermite_coefficients_newton
 
 
 def random_node_set(rng: random.Random, max_m: int = 4) -> NodeSet:
@@ -136,3 +139,8 @@ def test_node_file_skips_comments(tmp_path):
     path = tmp_path / "nodes.txt"
     path.write_text("# reference set\n1/4\n\n1/3\n")
     assert NodeSet.read(path).nodes == (Fraction(1, 4), Fraction(1, 3))
+
+
+def test_hermite_coefficients_equal_the_newton_expansion(seeded_node_sets):
+    for nodes in seeded_node_sets:
+        assert hermite_coefficients(nodes.nodes) == hermite_coefficients_newton(nodes.nodes), nodes
