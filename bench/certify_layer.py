@@ -13,12 +13,16 @@ those majorants, then `render_report(certify(nodes, table))` on the golden
 k <= 13 cache, which builds the majorant and the proof again, as a
 `tetravol certify` command does.  After that it times one
 `gauss_nodes(n, table)` for each n in 5, 6 and 7, as `tetravol search
---degree 2n - 1` calls it.  It counts the proofs' interior root counts (-1
-where the deflation or a boundary sign already failed) and hashes the
-rendered reports, so a side whose proofs or reports differ shows a
-different histogram or hash.  Runs alternate between the sides, starting
-with a different side on each repeat.  Stdlib only; the side-by-side
-harness is `bench/sides.py`.
+--degree 2n - 1` calls it, and one `verify_dominance` on the majorant of
+each high-degree Gauss set (degrees 25 and 33 in t = x^2, denominators at
+most 1000).  It counts the proofs' interior root counts (-1 where the
+deflation or a boundary sign already failed) and hashes the rendered
+reports, so a side whose proofs or reports differ shows a different
+histogram or hash.  It also counts the proofs that ran the exact
+`sturm_root_count` chain: a tree that proves dominance on a rounded-down
+quotient first runs it only as a fallback.  Runs alternate between the
+sides, starting with a different side on each repeat.  Stdlib only; the
+side-by-side harness is `bench/sides.py`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,14 @@ GAUSS_SIZES = (5, 6, 7)
 #: the timed layers, each one call per node set: hermite_onesided,
 #: verify_dominance, and render_report(certify(...))
 LAYERS = ("hermite", "dominance", "certify")
+#: Gauss nodes of degrees 25 and 33 in t = x^2, rationalized with
+#: denominators at most 1000; only their dominance proofs are timed
+HIGH_DEGREE = {
+    "25": "4/445 15/473 29/503 17/199 112/981 51/356 123/716 152/763 34/151 "
+          "179/718 213/785 241/828 269/872",
+    "33": "5/644 25/938 47/986 10/143 43/463 74/637 136/975 158/973 115/623 "
+          "202/981 173/765 215/877 190/723 135/484 179/610 200/653 234/737",
+}
 
 
 def child(src: str, seed: int) -> dict:
@@ -54,6 +66,14 @@ def child(src: str, seed: int) -> dict:
     sets = [NodeSet.from_rationals(nodes) for nodes in plan["files"].values()]
     table = MomentTable.read(inputs.GOLDEN_MOMENTS)
     seconds = {layer: [] for layer in LAYERS}
+    exact_calls = []
+    exact_count = certificate.sturm_root_count
+
+    def counted(*args):
+        exact_calls.append(1)
+        return exact_count(*args)
+
+    certificate.sturm_root_count = counted
 
     def timed(layer, call, *args):
         t0 = time.perf_counter()
@@ -64,6 +84,7 @@ def child(src: str, seed: int) -> dict:
     polys = [timed("hermite", hermite_onesided, nodes) for nodes in sets]
     proofs = [timed("dominance", certificate.verify_dominance, poly, nodes)
               for poly, nodes in zip(polys, sets)]
+    fallbacks = len(exact_calls)
     digest = hashlib.sha256()
     for nodes in sets:
         report = timed("certify", lambda n: certificate.render_report(
@@ -76,9 +97,21 @@ def child(src: str, seed: int) -> dict:
         node_search.gauss_nodes(n, table)
         gauss[str(n)] = time.perf_counter() - t0
 
+    high = {}
+    for degree, text in HIGH_DEGREE.items():
+        nodes = NodeSet.from_rationals(text.split())
+        poly = hermite_onesided(nodes)
+        exact_calls.clear()
+        t0 = time.perf_counter()
+        valid = certificate.verify_dominance(poly, nodes).valid
+        high[degree] = {"s": time.perf_counter() - t0, "valid": valid,
+                        "fallbacks": len(exact_calls)}
+
     histogram = Counter(p.interior_root_count for p in proofs)
     return {"seconds": seconds,
             "gauss_s": gauss,
+            "dominance_fallbacks": fallbacks,
+            "high_degree": high,
             "root_counts": {str(k): histogram[k] for k in sorted(histogram)},
             "reports_sha256": digest.hexdigest(),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
@@ -100,13 +133,15 @@ def main() -> None:
         run = harness.spawn(__file__, "--child", src, str(args.seed))
         runs[label].append(run)
         layers = ", ".join(f"{layer} {sum(run['seconds'][layer]):.3f} s" for layer in LAYERS)
+        high = ", ".join(f"d = {d} {h['s']:.4f} s" for d, h in run["high_degree"].items())
         print(f"repeat {r} {label}: {layers}, gauss_nodes(5..7) "
-              f"{sum(run['gauss_s'].values()):.3f} s", file=sys.stderr)
+              f"{sum(run['gauss_s'].values()):.3f} s, {high}", file=sys.stderr)
 
     result = {"benchmark": "per node set of the warm-certify-sweep plan, one call each of "
                            "hermite_onesided, verify_dominance and render_report(certify), "
-                           "and gauss_nodes(n) for n = 5, 6, 7 on the golden k <= 13 cache, "
-                           "in one fresh process per run",
+                           "and gauss_nodes(n) for n = 5, 6, 7 on the golden k <= 13 cache; "
+                           "verify_dominance on the degree-25 and degree-33 Gauss sets "
+                           "(denominators <= 1000); in one fresh process per run",
               "machine": harness.machine(),
               "seed": args.seed, "repeats": args.repeats, "sides": {}}
     for label, src in sides:
@@ -117,6 +152,7 @@ def main() -> None:
             "root_counts": sorted({json.dumps(run["root_counts"]) for run in side_runs}),
             "peak_rss_mb": [run["peak_rss_mb"] for run in side_runs],
             "calls_per_layer": len(side_runs[0]["seconds"]["dominance"]),
+            "dominance_fallbacks": sorted({run["dominance_fallbacks"] for run in side_runs}),
         }
         for layer in LAYERS:
             totals = [round(sum(run["seconds"][layer]), 4) for run in side_runs]
@@ -128,6 +164,12 @@ def main() -> None:
             n: {"runs": [round(run["gauss_s"][n], 5) for run in side_runs],
                 **harness.summary([run["gauss_s"][n] for run in side_runs])}
             for n in map(str, GAUSS_SIZES)}
+        side["high_degree_dominance_s"] = {
+            d: {"runs": [round(run["high_degree"][d]["s"], 5) for run in side_runs],
+                **harness.summary([run["high_degree"][d]["s"] for run in side_runs]),
+                "valid": sorted({run["high_degree"][d]["valid"] for run in side_runs}),
+                "fallbacks": sorted({run["high_degree"][d]["fallbacks"] for run in side_runs})}
+            for d in HIGH_DEGREE}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
 

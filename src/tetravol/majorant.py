@@ -38,6 +38,19 @@ class MomentOrderError(KeyError):
         return str(self.args[0]) if self.args else ""
 
 
+def _ordering_error(nodes: Sequence[Fraction]) -> tuple[int, str] | None:
+    """The index of the first node that is not positive or not above the one
+    before it, with the message that names it; None when there is none."""
+    prev = Fraction(0)
+    for i, x in enumerate(nodes):
+        if x <= prev:
+            after = f" after {prev.numerator}/{prev.denominator}" if i else ""
+            return i, (f"nodes must be positive and strictly increasing: "
+                       f"node {i + 1} is {x.numerator}/{x.denominator}{after}")
+        prev = x
+    return None
+
+
 @dataclass(frozen=True)
 class NodeSet:
     """Strictly increasing positive rational interpolation nodes."""
@@ -47,13 +60,9 @@ class NodeSet:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("empty node set")
-        prev = Fraction(0)
-        for i, x in enumerate(self.nodes, start=1):
-            if x <= prev:
-                after = f" after {prev.numerator}/{prev.denominator}" if i > 1 else ""
-                raise ValueError(f"nodes must be positive and strictly increasing: "
-                                 f"node {i} is {x.numerator}/{x.denominator}{after}")
-            prev = x
+        bad = _ordering_error(self.nodes)
+        if bad:
+            raise ValueError(bad[1])
 
     @classmethod
     def from_rationals(cls, xs: Iterable[Fraction | str | int]) -> "NodeSet":
@@ -71,7 +80,7 @@ class NodeSet:
 
     @classmethod
     def read(cls, path: str | Path) -> "NodeSet":
-        nodes = []
+        nodes, lines = [], []
         for ln, line in enumerate(Path(path).read_text().split("\n"), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -80,12 +89,16 @@ class NodeSet:
                 if len(line) > NODE_LINE_MAX or not _NODE_LINE.fullmatch(line):
                     raise ValueError
                 nodes.append(Fraction(line))
+                lines.append(ln)
             except (ValueError, ZeroDivisionError):
                 shown = line if len(line) <= 40 else line[:40] + "..."
                 raise ValueError(f"{path}:{ln}: {shown!r} is not a rational node p/q "
                                  f"of at most {NODE_LINE_MAX} characters") from None
         if not nodes:
             raise ValueError(f"{path}: empty node set")
+        bad = _ordering_error(nodes)
+        if bad:
+            raise ValueError(f"{path}:{lines[bad[0]]}: {bad[1]}")
         return cls(tuple(nodes))
 
 

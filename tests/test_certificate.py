@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 from math import prod
@@ -21,7 +22,14 @@ from tetravol.majorant import EvenPoly, MomentOrderError, NodeSet, hermite_onesi
 from tetravol.moments import MomentTable
 from tetravol.rational import fraction_to_decimal
 
-from oracles import poly_eval, verify_dominance_long_division
+from oracles import poly_eval, poly_mul, verify_dominance_long_division
+
+#: the Gauss nodes of degrees 25 and 33 in t = x^2, rationalized with
+#: denominators at most 1000
+GAUSS_25 = ("4/445 15/473 29/503 17/199 112/981 51/356 123/716 152/763 34/151 179/718 "
+            "213/785 241/828 269/872")
+GAUSS_33 = ("5/644 25/938 47/986 10/143 43/463 74/637 136/975 158/973 115/623 202/981 "
+            "173/765 215/877 190/723 135/484 179/610 200/653 234/737")
 
 
 def test_sturm_known_roots():
@@ -236,6 +244,101 @@ def test_dominance_of_any_even_polynomial_equals_the_long_division(seeded_node_s
             assert proof == verify_dominance_long_division(poly, nodes), (poly, nodes)
             seen.add(proof.quotient == (Fraction(0),))
     assert seen == {True, False}
+
+
+def _through_one_node(a, e):
+    """The majorant on the one node a plus (t - a^2)^2 E(t), t = x^2, with E
+    ascending in t.  Its quotient is R(x) = 1/(2a) + (x + a)^2 E(x^2)."""
+    nodes = NodeSet((a,))
+    coeffs = list(hermite_onesided(nodes).coeffs)
+    extra = poly_mul([a ** 4, -2 * a * a, Fraction(1)], e)
+    coeffs += [Fraction(0)] * (len(extra) - len(coeffs))
+    return EvenPoly(tuple(c + d for c, d in zip(coeffs, extra))), nodes
+
+
+#: large scales K of 133-381 bits, none a multiple of 2, so the low bits of
+#: R's integer coefficients are not all zero and the rounding drops something
+LARGE = (7 ** 60, 3 ** 100, 10 ** 40 + 1, 2 ** 150 + 1, 11 ** 110)
+
+
+def _exact_counts(monkeypatch):
+    """Record each exact Sturm count that verify_dominance (or the oracle)
+    runs."""
+    counts = []
+
+    def counted(p, a, b):
+        counts.append(sturm_root_count(p, a, b))
+        return counts[-1]
+
+    monkeypatch.setattr(certificate, "sturm_root_count", counted)
+    return counts
+
+
+def test_rounded_proof_falls_back_when_the_minimum_is_below_the_rounding(monkeypatch):
+    # R(x) = 1/(2a) + K (x + a)^2 (x^2 - 1/36)^2 >= 1/(2a) > 0, with its
+    # minimum 1/(2a) at x = 1/6 (u = 1/2) far below the K-sized rounding
+    # error: the rounded quotient dips to or below 0, and the exact chain
+    # proves R positive
+    counts = _exact_counts(monkeypatch)
+    a = Fraction(1, 5)
+    for k in LARGE:
+        poly, nodes = _through_one_node(a, [k * Fraction(1, 1296), -k * Fraction(1, 18), k])
+        counts.clear()
+        proof = verify_dominance(poly, nodes)
+        assert counts == [0], k
+        assert proof.valid, k
+        assert proof == verify_dominance_long_division(poly, nodes), k
+
+
+def test_rounded_proof_never_passes_a_quotient_with_an_interior_root(monkeypatch):
+    # R as above with E lowered by c, so that R(1/6) = -delta: two roots near
+    # x = 1/6 while R(0), R(1/3) > 0.  Rounding down only lowers the rounded
+    # quotient, so it always shows the dip and the exact chain counts both
+    counts = _exact_counts(monkeypatch)
+    a = Fraction(1, 5)
+    for k in LARGE:
+        for delta in (Fraction(1, 10 ** 6), Fraction(1, 3), Fraction(1)):
+            c = (1 / (2 * a) + delta) / (Fraction(1, 6) + a) ** 2
+            e = [k * Fraction(1, 1296) - c, -k * Fraction(1, 18), k]
+            poly, nodes = _through_one_node(a, e)
+            counts.clear()
+            proof = verify_dominance(poly, nodes)
+            assert counts == [2], (k, delta)
+            assert proof.interior_root_count == 2 and not proof.valid, (k, delta)
+            assert proof == verify_dominance_long_division(poly, nodes), (k, delta)
+
+
+def test_rounded_check_declines_a_rounded_root_at_either_end():
+    # N(x) = -(3A - 1) x + A, A = 2^100: T(u) = 3A - (3A - 1) u is 1 at u = 1,
+    # and its floor-shifted copy is 0 there; N(x) = A x + 1 shifts to 0 at
+    # u = 0.  The check declines both, without raising, and leaves them to
+    # the exact chain; with T(1) = 2^40 the shifted copy keeps a positive end
+    big = 2 ** 100
+    assert not certificate._rounded_root_free([-(3 * big - 1), big])
+    assert not certificate._rounded_root_free([big, 1])
+    assert certificate._rounded_root_free([-(3 * big - 2 ** 40), big])
+
+
+def test_high_degree_gauss_set_proves_without_the_exact_chain(monkeypatch):
+    def exact(*args):
+        raise AssertionError("the exact chain ran")
+
+    monkeypatch.setattr(certificate, "sturm_root_count", exact)
+    for text in (GAUSS_25, GAUSS_33):
+        nodes = NodeSet.from_rationals(text.split())
+        proof = verify_dominance(hermite_onesided(nodes), nodes)
+        assert proof.valid and proof.interior_root_count == 0, text
+        assert len(proof.quotient) == 2 * len(nodes) - 1
+
+
+@pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),
+                    reason="~25 s of exact Sturm; set TETRAVOL_SLOW=1 to run")
+def test_high_degree_rounded_proof_equals_the_exact_one(monkeypatch):
+    nodes = NodeSet.from_rationals(GAUSS_33.split())
+    poly = hermite_onesided(nodes)
+    rounded = verify_dominance(poly, nodes)
+    monkeypatch.setattr(certificate, "_rounded_root_free", lambda nums: False)
+    assert verify_dominance(poly, nodes) == rounded
 
 
 def test_certify_reference_nodes(table13):

@@ -365,8 +365,18 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
                  ORDER_1, "1/5\n1/" + "7" * 1000 + "\n", "nodes.txt:2",
                  id="certify-node-line-too-long"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 ORDER_1, "1/5\n1/5\n", "strictly increasing: node 2 is 1/5 after 1/5",
-                 id="certify-node-repeated"),
+                 ORDER_1, "1/5\n1/5\n",
+                 "nodes.txt:2: nodes must be positive and strictly increasing: "
+                 "node 2 is 1/5 after 1/5", id="certify-node-repeated"),
+    # the line counts comments and blank lines, as for a malformed line
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1/5\n# comment\n\n2/7\n1/4\n",
+                 "nodes.txt:5: nodes must be positive and strictly increasing: "
+                 "node 3 is 1/4 after 2/7", id="certify-node-decreasing"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "0\n1/5\n",
+                 "nodes.txt:1: nodes must be positive and strictly increasing: node 1 is 0/1",
+                 id="certify-node-zero"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "", "nodes.txt: empty node set", id="certify-node-file-empty"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
