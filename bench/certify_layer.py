@@ -7,18 +7,25 @@ search, for two or more source trees.
 Each timed run is a fresh process that imports `tetravol` from one `src`
 directory.  It takes every node set that the `warm-certify-sweep` plan of
 `perfbench/inputs.py` stages for the seed (the reference set and the seeded
-polished and random sets), in plan order, and times three layers one call
-per set: `hermite_onesided(nodes)`, then `verify_dominance(poly, nodes)` on
-those majorants, then `render_report(certify(nodes, table))` on the golden
-k <= 13 cache, which builds the majorant and the proof again, as a
-`tetravol certify` command does.  After that it times one
+polished and random sets), in plan order, and times five layers one call
+per set: `hermite_onesided(nodes)`, then `expected_value(poly, table)` and
+`verify_dominance(poly, nodes)` on those majorants and the golden k <= 13
+cache, then `render_report(certify(nodes, table))`, which builds the
+majorant and the proof again, and last `cli.main(argv)` for each of the
+plan's `certify` commands on those staged files, in plan order, in a
+staged work directory.  The `cli` layer is the whole command: reading the
+node and moment files, the certificate, writing the report and printing
+the summary, so its excess over the `certify` layer is the per-command
+overhead, the argparse parser included (the four commands on `search`
+output are left out, as no search runs).  After that it times one
 `gauss_nodes(n, table)` for each n in 5, 6 and 7, as `tetravol search
 --degree 2n - 1` calls it, and one `verify_dominance` on the majorant of
 each high-degree Gauss set (degrees 25 and 33 in t = x^2, denominators at
 most 1000).  It counts the proofs' interior root counts (-1 where the
 deflation or a boundary sign already failed) and hashes the rendered
 reports, so a side whose proofs or reports differ shows a different
-histogram or hash.  It also counts the proofs that ran the exact
+histogram or hash; the `cli` reports and stdout are hashed apart.  It
+also counts the proofs that ran the exact
 `sturm_root_count` chain: a tree that proves dominance on a rounded-down
 quotient first runs it only as a fallback.  Runs alternate between the
 sides, starting with a different side on each repeat.  Stdlib only; the
@@ -28,9 +35,13 @@ side-by-side harness is `bench/sides.py`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -40,8 +51,9 @@ import sides as harness
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GAUSS_SIZES = (5, 6, 7)
 #: the timed layers, each one call per node set: hermite_onesided,
-#: verify_dominance, and render_report(certify(...))
-LAYERS = ("hermite", "dominance", "certify")
+#: expected_value, verify_dominance, render_report(certify(...)) and the
+#: `tetravol certify` command through cli.main
+LAYERS = ("hermite", "expected_value", "dominance", "certify", "cli")
 #: Gauss nodes of degrees 25 and 33 in t = x^2, rationalized with
 #: denominators at most 1000; only their dominance proofs are timed
 HIGH_DEGREE = {
@@ -58,8 +70,8 @@ def child(src: str, seed: int) -> dict:
     import resource
 
     import inputs
-    from tetravol import certificate, node_search
-    from tetravol.majorant import NodeSet, hermite_onesided
+    from tetravol import certificate, cli, node_search
+    from tetravol.majorant import NodeSet, expected_value, hermite_onesided
     from tetravol.moments import MomentTable
 
     plan = inputs.make_plan("warm-certify-sweep", seed)
@@ -82,6 +94,8 @@ def child(src: str, seed: int) -> dict:
         return out
 
     polys = [timed("hermite", hermite_onesided, nodes) for nodes in sets]
+    for poly in polys:
+        timed("expected_value", expected_value, poly, table)
     proofs = [timed("dominance", certificate.verify_dominance, poly, nodes)
               for poly, nodes in zip(polys, sets)]
     fallbacks = len(exact_calls)
@@ -90,6 +104,20 @@ def child(src: str, seed: int) -> dict:
         report = timed("certify", lambda n: certificate.render_report(
             certificate.certify(n, table)), nodes)
         digest.update(report.encode())
+
+    cli_digest = hashlib.sha256()
+    commands = [op for op in plan["ops"]
+                if op["kind"] == "certify" and op["nodes"] in plan["files"]]
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        inputs.stage(plan, Path(workdir))
+        os.chdir(workdir)
+        for op in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                timed("cli", cli.main, op["argv"])
+            cli_digest.update(out.getvalue().encode() + Path(op["report"]).read_bytes())
+        os.chdir(here)
 
     gauss = {}
     for n in GAUSS_SIZES:
@@ -114,6 +142,7 @@ def child(src: str, seed: int) -> dict:
             "high_degree": high,
             "root_counts": {str(k): histogram[k] for k in sorted(histogram)},
             "reports_sha256": digest.hexdigest(),
+            "cli_sha256": cli_digest.hexdigest(),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
@@ -138,7 +167,8 @@ def main() -> None:
               f"{sum(run['gauss_s'].values()):.3f} s, {high}", file=sys.stderr)
 
     result = {"benchmark": "per node set of the warm-certify-sweep plan, one call each of "
-                           "hermite_onesided, verify_dominance and render_report(certify), "
+                           "hermite_onesided, expected_value, verify_dominance, "
+                           "render_report(certify) and cli.main(certify argv), "
                            "and gauss_nodes(n) for n = 5, 6, 7 on the golden k <= 13 cache; "
                            "verify_dominance on the degree-25 and degree-33 Gauss sets "
                            "(denominators <= 1000); in one fresh process per run",
@@ -149,6 +179,7 @@ def main() -> None:
         side = result["sides"][label] = {
             "src_sha256": harness.tree_sha256(src),
             "reports_sha256": sorted({run["reports_sha256"] for run in side_runs}),
+            "cli_sha256": sorted({run["cli_sha256"] for run in side_runs}),
             "root_counts": sorted({json.dumps(run["root_counts"]) for run in side_runs}),
             "peak_rss_mb": [run["peak_rss_mb"] for run in side_runs],
             "calls_per_layer": len(side_runs[0]["seconds"]["dominance"]),

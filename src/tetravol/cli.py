@@ -9,6 +9,7 @@ true), 2 = verdict false, 1 = any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -198,8 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser `main` uses, built on its first call and reused by every later
+#: one in the process: argparse setup is the same for every call
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    args = vars(_main_parser().parse_args(argv))
     del args["command"]
     func = args.pop("func")
     try:

@@ -6,8 +6,9 @@ node, and it satisfies P(x) >= |x| for all real x: substituting t = x^2 turns
 the conditions into standard Hermite interpolation of f(t) = sqrt(t) at
 t_j = x_j^2, whose error term has one sign because every derivative
 f^(n+1) < 0.  All interpolation data are rational, so the coefficients come
-out exact: divided differences in `Fraction`, then the Newton form expanded
-on integer numerators over one common denominator.
+out exact: divided differences on reduced integer (numerator, denominator)
+pairs, then the Newton form expanded on integer numerators over one common
+denominator.
 
 E P(V) is then an upper bound for E V whenever P majorizes |x| on the range
 of V, and it is a rational affine combination of the even moments.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -141,42 +142,52 @@ def hermite_coefficients(xs: Sequence[Fraction]) -> list[Fraction]:
     """Exact coefficients a_0..a_(2m+1) of the even Hermite majorant on nodes xs.
 
     Divided differences on the doubled node sequence t_0, t_0, ..., t_m, t_m
-    (t_j = x_j^2); the repeated-node entries take the derivative value
-    1/(2 x_j).  The Newton form is then expanded to monomial coefficients in
-    t, which are exactly the even coefficients a_i, by Horner's rule
+    (t_j = x_j^2 = p_j^2/q_j^2), each entry a reduced pair (num, den) of
+    integers with den > 0 and one gcd per entry.  A repeated-node entry takes
+    the derivative value 1/(2 x_j) = q_j/(2 p_j); any other is
+    (n1/d1 - n0/d0) / (a/b - c/d) = (n1 d0 - n0 d1) b d / (d0 d1 (a d - c b))
+    for the entries n0/d0, n1/d1 below it and t = a/b, c/d at its ends.  The
+    Newton form is then expanded to monomial coefficients in t, which are
+    exactly the even coefficients a_i, by Horner's rule
     c <- c * (t - t_j) + newton[j] on integer numerators over one running
     denominator: for t_j = a/b that step multiplies by (b t - a), so only the
     n coefficients at the end are reduced to lowest terms.
     """
-    ts = []
-    column = []
-    for x in xs:
-        t = x * x
-        ts.extend((t, t))
-        column.extend((x, x))
-    n = len(ts)
+    ps = [x.numerator for x in xs]
+    qs = [x.denominator for x in xs]
+    t_num = [p * p for p in ps]  # t_j in lowest terms, as gcd(p, q) = 1
+    t_den = [q * q for q in qs]
+    # the column of the current order, entry i over the doubled nodes i .. i + order
+    col_num = [p for p in ps for _ in (0, 1)]
+    col_den = [q for q in qs for _ in (0, 1)]
+    n = len(col_num)
 
-    newton = [column[0]]
+    newton = [(col_num[0], col_den[0])]
     for order in range(1, n):
-        nxt = []
+        # in place, ascending: entry i reads the old entries i and i + 1
         for i in range(n - order):
-            if ts[i + order] == ts[i]:
-                assert order == 1, "nodes are distinct, only adjacent doubling occurs"
-                nxt.append(1 / (2 * xs[i // 2]))
+            lo, hi = i // 2, (i + order) // 2  # the nodes of t at the ends
+            if lo == hi:
+                num, den = qs[lo], 2 * ps[lo]
             else:
-                nxt.append((column[i + 1] - column[i]) / (ts[i + order] - ts[i]))
-        column = nxt
-        newton.append(column[0])
+                a, b, c, d = t_num[hi], t_den[hi], t_num[lo], t_den[lo]
+                d0, d1 = col_den[i], col_den[i + 1]
+                num = (col_num[i + 1] * d0 - col_num[i] * d1) * b * d
+                den = d0 * d1 * (a * d - c * b)
+            g = gcd(num, den)
+            col_num[i], col_den[i] = num // g, den // g
+        newton.append((col_num[0], col_den[0]))
 
     # c = nums / den, coefficients ascending in t
-    nums, den = [newton[-1].numerator], newton[-1].denominator
+    num, den = newton[-1]
+    nums = [num]
     for j in range(n - 2, -1, -1):
-        a, b = ts[j].numerator, ts[j].denominator
-        c = newton[j]
-        new_den = lcm(den * b, c.denominator)
+        a, b = t_num[j // 2], t_den[j // 2]
+        c_num, c_den = newton[j]
+        new_den = lcm(den * b, c_den)
         s = new_den // (den * b)
         nums = [(b * lo - a * hi) * s for lo, hi in zip([0, *nums], [*nums, 0])]
-        nums[0] += c.numerator * (new_den // c.denominator)
+        nums[0] += c_num * (new_den // c_den)
         den = new_den
     return [Fraction(v, den) for v in nums]
 
@@ -199,10 +210,19 @@ def expected_value(poly: EvenPoly, moments: MomentTable) -> Fraction:
     """E P(V) = a_0 + sum_{i>=1} a_i * E V^(2i), exact.
 
     The zeroth moment is 1 and is injected here rather than stored in the
-    table.  Raises MomentOrderError when the table is too short.
+    table.  The sum runs on integers over one common denominator, the lcm
+    of the coefficients' denominators times that of the moments', and is
+    reduced once at the end.  Raises MomentOrderError when the table is too
+    short.
     """
     _require_orders(moments, poly.degree)
-    total = poly.coeffs[0]
-    for i in range(1, len(poly.coeffs)):
-        total += poly.coeffs[i] * moments[i]
-    return total
+    coeffs = poly.coeffs
+    values = [moments[i] for i in range(1, len(coeffs))]
+    coeff_den = lcm(*(a.denominator for a in coeffs))
+    moment_den = lcm(*(v.denominator for v in values))
+    a0 = coeffs[0]
+    total = a0.numerator * (coeff_den // a0.denominator) * moment_den
+    for a, v in zip(coeffs[1:], values):
+        total += (a.numerator * (coeff_den // a.denominator)
+                  * v.numerator * (moment_den // v.denominator))
+    return Fraction(total, coeff_den * moment_den)

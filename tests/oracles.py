@@ -12,9 +12,10 @@ T_o = {x, y, z >= 0, x + y + z <= 1}, which has volume 1/6:
 
     int_{T_o} x^l y^m z^n dV = l! m! n! / (l + m + n + 3)!
 
-The module also keeps the `Fraction` forms of the certificate's two exact
+The module also keeps the `Fraction` forms of the certificate's exact
 layers as references for the library's integer ones: the Newton-basis
-expansion of the Hermite majorant (`hermite_coefficients_newton`) and the
+expansion of the Hermite majorant (`hermite_coefficients_newton`), the
+bound E P(V) as a term-by-term sum (`expected_value_fraction`) and the
 dominance proof by long division of P(x) - x by prod_j (x - x_j)^2
 (`verify_dominance_long_division`).
 """
@@ -257,6 +258,15 @@ def hermite_coefficients_newton(xs: Sequence[Fraction]) -> list[Fraction]:
             basis = nb
     return coeffs
 
+
+
+def expected_value_fraction(poly, moments) -> Fraction:
+    """E P(V) = a_0 + sum_{i>=1} a_i * E V^(2i), one `Fraction` multiply-add
+    per term; the table must hold every order the polynomial needs."""
+    total = poly.coeffs[0]
+    for i in range(1, len(poly.coeffs)):
+        total += poly.coeffs[i] * moments[i]
+    return total
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
     while len(p) > 1 and p[-1] == 0:

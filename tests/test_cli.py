@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from tetravol import cli
 from tetravol import moments as moments_mod
 from tetravol import node_search
 from tetravol.certificate import REFERENCE_NODES, certify
@@ -157,6 +159,40 @@ def test_search_writes_the_gated_node_sets(moments13_file, tmp_path):
                      "--out", str(out)]) == EXIT_OK
         assert out.read_text().split() == facts["nodes"], config
 
+
+
+def test_main_reuses_one_parser_across_commands(moments13_file, tmp_path, monkeypatch, capsys):
+    # `main` builds its parser on its first call in a process and reuses it;
+    # an argparse rejection and a failed command before `search` and
+    # `certify` must leave their stdout, node file and report unchanged
+    def search_then_certify(directory):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        assert main(["search", "--moments", str(moments13_file), "--out", "nodes.txt"]) == EXIT_OK
+        assert main(["certify", "--nodes", "nodes.txt", "--moments", str(moments13_file),
+                     "--report", "report.txt"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        return out, err, Path("nodes.txt").read_bytes(), Path("report.txt").read_bytes()
+
+    monkeypatch.setattr(cli, "_main_parser", functools.cache(cli.build_parser))
+    fresh = search_then_certify(tmp_path / "fresh")
+
+    with pytest.raises(SystemExit) as rejected:
+        main(["certify", "--nodes", "nodes.txt", "--moments", str(moments13_file)])
+    assert rejected.value.code == 2
+    assert "--report" in capsys.readouterr().err
+    assert main(["search", "--grid", "0", "--moments", str(moments13_file),
+                 "--out", "n.txt"]) == EXIT_ERROR
+    assert "--grid must be >= 1, got 0" in capsys.readouterr().err
+    assert search_then_certify(tmp_path / "reused") == fresh
+    assert cli._main_parser.cache_info().misses == 1  # built once for all six calls
+
+    # build_parser stays public and gives a working parser of its own
+    parser = cli.build_parser()
+    assert parser is not cli._main_parser()
+    args = parser.parse_args(["certify", "--nodes", "a", "--moments", "b", "--report", "c"])
+    assert (args.func, args.nodes, args.moments, args.report) == \
+        (cli.cmd_certify, Path("a"), Path("b"), Path("c"))
 
 def test_certified_bound_never_rises_with_degree(moments13_file, table13, tmp_path):
     # an even degree can reuse the nodes of the odd degree below it, so the

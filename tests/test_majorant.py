@@ -14,7 +14,7 @@ from tetravol.majorant import (
 from tetravol.certificate import REFERENCE_NODES, verify_dominance
 from tetravol.moments import MomentTable
 
-from oracles import hermite_coefficients_newton
+from oracles import expected_value_fraction, hermite_coefficients_newton
 
 
 def random_node_set(rng: random.Random, max_m: int = 4) -> NodeSet:
@@ -144,3 +144,35 @@ def test_node_file_skips_comments(tmp_path):
 def test_hermite_coefficients_equal_the_newton_expansion(seeded_node_sets):
     for nodes in seeded_node_sets:
         assert hermite_coefficients(nodes.nodes) == hermite_coefficients_newton(nodes.nodes), nodes
+
+
+def test_hermite_coefficients_edge_cases_equal_the_newton_expansion():
+    rng = random.Random(1707)
+    big = 10 ** 300
+    cases = [
+        [Fraction(1, 3)],
+        [Fraction(2, 7)],
+        [Fraction(1, big + 1)],
+        [Fraction(1, 83), Fraction(1, 22), Fraction(1, 3)],
+        [Fraction(k, 100) for k in range(1, 8)] + [Fraction(1, 3)],
+        # 300-digit denominators, alone and before the node 1/3
+        sorted({Fraction(rng.randrange(1, big // 3), big + rng.randrange(big))
+                for _ in range(4)}),
+        sorted({Fraction(rng.randrange(1, big // 3), big + rng.randrange(big))
+                for _ in range(3)}) + [Fraction(1, 3)],
+    ]
+    for xs in cases:
+        assert hermite_coefficients(xs) == hermite_coefficients_newton(xs), xs
+
+
+def test_expected_value_equals_the_fraction_sum(seeded_node_sets, table13):
+    checked = 0
+    for nodes in seeded_node_sets:
+        poly = hermite_onesided(nodes)
+        if poly.degree // 2 > table13.order_max:
+            with pytest.raises(MomentOrderError):
+                expected_value(poly, table13)
+            continue
+        assert expected_value(poly, table13) == expected_value_fraction(poly, table13), nodes
+        checked += 1
+    assert checked == 175  # the sets of at most 7 nodes
