@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import certificate as cert_mod
 from . import moments as moments_mod
 from . import node_search
-from .majorant import MomentOrderError, NodeSet, expected_value, hermite_onesided
+from .majorant import NodeSet, _require_orders, expected_value, hermite_onesided
 from .rational import fraction_to_decimal, target_enclosure
 
 EXIT_OK = 0
@@ -65,18 +64,16 @@ def cmd_search(*, degree: int, grid: int, max_denominator: int,
     _check_search_args(degree, grid, max_denominator)
     _check_output(out)
     table = moments_mod.MomentTable.read(moments)
-    if table.order_max < degree:
-        print(f"error: moment file has orders up to {table.order_max}, "
-              f"degree {degree} needs {degree}", file=sys.stderr)
-        return EXIT_ERROR
     # n nodes give degree 2n - 1 in t = x^2; degree 0 is the single node 1/3
     n = (degree + 1) // 2
-    if n:
-        nodes = node_search.gauss_nodes(n, table)
-        exact = NodeSet.from_rationals(Fraction(x) for x in nodes)
-        optimum = float(expected_value(hermite_onesided(exact), table))
-    else:
-        nodes, optimum = [1 / 3], 1 / 3
+    nodes = node_search.gauss_nodes(n, table) if n else [1 / 3]
+    try:
+        node_set = NodeSet.from_rationals(
+            node_search.rationalize(x, max_denominator) for x in nodes)
+    except ValueError as exc:  # a node rounded to 0, or onto the one before
+        raise ValueError(f"--max-denominator {max_denominator} is too coarse: {exc}") from None
+    exact = NodeSet.from_rationals(nodes)  # E P(V) at the unrounded nodes
+    optimum = float(expected_value(hermite_onesided(exact), table)) if n else 1 / 3
     print(f"Gauss optimum for degree {degree}: {optimum:.8f}")
 
     target_lo = float(target_enclosure().lo)
@@ -91,8 +88,6 @@ def cmd_search(*, degree: int, grid: int, max_denominator: int,
         print(f"warning: Gauss optimum {optimum:.6f}{source} exceeds the "
               f"target {target_lo:.6f}; {outcome}", file=sys.stderr)
 
-    rationals = [node_search.rationalize(x, max_denominator) for x in nodes]
-    node_set = NodeSet.from_rationals(rationals)
     node_set.write(out)
     print("nodes: " + " ".join(f"{x.numerator}/{x.denominator}" for x in node_set))
     print(f"wrote {out}")
@@ -130,8 +125,10 @@ def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
             workdir: Path) -> int:
     # reject what `search` would reject before the moments are computed
     _check_search_args(degree, grid, max_denominator)
-    if degree > k_max:
-        raise ValueError(f"--degree {degree} needs --k-max >= {degree}, got {k_max}")
+    try:  # the orders of the nodes `search` will write: one node at degree 0
+        _require_orders(range(1, k_max + 1), nodes=max(1, (degree + 1) // 2))
+    except ValueError as exc:
+        raise ValueError(f"--degree {degree} needs more than --k-max {k_max}: {exc}") from None
     workdir.mkdir(parents=True, exist_ok=True)
     moments = workdir / "moments.tsv"
     nodes = workdir / "nodes.txt"
@@ -140,13 +137,9 @@ def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
     for path in (nodes, report):
         _check_output(path)
 
-    rc = cmd_moments(k_max=k_max, out=moments)
-    if rc != EXIT_OK:
-        return rc
-    rc = cmd_search(degree=degree, grid=grid, max_denominator=max_denominator,
-                    moments=moments, out=nodes)
-    if rc != EXIT_OK:
-        return rc
+    cmd_moments(k_max=k_max, out=moments)
+    cmd_search(degree=degree, grid=grid, max_denominator=max_denominator,
+               moments=moments, out=nodes)
     return cmd_certify(nodes=nodes, moments=moments, report=report)
 
 
@@ -164,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="Gauss nodes of the moments, rationalized")
     p.add_argument("--degree", type=int, default=13,
-                   help="highest even-power index of the polynomial")
+                   help="highest even-power index d of the polynomial; its "
+                        "Gauss nodes need the orders 1..d, or 1..d-1 at even d")
     p.add_argument("--grid", type=int, default=1000,
                    help="accepted and checked (>= 1) for old scripts; no longer "
                         "affects the search")
@@ -205,13 +199,15 @@ _main_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  Bad input, an unusable
+    moment table included (its three errors are ValueErrors), and a failed
+    file operation print one `error:` line and return EXIT_ERROR."""
     args = vars(_main_parser().parse_args(argv))
     del args["command"]
     func = args.pop("func")
     try:
         return func(**args)
-    except (OSError, ValueError, MomentOrderError,
-            moments_mod.MomentCacheError, moments_mod.MomentIntegrityError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise, takewhile
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,11 +33,8 @@ _NODE_LINE = re.compile(r"[+-]?[0-9]+|[0-9]+/[0-9]+")
 NODE_LINE_MAX = 1000
 
 
-class MomentOrderError(KeyError):
+class MomentOrderError(ValueError):
     """The moment table lacks an order required by the polynomial."""
-
-    def __str__(self) -> str:  # the message, not KeyError's repr of it
-        return str(self.args[0]) if self.args else ""
 
 
 def _ordering_error(nodes: Sequence[Fraction]) -> tuple[int, str] | None:
@@ -197,13 +195,23 @@ def hermite_onesided(nodes: NodeSet) -> EvenPoly:
     return EvenPoly(tuple(hermite_coefficients(nodes.nodes)))
 
 
-def _require_orders(moments: MomentTable, degree: int) -> None:
-    """Raise MomentOrderError naming every order 1..degree/2 that an even
-    polynomial of degree `degree` needs and `moments` lacks."""
-    missing = [i for i in range(1, degree // 2 + 1) if i not in moments]
+def _require_orders(moments: MomentTable | Iterable[int], degree: int | None = None,
+                    *, nodes: int | None = None) -> None:
+    """Raise MomentOrderError naming the orders that `moments` (a table, or
+    the ascending orders one will hold) lacks and an even polynomial of
+    degree `degree` in x needs, E V^(2i) for i <= degree/2, or the majorant
+    on n `nodes`: orders 1..2n - 1, those its n-point Gauss rule in t = x^2
+    is exact for.  The orders are walked once and a run of three or more
+    missing ones is written a..b, so time and message grow with the table."""
+    top = degree // 2 if nodes is None else 2 * nodes - 1
+    orders = moments.orders() if isinstance(moments, MomentTable) else moments
+    have = [0, *takewhile(lambda k: k <= top, orders), top + 1]
+    missing = [", ".join(map(str, range(a + 1, b))) if b - a <= 3 else f"{a + 1}..{b - 1}"
+               for a, b in pairwise(have) if b - a > 1]
     if missing:
         raise MomentOrderError(
-            f"moment table lacks orders {missing} needed for degree {degree}")
+            f"moment table lacks orders [{', '.join(missing)}] needed for "
+            + (f"degree {degree}" if nodes is None else f"{nodes} node" + "s" * (nodes > 1)))
 
 
 def expected_value(poly: EvenPoly, moments: MomentTable) -> Fraction:

@@ -61,11 +61,11 @@ __all__ = [
 ]
 
 
-class MomentCacheError(RuntimeError):
+class MomentCacheError(ValueError):
     """Moment cache file is malformed."""
 
 
-class MomentIntegrityError(RuntimeError):
+class MomentIntegrityError(ValueError):
     """A moment disagrees with the direct enumerator, or a table breaks the
     bounds that the moments of V obey."""
 
@@ -262,10 +262,6 @@ class MomentTable:
 
     def __contains__(self, k: int) -> bool:
         return k in self.values
-
-    @property
-    def order_max(self) -> int:
-        return max(self.values) if self.values else 0
 
     def orders(self) -> list[int]:
         return sorted(self.values)

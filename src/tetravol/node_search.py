@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .certificate import _sign_at, sign_variations, sturm_chain
-from .majorant import MomentOrderError
+from .majorant import _require_orders
 from .moments import MomentIntegrityError, MomentTable
 
 #: constraints with relative residual below this are reported active
@@ -310,14 +310,12 @@ def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
     all n roots lie in (0, 1/9) and their bisection are exact; only the square
     root is a float.  The integer Sturm chain of p_n is built once and serves
     every root count of the search.  A table without every order 1..2n - 1
-    raises MomentOrderError naming the missing ones; moments without such a
-    rule, which V's cannot be, raise MomentIntegrityError.
+    raises MomentOrderError from `majorant._require_orders`, at once for any
+    n; moments without such a rule, which V's cannot be, raise
+    MomentIntegrityError.
     """
+    _require_orders(moments, nodes=n)
     order = 2 * n - 1
-    missing = [i for i in range(1, order + 1) if i not in moments]
-    if missing:
-        raise MomentOrderError(
-            f"moment table lacks orders {missing} needed for {n} Gauss nodes")
     m = [Fraction(1)] + [moments[i] for i in range(1, order + 1)]
     lo, hi = Fraction(0), Fraction(1, 9)
     try:
@@ -362,9 +360,7 @@ def rationalize(x: float, max_denominator: int = 100) -> Fraction:
     """Best rational approximation of x with denominator <= max_denominator.
 
     Continued-fraction convergents/semiconvergents via
-    Fraction.limit_denominator; exact inputs p/q with q <= max_denominator
-    round-trip.
+    Fraction.limit_denominator, which raises ValueError for a bound below 1;
+    exact inputs p/q with q <= max_denominator round-trip.
     """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
     return Fraction(x).limit_denominator(max_denominator)

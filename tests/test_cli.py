@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,9 +14,9 @@ import pytest
 from tetravol import cli
 from tetravol import moments as moments_mod
 from tetravol import node_search
-from tetravol.certificate import REFERENCE_NODES, certify
+from tetravol.certificate import REFERENCE_NODES, VERDICT_TRUE, certify
 from tetravol.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, MC_MODES, main
-from tetravol.majorant import NodeSet
+from tetravol.majorant import MomentOrderError, NodeSet
 from tetravol.moments import MomentTable
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -277,6 +278,70 @@ def test_search_rejects_moments_without_gauss_rule(table13, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_search_at_even_degree_needs_only_the_orders_of_its_nodes(moments13_file, tmp_path,
+                                                                  capsys):
+    # the 7 nodes of degree 14 are those of degree 13 and need orders 1..13
+    outs = []
+    for degree in ("13", "14"):
+        out = tmp_path / f"n{degree}.txt"
+        assert main(["search", "--degree", degree, "--moments", str(moments13_file),
+                     "--out", str(out)]) == EXIT_OK
+        outs.append(capsys.readouterr().out.replace(str(out), "OUT"))
+    assert (tmp_path / "n14.txt").read_bytes() == (tmp_path / "n13.txt").read_bytes()
+    assert outs[1] == outs[0].replace("degree 13:", "degree 14:")
+
+
+@pytest.mark.parametrize("degree", ["3", "4"])
+def test_search_names_the_orders_its_nodes_need(tmp_path, capsys, degree):
+    # degrees 3 and 4 both take 2 nodes, which need orders 1..3, not 1..4
+    moments = tmp_path / "m.tsv"
+    MomentTable({k: moments_mod.even_moment_fast(k) for k in (1, 2)}).write(moments)
+    out = tmp_path / "n.txt"
+    assert main(["search", "--degree", degree, "--moments", str(moments),
+                 "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: moment table lacks orders [3] needed for 2 nodes\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_search_refuses_a_huge_degree_at_once(moments13_file, tmp_path, capsys):
+    # the missing orders are one run, written as such, not a billion numbers
+    start = time.perf_counter()
+    rc = main(["search", "--degree", "1000000000", "--moments", str(moments13_file),
+               "--out", str(tmp_path / "n.txt")])
+    elapsed = time.perf_counter() - start
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == ("error: moment table lacks orders [14..999999999] needed for "
+                   "500000000 nodes\n")
+    assert len(err) < 200 and elapsed < 1
+
+
+def test_all_at_even_degree_certifies_with_the_orders_of_its_nodes(tmp_path, capsys):
+    rc = main(["all", "--k-max", "13", "--degree", "14", "--workdir", str(tmp_path / "run")])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "Gauss optimum for degree 14: 0.01737170" in out
+    assert out.splitlines()[-2] == f"verdict  : {VERDICT_TRUE}"
+
+
+@pytest.mark.parametrize("error", [MomentOrderError, moments_mod.MomentCacheError,
+                                   moments_mod.MomentIntegrityError])
+def test_every_moment_table_error_is_a_value_error(tmp_path, monkeypatch, capsys, error):
+    # `main` refuses an unusable table in its one (OSError, ValueError) handler
+    assert issubclass(error, ValueError)
+
+    def unusable(path):
+        raise error(f"{path}: unusable")
+
+    monkeypatch.setattr(MomentTable, "read", unusable)
+    nodes = tmp_path / "nodes.txt"
+    NodeSet((Fraction(1, 3),)).write(nodes)
+    assert main(["certify", "--nodes", str(nodes), "--moments", "m.tsv",
+                 "--report", str(tmp_path / "r.txt")]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: m.tsv: unusable\n"
+
+
 @pytest.fixture
 def moments_without_order_3(moments13_file, tmp_path):
     path = tmp_path / "m.tsv"
@@ -350,6 +415,15 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
                  ORDER_1, ONE_NODE, "--degree", id="search-degree-negative"),
     pytest.param(["all", "--k-max", "2", "--degree", "3", "--workdir", "run"],
                  None, ONE_NODE, "--degree", id="all-degree-above-k-max"),
+    # degree 14 takes the 7 nodes of degree 13, which need orders 1..13
+    pytest.param(["all", "--k-max", "12", "--degree", "14", "--workdir", "run"],
+                 None, ONE_NODE, "--degree 14 needs more than --k-max 12: moment table "
+                 "lacks orders [13] needed for 7 nodes", id="all-degree-14-k-max-12"),
+    # refused before anything is printed or written: node 1 rounds to 0/1
+    pytest.param(["search", "--degree", "13", "--max-denominator", "5", "--out", "n.txt"],
+                 GOLDEN_MOMENTS.read_text(), ONE_NODE,
+                 "--max-denominator 5 is too coarse: nodes must be positive and strictly "
+                 "increasing: node 1 is 0/1", id="search-max-denominator-too-coarse"),
     pytest.param(["all", "--k-max", "1", "--degree", "1",
                   "--max-denominator", "0", "--workdir", "run"],
                  None, ONE_NODE, "--max-denominator", id="all-max-denominator-0"),
@@ -373,6 +447,9 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
                  id="certify-report-in-missing-directory"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "."],
                  ORDER_1, ONE_NODE, ".: is a directory", id="certify-report-is-a-directory"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments 1\n1\t1\t2000\n", ONE_NODE,
+                 "m.tsv: missing header 'tetra-moments v1'", id="certify-moment-header-bad"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n-1\t1\t2\n1\t1\t2000\n", ONE_NODE, "order",
                  id="certify-order-negative"),

@@ -7,6 +7,7 @@ from tetravol.majorant import (
     EvenPoly,
     MomentOrderError,
     NodeSet,
+    _require_orders,
     expected_value,
     hermite_coefficients,
     hermite_onesided,
@@ -109,6 +110,28 @@ def test_expected_value_missing_order_lists_it():
         expected_value(p, table)
 
 
+@pytest.mark.parametrize("orders, need, message", [
+    pytest.param((1, 2, 5), {"nodes": 5}, "[3, 4, 6..9] needed for 5 nodes", id="5-nodes"),
+    pytest.param((1, 2, 5), {"degree": 12}, "[3, 4, 6] needed for degree 12", id="degree-12"),
+    pytest.param((2, 3), {"nodes": 1}, "[1] needed for 1 node", id="1-node-no-order-1"),
+    pytest.param((1, 2, 5), {"nodes": 1}, None, id="1-node-covered"),
+    pytest.param(range(1, 13), {"nodes": 7}, "[13] needed for 7 nodes", id="k-max-12"),
+    # the orders a table will hold, walked only up to the ones needed
+    pytest.param(range(1, 10**15), {"nodes": 7}, None, id="k-max-huge"),
+])
+def test_require_orders_names_the_missing_runs(table13, orders, need, message):
+    # one rule for a polynomial's degree and for a node count: n nodes need
+    # orders 1..2n - 1; runs of three or more missing orders read a..b
+    moments = orders if isinstance(orders, range) else \
+        MomentTable({k: table13[k] for k in orders})
+    if message is None:
+        _require_orders(moments, **need)
+        return
+    with pytest.raises(MomentOrderError) as info:
+        _require_orders(moments, **need)
+    assert str(info.value) == f"moment table lacks orders {message}"
+
+
 def test_node_set_validation():
     with pytest.raises(ValueError):
         NodeSet((Fraction(1, 4), Fraction(1, 4)))
@@ -169,7 +192,7 @@ def test_expected_value_equals_the_fraction_sum(seeded_node_sets, table13):
     checked = 0
     for nodes in seeded_node_sets:
         poly = hermite_onesided(nodes)
-        if poly.degree // 2 > table13.order_max:
+        if len(nodes) > 7:  # orders 1..2n - 1 exceed the 13 of table13
             with pytest.raises(MomentOrderError):
                 expected_value(poly, table13)
             continue

@@ -3,6 +3,7 @@ import io
 import os
 import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +11,14 @@ import pytest
 
 from tetravol.certificate import certify
 from tetravol.cli import EXIT_OK, main
-from tetravol.majorant import NodeSet
+from tetravol.majorant import MomentOrderError, NodeSet
 from tetravol.moments import MomentTable, even_moment_fast
 from tetravol.node_search import (
     LpError,
     LpProblem,
     LpSolution,
     extract_nodes,
+    gauss_nodes,
     polish_nodes,
     rationalize,
     solve_onesided_lp,
@@ -116,6 +118,16 @@ def test_endpoint_only_active_set():
     nodes = extract_nodes(sol)
     assert len(nodes) == 1
     assert abs(nodes[0] - 1 / 3) < 1e-12
+
+
+def test_gauss_nodes_refuses_a_huge_n_at_once(table13):
+    # the check walks the 13 orders of the table, not the billion it lacks
+    start = time.perf_counter()
+    with pytest.raises(MomentOrderError) as info:
+        gauss_nodes(5 * 10**8, table13)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == ("moment table lacks orders [14..999999999] needed for "
+                               "500000000 nodes")
 
 
 def test_rationalize_examples():
