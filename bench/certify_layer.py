@@ -7,15 +7,17 @@ search, for two or more source trees.
 Each timed run is a fresh process that imports `tetravol` from one `src`
 directory.  It takes every node set that the `warm-certify-sweep` plan of
 `perfbench/inputs.py` stages for the seed (the reference set and the seeded
-polished and random sets), in plan order, and times five layers one call
+polished and random sets), in plan order, and times six layers one call
 per set: `hermite_onesided(nodes)`, then `expected_value(poly, table)` and
 `verify_dominance(poly, nodes)` on those majorants and the golden k <= 13
 cache, then `render_report(certify(nodes, table))`, which builds the
-majorant and the proof again, and last `cli.main(argv)` for each of the
-plan's `certify` commands on those staged files, in plan order, in a
-staged work directory.  The `cli` layer is the whole command: reading the
-node and moment files, the certificate, writing the report and printing
-the summary, so its excess over the `certify` layer is the per-command
+majorant and the proof again, then `parse_report` on each of those reports,
+which rebuilds them once more (the run counts the parsed certificates equal
+to the ones rendered), and last `cli.main(argv)` for each of the plan's
+`certify` commands on those staged files, in plan order, in a staged work
+directory.  The `cli` layer is the whole command: reading the node and
+moment files, the certificate, writing the report and printing the
+summary, so its excess over the `certify` layer is the per-command
 overhead, the argparse parser included (the four commands on `search`
 output are left out, as no search runs).  After that it times one
 `gauss_nodes(n, table)` for each n in 5, 6 and 7, as `tetravol search
@@ -24,11 +26,11 @@ each high-degree Gauss set (degrees 25 and 33 in t = x^2, denominators at
 most 1000).  It counts the proofs' interior root counts (-1 where the
 deflation or a boundary sign already failed) and hashes the rendered
 reports, so a side whose proofs or reports differ shows a different
-histogram or hash; the `cli` reports and stdout are hashed apart.  It
-also counts the proofs that ran the exact
-`sturm_root_count` chain: a tree that proves dominance on a rounded-down
-quotient first runs it only as a fallback.  Runs alternate between the
-sides, starting with a different side on each repeat.  Stdlib only; the
+histogram or hash; the `cli` reports and stdout are hashed apart.  It also
+counts the proofs that ran the exact `sturm_root_count` chain: a tree that
+proves dominance on a rounded-down quotient first runs it only as a
+fallback.  Runs alternate between the sides, starting with a different
+side on each repeat.  Stdlib only; the
 side-by-side harness is `bench/sides.py`.
 """
 
@@ -51,9 +53,10 @@ import sides as harness
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GAUSS_SIZES = (5, 6, 7)
 #: the timed layers, each one call per node set: hermite_onesided,
-#: expected_value, verify_dominance, render_report(certify(...)) and the
-#: `tetravol certify` command through cli.main
-LAYERS = ("hermite", "expected_value", "dominance", "certify", "cli")
+#: expected_value, verify_dominance, render_report(certify(...)),
+#: parse_report on that report and the `tetravol certify` command through
+#: cli.main
+LAYERS = ("hermite", "expected_value", "dominance", "certify", "parse", "cli")
 #: Gauss nodes of degrees 25 and 33 in t = x^2, rationalized with
 #: denominators at most 1000; only their dominance proofs are timed
 HIGH_DEGREE = {
@@ -99,11 +102,17 @@ def child(src: str, seed: int) -> dict:
     proofs = [timed("dominance", certificate.verify_dominance, poly, nodes)
               for poly, nodes in zip(polys, sets)]
     fallbacks = len(exact_calls)
+
+    def certify_and_render(nodes):
+        cert = certificate.certify(nodes, table)
+        return cert, certificate.render_report(cert)
+
+    built = [timed("certify", certify_and_render, nodes) for nodes in sets]
     digest = hashlib.sha256()
-    for nodes in sets:
-        report = timed("certify", lambda n: certificate.render_report(
-            certificate.certify(n, table)), nodes)
+    for _, report in built:
         digest.update(report.encode())
+    parsed_equal = sum(timed("parse", certificate.parse_report, report) == cert
+                       for cert, report in built)
 
     cli_digest = hashlib.sha256()
     commands = [op for op in plan["ops"]
@@ -139,6 +148,7 @@ def child(src: str, seed: int) -> dict:
     return {"seconds": seconds,
             "gauss_s": gauss,
             "dominance_fallbacks": fallbacks,
+            "parsed_equal": parsed_equal,
             "high_degree": high,
             "root_counts": {str(k): histogram[k] for k in sorted(histogram)},
             "reports_sha256": digest.hexdigest(),
@@ -168,7 +178,8 @@ def main() -> None:
 
     result = {"benchmark": "per node set of the warm-certify-sweep plan, one call each of "
                            "hermite_onesided, expected_value, verify_dominance, "
-                           "render_report(certify) and cli.main(certify argv), "
+                           "render_report(certify), parse_report on that report "
+                           "and cli.main(certify argv), "
                            "and gauss_nodes(n) for n = 5, 6, 7 on the golden k <= 13 cache; "
                            "verify_dominance on the degree-25 and degree-33 Gauss sets "
                            "(denominators <= 1000); in one fresh process per run",
@@ -184,6 +195,7 @@ def main() -> None:
             "peak_rss_mb": [run["peak_rss_mb"] for run in side_runs],
             "calls_per_layer": len(side_runs[0]["seconds"]["dominance"]),
             "dominance_fallbacks": sorted({run["dominance_fallbacks"] for run in side_runs}),
+            "parsed_equal": sorted({run["parsed_equal"] for run in side_runs}),
         }
         for layer in LAYERS:
             totals = [round(sum(run["seconds"][layer]), 4) for run in side_runs]

@@ -11,24 +11,26 @@ expected volume with all four points random.  Since V never exceeds 1/3, the
 majorant property is only needed on [0, 1/3].
 
 Dominance of P over |x| is not taken on faith from the interpolation
-construction: P(x) - x is deflated by the known double roots at the nodes and
-the quotient R is proven positive on [0, 1/3] by a Sturm-sequence root count
-plus boundary signs.  Deflation and Sturm run on Python integers; only the
-reported quotient is turned back into fractions.  The root count is first
-tried on a small polynomial that lies exactly below R: R written in u = 3x
-with integer coefficients T_i, each shifted right (floored) to about
-_ROUNDED_BITS bits.  Since every u^i >= 0 on [0, 1], that polynomial is at
-most 2^-e T(u) there, so when it is positive on [0, 1] so is R on [0, 1/3]
-(the rounded-polynomial certificate of Chevillard, Harrison, Joldes &
-Lauter, Theor. Comput. Sci. 412, 2011).  When it is not, the exact chain on
-R decides.  A corrupted node file or a buggy interpolation breaks the
-deflation or the root count, never the verdict's soundness.
+construction: P(x) - x is deflated, on Python integers, by the known double
+roots at the nodes, and the quotient R is proven positive on [0, 1/3] by a
+Sturm root count plus boundary signs, first on a rounded-down copy of R that
+lies exactly below it (the rounded-polynomial certificate of Chevillard,
+Harrison, Joldes & Lauter, Theor. Comput. Sci. 412, 2011; see
+`verify_dominance`).  A corrupted node file or a buggy interpolation breaks
+the deflation or the root count, never the verdict's soundness.
+
+Only B depends on the moments: the nodes fix P and its proof, and the target
+is a constant, so a `Certificate` derives its target, margin and verdict, and
+`parse_report` rebuilds P and the proof and accepts only the exact text that
+`render_report` writes.  B is the one field a report is trusted for.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence
 
@@ -72,7 +74,7 @@ _NOTE = (
 
 
 class ReportFormatError(ValueError):
-    """Certificate report text does not parse."""
+    """Text that is not a report `render_report` writes; names the line or field."""
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +283,29 @@ def verify_dominance(poly: EvenPoly, nodes: NodeSet) -> DominanceProof:
 
 @dataclass(frozen=True)
 class Certificate:
+    """The majorant P on `nodes`, its bound B = E P(V) and its dominance
+    proof; the target, margin and verdict are derived, never stored."""
+
     nodes: tuple[Fraction, ...]
     p_cert: EvenPoly
     bound: Fraction
-    target: RationalInterval
     dominance: DominanceProof
-    verdict: bool
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def target(self) -> RationalInterval:
+        """The enclosure of 13/720 - pi^2/15015, the same for every node set."""
+        return target_enclosure()
 
     @property
     def margin(self) -> Fraction:
         """target.lo - bound; positive exactly when the comparison certifies."""
         return self.target.lo - self.bound
+
+    @property
+    def verdict(self) -> bool:
+        """True exactly when P dominates |x| on [0, 1/3] and B < target.lo."""
+        return self.dominance.valid and self.bound < self.target.lo
 
 
 def certify(nodes: NodeSet, moments: MomentTable,
@@ -306,22 +319,11 @@ def certify(nodes: NodeSet, moments: MomentTable,
     # n nodes give degree 2(2n - 1) in x
     _require_orders(moments, 2 * (2 * len(nodes) - 1))
     p_cert = hermite_onesided(nodes)
-    bound = expected_value(p_cert, moments)
-    dominance = verify_dominance(p_cert, nodes)
-    target = target_enclosure()
-    verdict = dominance.valid and bound < target.lo
     meta = {"tool": f"tetravol {__version__}",
             "moments": moments.provenance_summary()}
     meta.update(metadata or {})
-    return Certificate(
-        nodes=tuple(nodes),
-        p_cert=p_cert,
-        bound=bound,
-        target=target,
-        dominance=dominance,
-        verdict=verdict,
-        metadata=meta,
-    )
+    return Certificate(tuple(nodes), p_cert, expected_value(p_cert, moments),
+                       verify_dominance(p_cert, nodes), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +332,47 @@ def certify(nodes: NodeSet, moments: MomentTable,
 
 _REPORT_HEADER = "tetravol-certificate v1"
 
+#: every exact number of a report; no other form (like `1e-3000000`) is read
+_REPORT_NUMBER = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
 
 def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past sys.get_int_max_str_digits(), which Decimal ignores
+        from decimal import Decimal
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+
+def _read_fraction(token: str, line: int) -> Fraction:
+    match = _REPORT_NUMBER.fullmatch(token)
+    if match and match[2].strip("0"):  # a nonzero denominator
+        try:
+            return Fraction(int(match[1]), int(match[2]))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            from decimal import Decimal
+            return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
+    raise ReportFormatError(f"line {line}: {_shown(token)} is not an exact fraction p/q")
+
+
+def _read_field(lines: list[str], key: str) -> tuple[int, list[Fraction]]:
+    """(line number, fractions) of the first line `key: p/q p/q ...`."""
+    for n, line in enumerate(lines, start=1):
+        if line.startswith(key + ": "):
+            return n, [_read_fraction(tok, n) for tok in line[len(key) + 2:].split(" ")]
+    raise ReportFormatError(f"missing field {key!r}")
+
+
+def _shown(line: str | None) -> str:
+    return "the end of the text" if line is None else repr(line[:60] + "..." * (len(line) > 60))
 
 
 def render_report(cert: Certificate) -> str:
-    """Line-oriented report with every field as an exact fraction.
+    """The certificate report: the one definition of its format.
 
-    The decimal expansions are informational; parsing reads only the exact
-    fields, and `parse_report(render_report(c))` reproduces `c` exactly.
+    Line-oriented, every field an exact fraction p/q of any size; the
+    decimal expansions are informational.  `parse_report` accepts exactly
+    the texts this function writes.
     """
     lines = [_REPORT_HEADER]
     for key in sorted(cert.metadata):
@@ -367,37 +400,28 @@ def render_report(cert: Certificate) -> str:
 
 
 def parse_report(text: str) -> Certificate:
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != _REPORT_HEADER:
-        raise ReportFormatError(f"missing header {_REPORT_HEADER!r}")
-    fields: dict[str, str] = {}
-    metadata: dict[str, str] = {}
-    coeffs: dict[int, Fraction] = {}
-    for line in lines[1:]:
-        key, _, value = line.partition(": ")
-        if not _:
-            raise ReportFormatError(f"unparseable line: {line!r}")
-        if key.startswith("meta "):
-            metadata[key[5:]] = value
-        elif key.startswith("coefficient "):
-            coeffs[int(key.split()[1])] = Fraction(value)
-        else:
-            fields[key] = value
+    """The certificate that `render_report` writes as `text`, re-checked.
+
+    Reads only the `meta` lines, the nodes and the bound, and rebuilds the
+    majorant (`hermite_onesided`) and its proof (`verify_dominance`).  Any
+    text that `render_report` does not give back exactly, its header line
+    included, raises ReportFormatError naming the first differing line.  The
+    bound, which needs the moments, is the one field taken on trust.
+    """
+    lines = text.split("\n")
+    metadata = dict(line[5:].split(": ", 1) for line in lines
+                    if line.startswith("meta ") and ": " in line[5:])
+    n, xs = _read_field(lines, "nodes")
     try:
-        nodes = tuple(Fraction(tok) for tok in fields["nodes"].split())
-        poly = EvenPoly(tuple(coeffs[i] for i in sorted(coeffs)))
-        bound = Fraction(fields["bound"])
-        target = RationalInterval(Fraction(fields["target-lo"]),
-                                  Fraction(fields["target-hi"]))
-        quotient = tuple(Fraction(tok) for tok in fields["dominance-quotient"].split())
-        dominance = DominanceProof(
-            quotient=quotient,
-            remainder_is_zero=fields["dominance-remainder-zero"] == "yes",
-            interior_root_count=int(fields["dominance-root-count"]),
-            sign_at_zero=int(fields["dominance-sign-at-0"]),
-            sign_at_end=int(fields["dominance-sign-at-end"]),
-        )
-        verdict = fields["verdict"] == VERDICT_TRUE
-    except KeyError as exc:
-        raise ReportFormatError(f"missing field {exc}") from exc
-    return Certificate(nodes, poly, bound, target, dominance, verdict, metadata)
+        nodes = NodeSet(tuple(xs))
+    except ValueError as exc:  # not positive and increasing
+        raise ReportFormatError(f"line {n}: {exc}") from None
+    bound = _read_field(lines, "bound")[1][0]
+    p_cert = hermite_onesided(nodes)
+    cert = Certificate(nodes.nodes, p_cert, bound, verify_dominance(p_cert, nodes), metadata)
+    rebuilt = render_report(cert).split("\n")
+    for n, (got, want) in enumerate(zip_longest(lines, rebuilt), start=1):
+        if got != want:
+            raise ReportFormatError(f"line {n}: {_shown(got)}, where the report rebuilt "
+                                    f"from its nodes and bound has {_shown(want)}")
+    return cert

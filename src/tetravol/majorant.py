@@ -118,23 +118,6 @@ class EvenPoly:
         """Degree in x (twice the degree in t = x^2)."""
         return 2 * (len(self.coeffs) - 1)
 
-    def eval(self, x: Fraction) -> Fraction:
-        """Exact Horner evaluation in t = x^2."""
-        t = Fraction(x) * Fraction(x)
-        s = Fraction(0)
-        for c in reversed(self.coeffs):
-            s = s * t + c
-        return s
-
-    def eval_derivative(self, x: Fraction) -> Fraction:
-        """P'(x) = 2x * Q'(x^2) where Q(t) = sum a_i t^i."""
-        x = Fraction(x)
-        t = x * x
-        s = Fraction(0)
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            s = s * t + i * self.coeffs[i]
-        return 2 * x * s
-
 
 def hermite_coefficients(xs: Sequence[Fraction]) -> list[Fraction]:
     """Exact coefficients a_0..a_(2m+1) of the even Hermite majorant on nodes xs.

@@ -260,9 +260,6 @@ class MomentTable:
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]
 
-    def __contains__(self, k: int) -> bool:
-        return k in self.values
-
     def orders(self) -> list[int]:
         return sorted(self.values)
 

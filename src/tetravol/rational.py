@@ -35,13 +35,6 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __contains__(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def _atan_inv_interval(x: int, eps: Fraction) -> RationalInterval:
     """Enclosure of arctan(1/x) for integer x >= 2, to absolute width <= eps.
@@ -82,8 +75,10 @@ def pi_squared_enclosure() -> RationalInterval:
     return out
 
 
+@functools.cache
 def target_enclosure() -> RationalInterval:
-    """Rational enclosure of 13/720 - pi^2/15015.
+    """Rational enclosure of 13/720 - pi^2/15015, computed once per process
+    (every certificate's target, margin and verdict reads it).
 
     Orientation flip: the lower endpoint uses the upper pi^2 bound, so a
     strict comparison `bound < target_enclosure().lo` is rigorous.

@@ -17,7 +17,8 @@ layers as references for the library's integer ones: the Newton-basis
 expansion of the Hermite majorant (`hermite_coefficients_newton`), the
 bound E P(V) as a term-by-term sum (`expected_value_fraction`) and the
 dominance proof by long division of P(x) - x by prod_j (x - x_j)^2
-(`verify_dominance_long_division`).
+(`verify_dominance_long_division`), and the helpers that evaluate P and
+P' on their coefficients in x (`x_coefficients`, `poly_derivative`).
 """
 
 from __future__ import annotations
@@ -305,6 +306,17 @@ def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(p):
         s = s * x + c
     return s
+
+
+def poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def x_coefficients(poly) -> list[Fraction]:
+    """The coefficients of the even polynomial `poly` (an `EvenPoly`) ascending in x."""
+    out = [Fraction(0)] * (poly.degree + 1)
+    out[::2] = poly.coeffs
+    return out
 
 
 def verify_dominance_long_division(poly, nodes):

@@ -1,6 +1,10 @@
+import dataclasses
 import os
 import random
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 from math import prod
 
 import pytest
@@ -11,6 +15,8 @@ from tetravol.certificate import (
     REFERENCE_NODES,
     VERDICT_FALSE,
     VERDICT_TRUE,
+    Certificate,
+    ReportFormatError,
     certify,
     parse_report,
     render_report,
@@ -20,9 +26,13 @@ from tetravol.certificate import (
 )
 from tetravol.majorant import EvenPoly, MomentOrderError, NodeSet, hermite_onesided
 from tetravol.moments import MomentTable
-from tetravol.rational import fraction_to_decimal
+from tetravol.rational import fraction_to_decimal, target_enclosure
 
 from oracles import poly_eval, poly_mul, verify_dominance_long_division
+
+#: the reference certificate the benchmark gate compares with (read only)
+GOLDEN_REFERENCE_REPORT = (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+                           / "reference-certificate.txt")
 
 #: the Gauss nodes of degrees 25 and 33 in t = x^2, rationalized with
 #: denominators at most 1000
@@ -401,3 +411,109 @@ def test_report_rejects_garbage():
     from tetravol.certificate import ReportFormatError
     with pytest.raises(ReportFormatError):
         parse_report("not a certificate\n")
+
+
+def test_certificate_stores_only_what_it_cannot_derive(table13):
+    assert [f.name for f in dataclasses.fields(Certificate)] == \
+        ["nodes", "p_cert", "bound", "dominance", "metadata"]
+    for name in ("target", "margin", "verdict"):
+        assert isinstance(getattr(Certificate, name), property), name
+    cert = certify(NodeSet(REFERENCE_NODES), table13)
+    assert cert.target == target_enclosure()
+    # the verdict follows the bound and the proof, whatever they are
+    assert not dataclasses.replace(cert, bound=cert.target.lo).verdict
+    assert not dataclasses.replace(
+        cert, dominance=dataclasses.replace(cert.dominance, sign_at_end=-1)).verdict
+
+
+def test_golden_reference_report_parses_to_the_reference_certificate(table13):
+    text = GOLDEN_REFERENCE_REPORT.read_text()
+    cert = parse_report(text)
+    assert render_report(cert) == text
+    reference = certify(NodeSet(REFERENCE_NODES), table13)
+    assert dataclasses.replace(cert, metadata={}) == \
+        dataclasses.replace(reference, metadata={})
+    assert cert.metadata == {"moment-file": "moments.tsv", "moments": "file:1-13",
+                             "tool": reference.metadata["tool"]}
+
+
+def test_rendered_reports_parse_back_to_equal_certificates(seeded_node_sets, table13):
+    sets = [nodes for nodes in seeded_node_sets if len(nodes) <= 7]
+    assert len(sets) == 175
+    for nodes in sets:
+        cert = certify(nodes, table13, metadata={"run": "seeded"})
+        assert parse_report(render_report(cert)) == cert, nodes
+
+
+def _golden_report_with(old: str, new: str, count: int = 1) -> str:
+    text = GOLDEN_REFERENCE_REPORT.read_text()
+    assert text.count(old) == count, old
+    return text.replace(old, new)
+
+
+def _golden_line(prefix: str) -> str:
+    text = GOLDEN_REFERENCE_REPORT.read_text()
+    return next(line + "\n" for line in text.split("\n") if line.startswith(prefix))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param(lambda: "not a certificate\n", "missing field 'nodes'", id="no-fields"),
+    pytest.param(lambda: _golden_report_with("tetravol-certificate v1",
+                                             "tetravol-certificate v2"),
+                 "line 1: 'tetravol-certificate v2', where the report rebuilt",
+                 id="header-changed"),
+    pytest.param(lambda: _golden_report_with(f"verdict: {VERDICT_TRUE}",
+                                             f"verdict: {VERDICT_FALSE}"),
+                 "line 31: 'verdict: NOT CERTIFIED', where the report rebuilt",
+                 id="verdict-flipped"),
+    pytest.param(lambda: _golden_report_with("target-lo: 1", "target-lo: 2"),
+                 "line 22: 'target-lo: 2", id="target-lo-raised"),
+    pytest.param(lambda: _golden_report_with("dominance-root-count: 0",
+                                             "dominance-root-count: 2"),
+                 "line 27: 'dominance-root-count: 2', where the report rebuilt from its "
+                 "nodes and bound has 'dominance-root-count: 0'", id="root-count-changed"),
+    pytest.param(lambda: _golden_report_with(_golden_line("coefficient 5: "), ""),
+                 "line 11: 'coefficient 6: ", id="coefficient-5-missing"),
+    pytest.param(lambda: _golden_report_with(_golden_line("bound: "),
+                                             2 * _golden_line("bound: ")),
+                 "line 21: 'bound: ", id="bound-twice"),
+    pytest.param(lambda: _golden_report_with("nodes: 1/83 1/22", "nodes: 1/22 1/83"),
+                 "line 5: nodes must be positive and strictly increasing: "
+                 "node 2 is 1/83 after 1/22", id="nodes-out-of-order"),
+    pytest.param(lambda: _golden_report_with("coefficient 5: ", "coefficient x: "),
+                 "line 11: 'coefficient x: ", id="coefficient-x"),
+    pytest.param(lambda: _golden_report_with("nodes: 1/83", "nodes: 2/166"),
+                 "line 5: 'nodes: 2/166 1/22", id="node-not-in-lowest-terms"),
+    pytest.param(lambda: _golden_report_with("nodes: 1/83", "nodes: 1/0"),
+                 "line 5: '1/0' is not an exact fraction p/q", id="zero-denominator"),
+    pytest.param(lambda: _golden_report_with("nodes: 1/83", "nodes: 0.012"),
+                 "line 5: '0.012' is not an exact fraction p/q", id="decimal-node"),
+    pytest.param(lambda: _golden_report_with("\nbound: ", "\nbound:"),
+                 "missing field 'bound'", id="bound-missing"),
+    pytest.param(lambda: GOLDEN_REFERENCE_REPORT.read_text().rstrip("\n"),
+                 "line 33: the end of the text, where the report rebuilt",
+                 id="no-final-newline"),
+    pytest.param(lambda: GOLDEN_REFERENCE_REPORT.read_text() + "extra\n",
+                 "line 33: 'extra', where the report rebuilt", id="trailing-line"),
+])
+def test_report_format_error(tamper, message):
+    with pytest.raises(ReportFormatError) as info:
+        parse_report(tamper())
+    assert str(info.value).startswith(message)
+
+
+def test_report_refuses_an_exponent_node_at_once():
+    text = _golden_report_with("nodes: 1/83", "nodes: 1e-3000000")
+    t0 = time.perf_counter()
+    with pytest.raises(ReportFormatError, match=r"^line 5: '1e-3000000' is not"):
+        parse_report(text)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_report_numbers_of_any_size_round_trip():
+    # past the interpreter's int-to-str digit limit, which stays as it was
+    limit = sys.get_int_max_str_digits()
+    x = Fraction(-1, 3 * 10 ** (limit + 10) + 1)
+    assert certificate._frac_str(x) == "-1/3" + "0" * (limit + 9) + "1"
+    assert certificate._read_fraction(certificate._frac_str(x), 1) == x
+    assert sys.get_int_max_str_digits() == limit

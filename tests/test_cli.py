@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from tetravol import cli
 from tetravol import moments as moments_mod
 from tetravol import node_search
-from tetravol.certificate import REFERENCE_NODES, VERDICT_TRUE, certify
+from tetravol.certificate import REFERENCE_NODES, VERDICT_TRUE, certify, parse_report
 from tetravol.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, MC_MODES, main
 from tetravol.majorant import MomentOrderError, NodeSet
 from tetravol.moments import MomentTable
@@ -103,6 +104,28 @@ def test_certify_short_table_exits_1(tmp_path, capsys):
     rc = main(["certify", "--nodes", str(nodes), "--moments", str(moments),
                "--report", str(tmp_path / "r.txt")])
     assert rc == EXIT_ERROR
+
+
+def test_certify_reports_numbers_past_the_int_digit_limit(tmp_path, monkeypatch, capsys):
+    # seven nodes with 40-digit denominators: 84-character node lines, and a
+    # report whose largest integer has more digits than str(int) may convert
+    rng = random.Random(40)
+    xs = set()
+    while len(xs) < 7:
+        q = rng.randrange(10 ** 39, 10 ** 40)
+        xs.add(Fraction(rng.randrange(1, q // 3), q))
+    NodeSet(tuple(sorted(xs))).write(tmp_path / "nodes.txt")
+    monkeypatch.chdir(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    rc = main(["certify", "--nodes", "nodes.txt", "--moments", str(GOLDEN_MOMENTS),
+               "--report", "r.txt"])
+    assert rc == EXIT_NOT_CERTIFIED, capsys.readouterr().err
+    text = Path("r.txt").read_text()
+    assert max(len(tok) for tok in re.findall(r"[0-9]+", text)) > limit
+    want = certify(NodeSet.read("nodes.txt"), MomentTable.read(GOLDEN_MOMENTS),
+                   metadata={"moment-file": str(GOLDEN_MOMENTS)})
+    assert parse_report(text) == want
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_search_degree_zero(tmp_path, capsys):
