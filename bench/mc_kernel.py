@@ -13,16 +13,23 @@ after them and the number of workers the side's `estimate` runs (its
 usable-CPU count capped at the block count; 1 for a side without a pool).
 
 After the estimates the same process times the steps of a sample block on
-the calling thread, for both formulations of the block kernel, over
+the calling thread, for two formulations of the block kernel, over
 STEP_BLOCKS blocks of each command line's stream:
 
-  draw       the block's unit exponentials
-  normalize  to points of the representative body: `matmul` divides by the
-             row sums and multiplies by UNIT_TETRA_VERTICES; `slice` sums
-             each row into its column 0 and divides and scales the last
-             three columns in place
-  volume     `tetra_volume` of the points
-  reduce     V^power and its two sums
+  chunked  the library's kernel: the block in chunks of the side's
+           `_CHUNK_SIZE` samples (CHUNK_SIZE where the side has none), each
+           chunk's draw copied once into contiguous planes and worked on
+           there
+  slice    the whole-block kernel: one draw of the block, worked on in place
+           through strided views
+
+and the steps of each, summed over a block's chunks:
+
+  draw       the unit exponentials
+  normalize  to points of the representative body: each row summed, the last
+             three columns divided by the sum and scaled
+  volume     the absolute determinant over 6 of the points
+  reduce     V^power and its two sums, once over the block
 
 and whether each formulation's two sums equal the side's own `_block_sums`
 bit for bit.  Runs alternate between the sides, starting with a different
@@ -43,15 +50,60 @@ import sides as harness
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: blocks per command line whose steps are timed, per kernel formulation
 STEP_BLOCKS = 8
-KERNELS = ("matmul", "slice")
+#: chunk of the `chunked` formulation on a side whose kernel has no chunks
+CHUNK_SIZE = 1 << 12
+KERNELS = ("chunked", "slice")
 STEPS = ("draw", "normalize", "volume", "reduce")
 
 
-def _normalize_matmul(mc, e):
-    return (e / e.sum(axis=2, keepdims=True)) @ mc.UNIT_TETRA_VERTICES
+class _Laps:
+    """Seconds per step, each lap charged to the step it names."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STEPS, 0.0)
+        self.last = time.perf_counter()
+
+    def __call__(self, step: str) -> None:
+        now = time.perf_counter()
+        self.seconds[step] += now - self.last
+        self.last = now
 
 
-def _normalize_slice(mc, e):
+def _determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2):
+    """`tetra_volume`'s expansion along the first row, on coordinate planes."""
+    return (u0 * (v1 * w2 - v2 * w1)
+            - u1 * (v0 * w2 - v2 * w0)
+            + u2 * (v0 * w1 - v1 * w0))
+
+
+def _chunked_block(mc, np, lap, seed, index, mode):
+    chunk = getattr(mc, "_CHUNK_SIZE", CHUNK_SIZE)
+    n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
+    gen = mc._block_generator(seed, index)
+    vol = np.empty(mc.BLOCK_SIZE)
+    for start in range(0, mc.BLOCK_SIZE, chunk):
+        m = min(chunk, mc.BLOCK_SIZE - start)
+        e = gen.standard_exponential((m, n_random, 4))
+        lap("draw")
+        w = np.ascontiguousarray(e.transpose(1, 2, 0))
+        total = w[:, 0] + w[:, 1]
+        total += w[:, 2]
+        total += w[:, 3]
+        pts = w[:, 1:]
+        pts /= total[:, None]
+        pts *= mc._SCALE
+        lap("normalize")
+        edges = pts[:3] - pts[3] if n_random == 4 else pts - mc.FACET_CENTROID[:, None]
+        det = _determinant(*edges.reshape(9, m))
+        np.divide(np.abs(det, out=det), 6.0, out=vol[start:start + m])
+        lap("volume")
+    return vol
+
+
+def _slice_block(mc, np, lap, seed, index, mode):
+    n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
+    e = mc._block_generator(seed, index).standard_exponential((mc.BLOCK_SIZE, n_random, 4))
+    lap("draw")
     total = e[..., :1]
     total += e[..., 1:2]
     total += e[..., 2:3]
@@ -59,30 +111,22 @@ def _normalize_slice(mc, e):
     pts = e[..., 1:]
     pts /= total
     pts *= mc._SCALE
-    return pts
+    lap("normalize")
+    last = pts[:, 3] if mode == mc.MODE_ALL_RANDOM else mc.FACET_CENTROID
+    vol = mc.tetra_volume(pts[:, 0], pts[:, 1], pts[:, 2], last)
+    lap("volume")
+    return vol
 
 
 def _timed_block(mc, np, kernel: str, seed: int, index: int, mode: str, power: int
                  ) -> tuple[dict, tuple[float, float]]:
     """One block's step times, and its two sums."""
-    normalize = _normalize_matmul if kernel == "matmul" else _normalize_slice
-    n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
-    clock = [time.perf_counter()]
-
-    def lap():
-        clock.append(time.perf_counter())
-
-    e = mc._block_generator(seed, index).standard_exponential((mc.BLOCK_SIZE, n_random, 4))
-    lap()
-    pts = normalize(mc, e)
-    lap()
-    last = pts[:, 3] if mode == mc.MODE_ALL_RANDOM else mc.FACET_CENTROID
-    vol = mc.tetra_volume(pts[:, 0], pts[:, 1], pts[:, 2], last)
-    lap()
-    vp = vol ** power
+    volumes = _chunked_block if kernel == "chunked" else _slice_block
+    lap = _Laps()
+    vp = volumes(mc, np, lap, seed, index, mode) ** power
     sums = float(np.sum(vp)), float(np.sum(vp * vp))
-    lap()
-    return {step: clock[i + 1] - clock[i] for i, step in enumerate(STEPS)}, sums
+    lap("reduce")
+    return lap.seconds, sums
 
 
 def child(src: str, seed: int) -> dict:
@@ -142,9 +186,9 @@ def main() -> None:
     results = {label: sorted({json.dumps(run["results"]) for run in side_runs})
                for label, side_runs in runs.items()}
     result = {"benchmark": "the three mc-crosscheck estimates, one montecarlo.estimate "
-                           "call each, and the steps of one sample block under both "
-                           "kernel formulations on one thread, in one fresh process "
-                           "per run",
+                           "call each, and the steps of one sample block under the "
+                           "chunked and the whole-block slice kernel on one thread, in "
+                           "one fresh process per run",
               "machine": harness.machine(),
               "seed": args.seed, "repeats": args.repeats, "step_blocks": STEP_BLOCKS,
               "results_identical_across_sides": len({json.dumps(v) for v in results.values()}) == 1

@@ -12,6 +12,16 @@ usable CPU (numpy's generator and ufuncs release the interpreter lock), and
 their sums are reduced in block-index order.  A given (seed, N, mode, power)
 yields bit-identical results for any worker count.
 
+A block is computed in chunks of _CHUNK_SIZE samples, each laid out as
+contiguous coordinate planes, so that a chunk's draws and temporaries stay in
+a core's cache.  Chunking leaves every bit of every result as one pass over
+the whole block gives it, for three reasons: consecutive draws from one
+generator continue its Philox stream, so the chunks hold the very variates
+of one draw of the block; every step from the draws to V is a per-element
+ufunc applied in the same order to each sample, so its bits do not depend on
+how the samples are laid out or split; and V^p and both sums still run once
+over the whole block, so np.sum's pairwise tree is the block's.
+
 Nothing here feeds the certificate; double precision is fine.
 """
 
@@ -25,6 +35,14 @@ import numpy as np
 
 #: samples per substream block; fixed, part of the reproducibility contract
 BLOCK_SIZE = 1 << 15
+
+#: samples per chunk of a block.  A chunk of four random points draws 512 KiB
+#: and copies it once, which stays within a 2 MiB L2 cache.  On one thread of
+#: such a core, 48 blocks (16 of each `mc-crosscheck` line, median of 9 runs)
+#: took 0.54, 0.46, 0.41, 0.37, 0.38 and 0.77 s at 512, 1024, 2048, 4096, 8192
+#: and 32768 samples, against 0.70 s for the whole-block kernel.  Any value
+#: gives the same bits.
+_CHUNK_SIZE = 1 << 12
 
 #: counter stride between blocks (draw consumption per block is far smaller)
 _BLOCK_STRIDE = 1 << 64
@@ -51,14 +69,23 @@ class EstimatorResult:
         return (self.mean - reference) / self.stderr
 
 
+def _determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2):
+    """det of the rows (u0, u1, u2), (v0, v1, v2), (w0, w1, w2), expanded
+    along the first row.  Every volume goes through this expression, so its
+    operation order, which fixes the bits of each estimate, is written once."""
+    return (u0 * (v1 * w2 - v2 * w1)
+            - u1 * (v0 * w2 - v2 * w0)
+            + u2 * (v0 * w1 - v1 * w0))
+
+
 def tetra_volume(p1, p2, p3, p4) -> np.ndarray | float:
     """|det(p1-p4, p2-p4, p3-p4)| / 6; broadcasts over leading axes."""
     u = np.asarray(p1, dtype=float) - p4
     v = np.asarray(p2, dtype=float) - p4
     w = np.asarray(p3, dtype=float) - p4
-    det = (u[..., 0] * (v[..., 1] * w[..., 2] - v[..., 2] * w[..., 1])
-           - u[..., 1] * (v[..., 0] * w[..., 2] - v[..., 2] * w[..., 0])
-           + u[..., 2] * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]))
+    det = _determinant(u[..., 0], u[..., 1], u[..., 2],
+                       v[..., 0], v[..., 1], v[..., 2],
+                       w[..., 0], w[..., 1], w[..., 2])
     return np.abs(det) / 6.0
 
 
@@ -72,23 +99,31 @@ def _block_sums(seed: int, block_index: int, count: int, mode: str, power: int
                 ) -> tuple[float, float]:
     gen = _block_generator(seed, block_index)
     n_random = 4 if mode == MODE_ALL_RANDOM else 3
-    e = gen.standard_exponential((count, n_random, 4))
-    # barycentric weights times UNIT_TETRA_VERTICES = _SCALE * [0; I3] are the
-    # last three weights times _SCALE: every other matmul term is an exact 0.
-    # The row sum goes into column 0 in np.sum's order for four terms,
-    # ((e0 + e1) + e2) + e3, so the points are the matmul's bits.
-    total = e[..., :1]
-    total += e[..., 1:2]
-    total += e[..., 2:3]
-    total += e[..., 3:4]
-    pts = e[..., 1:]
-    pts /= total
-    pts *= _SCALE
-    if mode == MODE_ALL_RANDOM:
-        vol = tetra_volume(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-    else:
-        vol = tetra_volume(pts[:, 0], pts[:, 1], pts[:, 2], FACET_CENTROID)
-    del e, total, pts
+    vol = np.empty(count)
+    for start in range(0, count, _CHUNK_SIZE):
+        m = min(_CHUNK_SIZE, count - start)
+        # the next m samples of the block's stream, as one draw of the whole
+        # block would give them, copied once so that w[i, j] is the plane of
+        # the j-th exponential of point i
+        w = np.ascontiguousarray(gen.standard_exponential((m, n_random, 4)).transpose(1, 2, 0))
+        # barycentric weights times UNIT_TETRA_VERTICES = _SCALE * [0; I3] are
+        # the last three weights times _SCALE: every other matmul term is an
+        # exact 0.  The row sum is np.sum's order for four terms,
+        # ((e0 + e1) + e2) + e3, so the points are the matmul's bits.
+        total = w[:, 0] + w[:, 1]
+        total += w[:, 2]
+        total += w[:, 3]
+        pts = w[:, 1:]
+        pts /= total[:, None]
+        pts *= _SCALE  # pts[i, c]: coordinate c of point i, one plane each
+        if mode == MODE_ALL_RANDOM:
+            edges = pts[:3] - pts[3]
+        else:
+            edges = pts - FACET_CENTROID[:, None]
+        det = _determinant(*edges.reshape(9, m))
+        np.divide(np.abs(det, out=det), 6.0, out=vol[start:start + m])
+    # the power and both sums run once over the whole block: np.sum's
+    # pairwise tree depends on the length it is given
     vp = vol ** power
     return float(np.sum(vp)), float(np.sum(vp * vp))
 

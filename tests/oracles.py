@@ -19,6 +19,9 @@ bound E P(V) as a term-by-term sum (`expected_value_fraction`) and the
 dominance proof by long division of P(x) - x by prod_j (x - x_j)^2
 (`verify_dominance_long_division`), and the helpers that evaluate P and
 P' on their coefficients in x (`x_coefficients`, `poly_derivative`).
+
+For the Monte Carlo cross-check it keeps the whole-block sample kernel
+(`block_sums_slice`), the reference for the library's chunked one.
 """
 
 from __future__ import annotations
@@ -345,3 +348,32 @@ def verify_dominance_long_division(poly, nodes):
         return DominanceProof(tuple(quotient), True, -1, sign0, sign1)
     count = sturm_root_count(quotient, Fraction(0), DOMAIN_MAX)
     return DominanceProof(tuple(quotient), True, count, sign0, sign1)
+
+
+def block_sums_slice(seed: int, block_index: int, count: int, mode: str, power: int
+                     ) -> tuple[float, float]:
+    """The sums of V^power and V^(2 power) over one sample block, computed on
+    the whole block at once: one draw of all its exponentials, the row sums
+    and points formed in place on strided views of that draw, and the
+    determinant expanded along its first row on the points' coordinates.
+    `tetravol.montecarlo._block_sums` must give the same bits."""
+    import numpy as np
+
+    from tetravol import montecarlo as mc
+
+    n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
+    e = mc._block_generator(seed, block_index).standard_exponential((count, n_random, 4))
+    total = e[..., :1]
+    total += e[..., 1:2]
+    total += e[..., 2:3]
+    total += e[..., 3:4]
+    pts = e[..., 1:]
+    pts /= total
+    pts *= mc._SCALE
+    p4 = pts[:, 3] if mode == mc.MODE_ALL_RANDOM else mc.FACET_CENTROID
+    u, v, w = (pts[:, i] - p4 for i in range(3))
+    det = (u[..., 0] * (v[..., 1] * w[..., 2] - v[..., 2] * w[..., 1])
+           - u[..., 1] * (v[..., 0] * w[..., 2] - v[..., 2] * w[..., 0])
+           + u[..., 2] * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]))
+    vp = (np.abs(det) / 6.0) ** power
+    return float(np.sum(vp)), float(np.sum(vp * vp))

@@ -16,6 +16,8 @@ from tetravol.montecarlo import (
     tetra_volume,
 )
 
+from oracles import block_sums_slice
+
 T_O_VERTICES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -76,6 +78,37 @@ def test_estimate_same_bits_for_any_worker_count(monkeypatch, cpus):
     for case in PINNED:
         assert estimate(*case[:4]) == _pinned_result(*case)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("chunk_size", [1000, 4096, BLOCK_SIZE])
+def test_estimate_bits_do_not_depend_on_the_chunk_size(monkeypatch, chunk_size):
+    monkeypatch.setattr(montecarlo, "_CHUNK_SIZE", chunk_size)
+    for case in PINNED:
+        assert estimate(*case[:4]) == _pinned_result(*case)
+
+
+@pytest.mark.parametrize("mode", [MODE_ALL_RANDOM, MODE_CENTROID])
+@pytest.mark.parametrize("power", [1, 2, 3])
+@pytest.mark.parametrize("count", [
+    BLOCK_SIZE,
+    1_699,  # the partial last block of the pinned 100,003 samples
+    1_000,  # less than one chunk
+    montecarlo._CHUNK_SIZE + 1,  # a chunk and a one-sample chunk
+])
+def test_block_sums_equal_the_whole_block_kernel(mode, power, count):
+    got = montecarlo._block_sums(21, 2, count, mode, power)
+    want = block_sums_slice(21, 2, count, mode, power)
+    assert [s.hex() for s in got] == [s.hex() for s in want]
+
+
+def test_chunked_draws_continue_the_stream():
+    """The chunked kernel rests on this: consecutive draws from a block's
+    generator give the variates of one draw of the whole block."""
+    whole = montecarlo._block_generator(3, 1).standard_exponential((BLOCK_SIZE, 4, 4))
+    gen = montecarlo._block_generator(3, 1)
+    sizes = [1, 4095, 4096, 1000, BLOCK_SIZE - 9192]
+    chunks = [gen.standard_exponential((m, 4, 4)) for m in sizes]
+    assert np.array_equal(np.concatenate(chunks), whole)
 
 
 def test_unit_tetra_vertices_is_the_scaled_corner():
