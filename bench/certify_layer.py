@@ -4,6 +4,10 @@ search, for two or more source trees.
     python3 bench/certify_layer.py --side parent=/path/to/old/src \
         --side change=src --seed 901 --repeats 10 --out BENCH_certify_layer.json
 
+Before the timed runs it computes E V^(2k) for k <= 39 once, with
+`even_moment_fast` from the first side, into a temporary moment file that
+every run reads (about a minute on a slow 2-core host).
+
 Each timed run is a fresh process that imports `tetravol` from one `src`
 directory.  It takes every node set that the `warm-certify-sweep` plan of
 `perfbench/inputs.py` stages for the seed (the reference set and the seeded
@@ -21,10 +25,11 @@ summary, so its excess over the `certify` layer is the per-command
 overhead, the argparse parser included (the four commands on `search`
 output are left out, as no search runs).  After that it times one
 `gauss_nodes(n, table)` for each n in 5, 6 and 7, as `tetravol search
---degree 2n - 1` calls it, and one `verify_dominance` on the majorant of
-each high-degree Gauss set (degrees 25 and 33 in t = x^2, denominators at
-most 1000).  It counts the proofs' interior root counts (-1 where the
-deflation or a boundary sign already failed) and hashes the rendered
+--degree 2n - 1` calls it, and for n = 12 and 20 on the k <= 39 file,
+hashing the float nodes of all five, and one `verify_dominance` on the
+majorant of each high-degree Gauss set (degrees 25 and 33 in t = x^2,
+denominators at most 1000).  It counts the proofs' interior root counts
+(-1 where the deflation or a boundary sign already failed) and hashes the rendered
 reports, so a side whose proofs or reports differ shows a different
 histogram or hash; the `cli` reports and stdout are hashed apart.  It also
 counts the proofs that ran the exact `sturm_root_count` chain: a tree that
@@ -42,6 +47,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -52,6 +58,9 @@ import sides as harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GAUSS_SIZES = (5, 6, 7)
+#: Gauss node counts timed on the k <= 39 moment file
+LARGE_GAUSS_SIZES = (12, 20)
+LARGE_K_MAX = 39
 #: the timed layers, each one call per node set: hermite_onesided,
 #: expected_value, verify_dominance, render_report(certify(...)),
 #: parse_report on that report and the `tetravol certify` command through
@@ -67,7 +76,14 @@ HIGH_DEGREE = {
 }
 
 
-def child(src: str, seed: int) -> dict:
+def write_large_moments(src: str, path: str) -> None:
+    sys.path.insert(0, src)
+    from tetravol.moments import MomentTable, even_moment_fast
+
+    MomentTable({k: even_moment_fast(k) for k in range(1, LARGE_K_MAX + 1)}).write(path)
+
+
+def child(src: str, seed: int, large_moments: str) -> dict:
     sys.path.insert(0, src)
     sys.path.insert(0, str(PERFBENCH))
     import resource
@@ -129,10 +145,14 @@ def child(src: str, seed: int) -> dict:
         os.chdir(here)
 
     gauss = {}
-    for n in GAUSS_SIZES:
+    gauss_digest = hashlib.sha256()
+    large = MomentTable.read(large_moments)
+    for n, moments in [(n, table) for n in GAUSS_SIZES] + \
+            [(n, large) for n in LARGE_GAUSS_SIZES]:
         t0 = time.perf_counter()
-        node_search.gauss_nodes(n, table)
+        nodes = node_search.gauss_nodes(n, moments)
         gauss[str(n)] = time.perf_counter() - t0
+        gauss_digest.update(" ".join(x.hex() for x in nodes).encode() + b"\n")
 
     high = {}
     for degree, text in HIGH_DEGREE.items():
@@ -147,6 +167,7 @@ def child(src: str, seed: int) -> dict:
     histogram = Counter(p.interior_root_count for p in proofs)
     return {"seconds": seconds,
             "gauss_s": gauss,
+            "gauss_sha256": gauss_digest.hexdigest(),
             "dominance_fallbacks": fallbacks,
             "parsed_equal": parsed_equal,
             "high_degree": high,
@@ -168,23 +189,37 @@ def main() -> None:
     if args.repeats < 2:
         parser.error("--repeats must be >= 2")
     runs: dict[str, list] = {label: [] for label, _ in sides}
+    workdir = tempfile.TemporaryDirectory()
+    large_moments = os.path.join(workdir.name, f"moments{LARGE_K_MAX}.tsv")
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, __file__, "--moments", sides[0][1], large_moments],
+                   check=True)
+    large_s = time.perf_counter() - t0
+    print(f"k <= {LARGE_K_MAX} moments in {large_s:.1f} s", file=sys.stderr)
     for r, label, src in harness.alternate(sides, args.repeats):
-        run = harness.spawn(__file__, "--child", src, str(args.seed))
+        run = harness.spawn(__file__, "--child", src, str(args.seed), large_moments)
         runs[label].append(run)
         layers = ", ".join(f"{layer} {sum(run['seconds'][layer]):.3f} s" for layer in LAYERS)
         high = ", ".join(f"d = {d} {h['s']:.4f} s" for d, h in run["high_degree"].items())
-        print(f"repeat {r} {label}: {layers}, gauss_nodes(5..7) "
-              f"{sum(run['gauss_s'].values()):.3f} s, {high}", file=sys.stderr)
+        gauss = ", ".join(f"n = {n} {s:.3f} s" for n, s in run["gauss_s"].items())
+        print(f"repeat {r} {label}: {layers}, gauss_nodes {gauss}, {high}", file=sys.stderr)
 
     result = {"benchmark": "per node set of the warm-certify-sweep plan, one call each of "
                            "hermite_onesided, expected_value, verify_dominance, "
                            "render_report(certify), parse_report on that report "
                            "and cli.main(certify argv), "
-                           "and gauss_nodes(n) for n = 5, 6, 7 on the golden k <= 13 cache; "
+                           "and gauss_nodes(n) for n = 5, 6, 7 on the golden k <= 13 cache "
+                           f"and n = 12, 20 on a k <= {LARGE_K_MAX} file; "
                            "verify_dominance on the degree-25 and degree-33 Gauss sets "
                            "(denominators <= 1000); in one fresh process per run",
               "machine": harness.machine(),
-              "seed": args.seed, "repeats": args.repeats, "sides": {}}
+              "seed": args.seed, "repeats": args.repeats,
+              "large_moments": {"k_max": LARGE_K_MAX, "computed_by": sides[0][0],
+                                "seconds": round(large_s, 2),
+                                "sha256": hashlib.sha256(
+                                    Path(large_moments).read_bytes()).hexdigest()},
+              "sides": {}}
+    workdir.cleanup()
     for label, src in sides:
         side_runs = runs[label]
         side = result["sides"][label] = {
@@ -196,6 +231,7 @@ def main() -> None:
             "calls_per_layer": len(side_runs[0]["seconds"]["dominance"]),
             "dominance_fallbacks": sorted({run["dominance_fallbacks"] for run in side_runs}),
             "parsed_equal": sorted({run["parsed_equal"] for run in side_runs}),
+            "gauss_sha256": sorted({run["gauss_sha256"] for run in side_runs}),
         }
         for layer in LAYERS:
             totals = [round(sum(run["seconds"][layer]), 4) for run in side_runs]
@@ -206,7 +242,7 @@ def main() -> None:
         side["gauss_nodes_s"] = {
             n: {"runs": [round(run["gauss_s"][n], 5) for run in side_runs],
                 **harness.summary([run["gauss_s"][n] for run in side_runs])}
-            for n in map(str, GAUSS_SIZES)}
+            for n in map(str, GAUSS_SIZES + LARGE_GAUSS_SIZES)}
         side["high_degree_dominance_s"] = {
             d: {"runs": [round(run["high_degree"][d]["s"], 5) for run in side_runs],
                 **harness.summary([run["high_degree"][d]["s"] for run in side_runs]),
@@ -219,6 +255,8 @@ def main() -> None:
 
 if __name__ == "__main__":
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
-        print(json.dumps(child(sys.argv[2], int(sys.argv[3]))))
+        print(json.dumps(child(sys.argv[2], int(sys.argv[3]), sys.argv[4])))
+    elif len(sys.argv) > 1 and sys.argv[1] == "--moments":
+        write_large_moments(sys.argv[2], sys.argv[3])
     else:
         main()

@@ -6,14 +6,14 @@ The best even-polynomial upper bound of degree 2n - 1 in t = x^2 solves
 
 and is the Hermite majorant at the n-point Gauss nodes of the law of t (the
 Markov-Krein extremal property; Krein & Nudelman 1977).  `gauss_nodes`
-computes them from the moments over the rationals for `tetravol search`.
+computes them for `tetravol search` by an exact three-term recurrence.
 
-The grid LP below is an independent float oracle for tests and the
-benchmark tracer: on a finite grid the problem is an LP whose optimum is a
-lower bound on the constrained one, solved in dual form by a dense
-two-phase simplex with Bland's rule.  `extract_nodes` refines each active
-cluster to the tangency of the LP polynomial.  The certificate trusts
-nothing in this module.
+The grid LP below, which `search` does not use, is an independent float
+oracle for tests and the benchmark tracer: on a finite grid the problem is
+an LP whose optimum is a lower bound on the constrained one, solved in dual
+form by a dense two-phase simplex with Bland's rule and rebuilt exactly by
+`_solve_exact`.  `extract_nodes` refines each active cluster to the tangency
+of the LP polynomial.  The certificate trusts nothing in this module.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .certificate import _sign_at, sign_variations, sturm_chain
+from .certificate import _primitive, _sign_at, sign_variations
 from .majorant import _require_orders
 from .moments import MomentIntegrityError, MomentTable
 
@@ -304,25 +304,39 @@ def _gap_minimum(solution: LpSolution, lo: float, hi: float) -> float:
 def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
     """Square roots of the n-point Gauss nodes of the law of t = V^2, as floats.
 
-    The nodes are the roots of the monic orthogonal polynomial p_n(t), which
-    solves the Hankel system sum_j c_j m_(i+j) = -m_(i+n), i < n, on
-    m_0 = 1, m_i = E t^i up to order 2n - 1.  The solve, the Sturm check that
-    all n roots lie in (0, 1/9) and their bisection are exact; only the square
-    root is a float.  The integer Sturm chain of p_n is built once and serves
-    every root count of the search.  A table without every order 1..2n - 1
-    raises MomentOrderError from `majorant._require_orders`, at once for any
-    n; moments without such a rule, which V's cannot be, raise
-    MomentIntegrityError.
+    The nodes are the roots of the monic orthogonal polynomial p_n(t).  The
+    Chebyshev algorithm (Gautschi 2004, sec. 2.1.7) builds its recurrence
+    p_(k+1) = (t - alpha_k) p_k - beta_k p_(k-1) over the rationals from
+    m_0 = 1 and m_i = E t^i up to order 2n - 1.  When every beta_k > 0, the
+    primitive integer forms of p_n, ..., p_0 are a Sturm sequence for p_n
+    (Szego 1939, sec. 3.3): it checks that all n roots lie in (0, 1/9) and
+    serves their exact bisection; only the square root is a float.  A table
+    without every order 1..2n - 1 raises MomentOrderError from
+    `majorant._require_orders`, at once for any n; a beta_k <= 0 (Hankel
+    matrix not positive definite) or a root outside (0, 1/9), which V's
+    moments cannot have, raises MomentIntegrityError.
     """
     _require_orders(moments, nodes=n)
     order = 2 * n - 1
-    m = [Fraction(1)] + [moments[i] for i in range(1, order + 1)]
+    # sigma[l] = E p_k(t) t^l; one recurrence step advances both it and p_k
+    sigma = [Fraction(1)] + [moments[i] for i in range(1, order + 1)]
+    prev, norm = [0] * order, Fraction(1)  # sigma of p_(k-1), and its norm
+    old, p, chain = [0], [Fraction(1)], [[1]]  # p_(k-1), p_k ascending in t
+    for k in range(n):
+        if sigma[k] <= 0:
+            raise MomentIntegrityError(
+                f"moments to order {order} give beta_{k} <= 0: their Hankel "
+                f"matrix is not positive definite, so they are not the moments of V")
+        alpha, beta = sigma[k + 1] / sigma[k] - prev[k] / norm, sigma[k] / norm
+        old, p = p, [a - alpha * b - beta * c for a, b, c in zip([0] + p, p + [0], old + [0, 0])]
+        prev, norm, sigma = sigma, sigma[k], [
+            a - alpha * b - beta * c for a, b, c in zip(sigma[1:], sigma, prev)]
+        den = math.lcm(*(c.denominator for c in p))
+        chain.insert(0, _primitive([c.numerator * (den // c.denominator) for c in reversed(p)]))
     lo, hi = Fraction(0), Fraction(1, 9)
     try:
-        p = _solve_exact([m[i:i + n] for i in range(n)], [-m[i + n] for i in range(n)])
-        chain = sturm_chain(p + [Fraction(1)])
         found = sign_variations(chain, lo) - sign_variations(chain, hi)
-    except ValueError:  # singular system, or a root at 0 or 1/9
+    except ValueError:  # a root at 0 or 1/9
         found = None
     if found != n:
         raise MomentIntegrityError(
@@ -334,7 +348,7 @@ def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
 def _roots(chain: list[list[int]], lo: Fraction, hi: Fraction,
            count: int) -> list[Fraction]:
     """The `count` simple roots of chain[0] in (lo, hi), each to a relative
-    width of 2^-60, by sign variations on its Sturm chain until they are
+    width of 2^-60, by sign variations on a Sturm sequence until they are
     apart and sign bisection after.  chain[0] must not vanish at lo or hi."""
     if count == 0:
         return []

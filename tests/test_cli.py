@@ -278,17 +278,28 @@ def _divide_order_13_by_1000(table):
     return values
 
 
-@pytest.mark.parametrize("degree, tamper, order", [
+def _halve_order_3(table):
+    values = dict(table.values)
+    values[3] /= 2
+    return values
+
+
+@pytest.mark.parametrize("degree, tamper, message", [
     # passes the file checks (positive, decreasing, below (1/3)^(2k)), but the
     # degree-7 orthogonal polynomial keeps only 6 of its 7 roots in (0, 1/9)
-    pytest.param(13, _divide_order_13_by_1000, "order 13", id="k13-over-1000"),
-    # a point mass at t = 1/10 has no two-point Gauss rule: the Hankel system
-    # is singular; V has a density, so its moments never look like this
+    pytest.param(13, _divide_order_13_by_1000, "order 13 have no 7-point",
+                 id="k13-over-1000"),
+    # a point mass at t = 1/10 has no two-point Gauss rule: its recurrence
+    # gives beta_1 = 0, as its Hankel matrix is only semidefinite; V has a
+    # density, so its moments never look like this
     pytest.param(3, lambda table: {k: Fraction(1, 10**k) for k in (1, 2, 3)},
-                 "order 3", id="point-mass"),
+                 "order 3 give beta_1 <= 0", id="point-mass"),
+    # E V^6 halved passes the file checks too, but its Hankel matrix of
+    # order 5 is not positive definite: beta_4 <= 0
+    pytest.param(9, _halve_order_3, "order 9 give beta_4 <= 0", id="k3-halved"),
 ])
 def test_search_rejects_moments_without_gauss_rule(table13, tmp_path, capsys,
-                                                   degree, tamper, order):
+                                                   degree, tamper, message):
     moments = tmp_path / "m.tsv"
     MomentTable(tamper(table13)).write(moments)
     out = tmp_path / "n.txt"
@@ -296,7 +307,7 @@ def test_search_rejects_moments_without_gauss_rule(table13, tmp_path, capsys,
                "--out", str(out)])
     assert rc == EXIT_ERROR
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and order in captured.err
+    assert captured.err.startswith("error: moments to ") and message in captured.err
     assert "Gauss optimum" not in captured.out
     assert not out.exists()
 

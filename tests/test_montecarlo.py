@@ -178,12 +178,16 @@ def test_majorant_expectation_matches_exact_moments(table13):
     exact = float(expected_value(poly, table13))
     coeffs = np.array([float(c) for c in poly.coeffs])
 
-    n = 2_000_000
+    # the same draws as one (n, 3, 4) array, in consecutive chunks, so the
+    # test holds a few vectors of n volumes rather than 12 n exponentials
+    n, chunk = 2_000_000, 1 << 16
     gen = _block_generator(314159, 0)
-    e = gen.standard_exponential((n, 3, 4))
-    w = e / e.sum(axis=2, keepdims=True)
-    pts = w @ UNIT_TETRA_VERTICES
-    vol = tetra_volume(pts[:, 0], pts[:, 1], pts[:, 2], FACET_CENTROID)
+    vol = np.empty(n)
+    for start in range(0, n, chunk):
+        e = gen.standard_exponential((min(chunk, n - start), 3, 4))
+        pts = e / e.sum(axis=2, keepdims=True) @ UNIT_TETRA_VERTICES
+        vol[start:start + len(e)] = tetra_volume(pts[:, 0], pts[:, 1], pts[:, 2],
+                                                 FACET_CENTROID)
     t = vol * vol
     pv = np.zeros_like(vol)
     for c in coeffs[::-1]:

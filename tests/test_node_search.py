@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import random
 import re
@@ -9,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tetravol.certificate import certify
+from tetravol import certificate, node_search
+from tetravol.certificate import _primitive, certify, sign_variations, sturm_root_count
 from tetravol.cli import EXIT_OK, main
 from tetravol.majorant import MomentOrderError, NodeSet
 from tetravol.moments import MomentTable, even_moment_fast
@@ -128,6 +130,47 @@ def test_gauss_nodes_refuses_a_huge_n_at_once(table13):
     assert time.perf_counter() - start < 1
     assert str(info.value) == ("moment table lacks orders [14..999999999] needed for "
                                "500000000 nodes")
+
+
+#: gauss_nodes(7, table13) as `float.hex`, bit for bit; the degree-13
+#: `search` node sets are their rationalizations
+GAUSS7_HEX = ("0x1.88d38a340cc24p-7", "0x1.772d93936a423p-5", "0x1.661a1bfd7611cp-4",
+              "0x1.11a2166a26c77p-3", "0x1.729a54767f3bdp-3", "0x1.cfd450282e02ap-3",
+              "0x1.13798180e2eedp-2")
+
+
+def test_gauss_nodes_need_neither_the_lp_solver_nor_a_sturm_chain(table13, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gauss_nodes called the LP's solver or built a Sturm chain")
+
+    monkeypatch.setattr(node_search, "_solve_exact", refuse)
+    monkeypatch.setattr(certificate, "sturm_chain", refuse)
+    assert tuple(x.hex() for x in gauss_nodes(7, table13)) == GAUSS7_HEX
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_recurrence_is_the_hankel_solution_and_a_sturm_sequence(n, table13, monkeypatch):
+    # the sequence gauss_nodes hands to `_roots`: p_n, ..., p_0, each with
+    # integer coefficients highest degree first
+    seen, real = [], node_search._roots
+    monkeypatch.setattr(node_search, "_roots",
+                        lambda chain, *args: seen.append(chain) or real(chain, *args))
+    gauss_nodes(n, table13)
+    sequence = seen[0]
+    assert [len(p) - 1 for p in sequence] == list(range(n, -1, -1))
+    m = [Fraction(1)] + [table13[i] for i in range(1, 2 * n)]
+    hankel = node_search._solve_exact([m[i:i + n] for i in range(n)],
+                                      [-m[i + n] for i in range(n)]) + [Fraction(1)]
+    den = math.lcm(*(c.denominator for c in hankel))
+    assert sequence[0] == _primitive([int(c * den) for c in reversed(hankel)])
+    # every interval with ends on this grid; E V^2 = alpha_0, where p_1
+    # changes sign, lies in those from 0 and in no other
+    ends = [Fraction(j, 1000) for j in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89)] + [Fraction(1, 9)]
+    assert ends[0] < table13[1] < ends[1]
+    for i, a in enumerate(ends):
+        for b in ends[i + 1:]:
+            assert sign_variations(sequence, a) - sign_variations(sequence, b) == \
+                sturm_root_count(hankel, a, b), (a, b)
 
 
 def test_rationalize_examples():
