@@ -10,11 +10,12 @@ directory and calls `even_moment_fast(k)` for k = 1..K in turn, as
 would in a real run; with `--direct-k-max N` it then times
 `even_moment_direct(k)` for k = 1..N the same way.  Beside it, a second
 fresh process per run times one `tetravol moments --k-max 13 --out FILE`
-into an empty directory, through `tetravol.cli.main`: the fast engine, the
-direct-enumerator check and the file write, on any tree that has the
-command.  It records the wall
-time, the peak RSS of the process (`RUSAGE_SELF`) and of its largest reaped
-child (`RUSAGE_CHILDREN`), their sum as a bound on the memory of the process
+into an empty directory, through `tetravol.cli.main`: the fast engine, its
+check (against the pinned values, or on older trees against a forked
+direct-enumerator child) and the file write, on any tree that has the
+command.  It records the wall time, the peak RSS of the process
+(`RUSAGE_SELF`) and of its largest reaped child (`RUSAGE_CHILDREN`, 0 on a
+tree that forks none), their sum as a bound on the memory of the process
 tree, and the sha256 of the cache file.  Runs alternate between the sides,
 starting with a different side on each repeat.  Then IMPORT_RUNS more
 fresh processes per side, alternating, each measure how long

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -111,6 +112,8 @@ def cmd_certify(*, nodes: Path, moments: Path, report: Path) -> int:
 
 def cmd_mc(*, mode: str, power: int, samples: int, seed: int,
            ref: float | None) -> int:
+    if ref is not None and not math.isfinite(ref):
+        raise ValueError(f"--ref must be a finite number, got {ref}")
     from . import montecarlo  # the only numpy user: the exact commands never load it
     result = montecarlo.estimate(mode, power, samples, seed)
     print(f"mode={mode} power={power} N={result.n_samples} seed={result.seed}")

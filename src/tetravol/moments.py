@@ -34,14 +34,13 @@ they share no helper, so a bug in one cannot hide in the other:
   J (Nyquist, Rice & Riordan, Quart. Appl. Math. 12, 1954, for moments of
   random determinants by this route).
 
-Both routes stay in integers until the final division.  `moment_table`
-computes every order with the fast route and requires the two to agree
-bit-exactly for k <= VERIFY_ORDER_MAX before it returns; it reads and writes
-no file.  The direct route is split between two processes: one forked child
-takes the top order and every second order below it (the odd orders for
-k <= 13), while the parent runs the fast route and then the remaining direct
-orders.  The values are compared once both are done.  `MomentTable.write`
-is the one writer of the moment file format, and writes atomically.
+Both routes stay in integers until the final division.  Their common values
+for k <= VERIFY_ORDER_MAX are pinned in PINNED_MOMENTS, and the test suite
+re-derives every pin by both routes.  `moment_table` computes every order
+with the fast route and requires it to equal the pin for k <=
+VERIFY_ORDER_MAX before it returns; it reads and writes no file.
+`MomentTable.write` is the one writer of the moment file format, and writes
+atomically.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ class MomentCacheError(ValueError):
 
 
 class MomentIntegrityError(ValueError):
-    """A moment disagrees with the direct enumerator, or a table breaks the
-    bounds that the moments of V obey."""
+    """A moment disagrees with its pinned direct-enumerator value, or a table
+    breaks the bounds that the moments of V obey."""
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,27 @@ def even_moment_fast(k: int) -> Fraction:
 
 CACHE_HEADER = "tetra-moments v1"
 
-#: orders re-verified against the direct enumerator before a table is trusted:
-#: all 13 that `tetravol all` uses, for about 0.15 s of direct work (2 cores,
-#: Python 3.11.7; BENCH_moment_stage.json)
-VERIFY_ORDER_MAX = 13
+#: E V^(2k) for k = 1, 2, ... as exact (numerator, denominator) pairs: the
+#: values on which `even_moment_direct` and `even_moment_fast` agree
+PINNED_MOMENTS = (
+    (1, 2000),
+    (43, 27783000),
+    (347, 28805414400),
+    (2389, 14263395300000),
+    (310483, 90249636885408000),
+    (50848573, 547947041430789000000),
+    (5146145063, 1687759191488971560960000),
+    (340509904249, 2930261137025785408958112000),
+    (88166149205341, 17736698294114901093046454400000),
+    (2158961951095073, 9255628525466944515415587210144000),
+    (15679873288237006351, 1327696417761787200263274906768000000000),
+    (3272636850189165853, 5136366769905094886896774186602456000000),
+    (10039994952996017627, 276732447829114797436111393912214941440000),
+)
+
+#: orders whose fast value must equal its pin before a table is trusted: all
+#: 13 that `tetravol all` uses
+VERIFY_ORDER_MAX = len(PINNED_MOMENTS)
 
 
 class MomentTable:
@@ -329,96 +345,23 @@ class MomentTable:
         return cls(values, {k: "file" for k in values})
 
 
-def _start_direct_oracle(orders: list[int]) -> tuple[int, int]:
-    """Fork a child that computes even_moment_direct(k) for each k in `orders`.
-
-    The child writes one str(Fraction) line per order, in the given order,
-    to a pipe and leaves through os._exit, so it never returns into the
-    caller, runs no atexit handler and flushes none of the stdio buffers it
-    inherited; its exit status is 0 only after every order was written.  It
-    runs only pure-integer Python code, which needs none of the threads that
-    a native library may have started in the parent (fork copies only the
-    calling thread).  The parent runs the other direct orders meanwhile.
-    Returns the child's pid and the read end of the pipe.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:
-        os.close(read_fd)
-        with os.fdopen(write_fd, "w") as reply:
-            for k in orders:
-                reply.write(f"{even_moment_direct(k)}\n")
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _direct_values(orders: list[int], reply: str, status: int) -> dict[int, Fraction]:
-    """Parse the oracle child's reply, whose line i is the value of orders[i],
-    naming the first order it did not give."""
-    lines = reply.splitlines()
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        raise MomentIntegrityError(
-            f"moment k={orders[min(len(lines), len(orders) - 1)]}: the direct "
-            f"enumerator's process exited with status {code}")
-    direct = {}
-    for i, k in enumerate(orders):
-        if i >= len(lines):
-            raise MomentIntegrityError(
-                f"moment k={k}: the direct enumerator's reply ended early")
-        try:
-            direct[k] = Fraction(lines[i])
-        except ValueError:
-            raise MomentIntegrityError(
-                f"moment k={k}: the direct enumerator replied {lines[i]!r}") from None
-    return direct
-
-
 def moment_table(k_max: int) -> MomentTable:
-    """Moments 1..k_max by the fast route, checked against the direct route.
+    """Moments 1..k_max by the fast route, checked against the pins.
 
-    Orders up to k_top = min(VERIFY_ORDER_MAX, k_max) are recomputed with
-    the direct enumerator, each exactly once, and compared bit-exactly before
-    the table is returned; any mismatch is a hard integrity failure.  One
-    forked child runs the direct orders k_top, k_top - 2, ... while the
-    parent runs the fast engine and then the other direct orders, so the two
-    overlap on a machine with two or more cores; the comparison waits for
-    both.  A child that fails, or whose reply is short or unreadable, is an
-    integrity failure too; if the parent's fast loop or direct share raises,
-    the child is killed and reaped before the exception propagates.  Checked
-    orders are tagged "direct", the others "fast".  No file is read or
-    written.
+    Each order up to VERIFY_ORDER_MAX is compared bit-exactly with its pin,
+    the direct enumerator's value, as soon as it is computed; any mismatch is
+    a hard integrity failure.  Checked orders are tagged "direct", the others
+    "fast".  No file is read or written.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    k_top = min(VERIFY_ORDER_MAX, k_max)
-    # the direct cost grows about as k^6, so the child's orders k_top,
-    # k_top - 2, ... and the parent's fast loop plus the orders between take
-    # about as long at k_top = 13
-    child_orders = list(range(2 - k_top % 2, k_top + 1, 2))
-    pid, read_fd = _start_direct_oracle(child_orders)
-    try:
-        with os.fdopen(read_fd) as reply:
-            values = {k: even_moment_fast(k) for k in range(1, k_max + 1)}
-            direct = {k: even_moment_direct(k) for k in range(1, k_top + 1)
-                      if k not in child_orders}
-            text = reply.read()
-        _, status = os.waitpid(pid, 0)
-    except BaseException:
-        # no oracle may outlive a failed run, nor be left unreaped
-        import signal  # only this path needs it, so importing tetravol does not load it
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-
-    direct.update(_direct_values(child_orders, text, status))
-    for k in range(1, k_top + 1):
-        if values[k] != direct[k]:
-            raise MomentIntegrityError(
-                f"moment k={k}: fast value {values[k]} != direct value {direct[k]}")
-    return MomentTable(values, {k: "direct" if k <= k_top else "fast" for k in values})
+    values = {}
+    for k in range(1, k_max + 1):
+        values[k] = even_moment_fast(k)
+        if k <= VERIFY_ORDER_MAX:
+            direct = Fraction(*PINNED_MOMENTS[k - 1])
+            if values[k] != direct:
+                raise MomentIntegrityError(
+                    f"moment k={k}: fast value {values[k]} != direct value {direct}")
+    return MomentTable(values, {k: "direct" if k <= VERIFY_ORDER_MAX else "fast"
+                                for k in values})

@@ -150,7 +150,6 @@ def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResul
 
     counts = [min(BLOCK_SIZE, n_samples - start) for start in range(0, n_samples, BLOCK_SIZE)]
     # the pool is joined before estimate returns, so no thread outlives it
-    # (moments.moment_table forks)
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(counts))) as pool:
         sums = list(pool.map(lambda index, count: _block_sums(seed, index, count, mode, power),
                              range(len(counts)), counts))

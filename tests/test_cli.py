@@ -58,16 +58,23 @@ def test_moments_replaces_an_existing_file_with_the_verified_table(tmp_path, cap
     assert len(lines) == 14 and all(line.endswith("(direct)") for line in lines[:13])
 
 
+def test_pinned_moments_are_the_golden_file(tmp_path):
+    # the pins that moment_table checks are the file `moments --k-max 13` writes
+    out = tmp_path / "m.tsv"
+    MomentTable({k: Fraction(*pin) for k, pin in
+                 enumerate(moments_mod.PINNED_MOMENTS, start=1)}).write(out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MOMENTS_SHA256
+
+
 def test_moments_failed_check_leaves_the_existing_file(tmp_path, monkeypatch, capsys):
-    # the forked child inherits the patched oracle, so k = 1 (parent) and
-    # k = 2 (child) are each shown wrong in turn
+    # a fast value that differs from its pin, at k = 1 and at k = 2 in turn
     out = tmp_path / "m.tsv"
     out.write_text("tetra-moments v1\n1\t1\t2001\n")
     before = out.read_bytes()
-    direct = moments_mod.even_moment_direct
+    fast = moments_mod.even_moment_fast
     for wrong in (1, 2):
-        monkeypatch.setattr(moments_mod, "even_moment_direct",
-                            lambda k: direct(k) + (Fraction(1, 10**40) if k == wrong else 0))
+        monkeypatch.setattr(moments_mod, "even_moment_fast",
+                            lambda k: fast(k) + (Fraction(1, 10**40) if k == wrong else 0))
         assert main(["moments", "--k-max", "2", "--out", str(out)]) == EXIT_ERROR
         assert f"moment k={wrong}: fast value" in capsys.readouterr().err
         assert out.read_bytes() == before
@@ -541,6 +548,11 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
                  None, ONE_NODE, "seed -1 ", id="mc-seed-negative"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", str(1 << 128)],
                  None, ONE_NODE, f"seed {1 << 128} ", id="mc-seed-2-to-the-128"),
+    # a z-score against nan or inf means nothing
+    pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--ref", "nan"],
+                 None, ONE_NODE, "--ref must be a finite number, got nan", id="mc-ref-nan"),
+    pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--ref", "inf"],
+                 None, ONE_NODE, "--ref must be a finite number, got inf", id="mc-ref-inf"),
 ])
 def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, request,
                                            argv, moments, nodes, names):

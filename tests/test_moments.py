@@ -1,9 +1,5 @@
 import os
 import random
-import signal
-import subprocess
-import sys
-import time
 from fractions import Fraction
 from math import comb, factorial, prod
 from pathlib import Path
@@ -236,9 +232,11 @@ def test_direct_cap_names_composition_count(monkeypatch):
 
 
 def test_fast_agrees_with_direct_low_orders():
-    # every order that moment_table cross-checks
+    # every pin is what both routes compute, and moment_table checks them all
+    assert moments_mod.VERIFY_ORDER_MAX == len(moments_mod.PINNED_MOMENTS)
     for k in range(1, moments_mod.VERIFY_ORDER_MAX + 1):
-        assert even_moment_fast(k) == even_moment_direct(k)
+        pinned = Fraction(*moments_mod.PINNED_MOMENTS[k - 1])
+        assert even_moment_direct(k) == even_moment_fast(k) == pinned, k
 
 
 def test_fast_matches_published_moments():
@@ -367,9 +365,8 @@ def test_failed_cache_flush_keeps_the_previous_cache(tmp_path, monkeypatch):
 
 
 def test_moment_table_verification_retags_low_orders():
-    # the parent and the child each check part of the orders; every order
-    # up to VERIFY_ORDER_MAX must be checked by one of them, and the orders
-    # above it come from the fast route alone
+    # every order up to VERIFY_ORDER_MAX is checked against its pin, and the
+    # orders above it come from the fast route alone
     top = moments_mod.VERIFY_ORDER_MAX
     for k_max in (1, 2, 3, top, top + 1):
         table = moment_table(k_max)
@@ -377,122 +374,12 @@ def test_moment_table_verification_retags_low_orders():
                                     for k in range(1, k_max + 1)}, k_max
 
 
-# ---------------------------------------------------------------------------
-# the direct enumerator's forked child
-# ---------------------------------------------------------------------------
-
 def test_direct_mismatch_names_the_order(monkeypatch):
-    # at k_max = 3 the parent checks k = 2 and the child k = 1 and 3; the
-    # child inherits the patched module, so a wrong oracle value reaches the
-    # comparison from either side
-    direct = moments_mod.even_moment_direct
+    # a fast value that differs from its pin at any checked order is refused
+    fast = moments_mod.even_moment_fast
     for wrong in (2, 3):
-        monkeypatch.setattr(moments_mod, "even_moment_direct",
-                            lambda k: direct(k) + (Fraction(1, 10**40) if k == wrong else 0))
+        monkeypatch.setattr(moments_mod, "even_moment_fast",
+                            lambda k: fast(k) + (Fraction(1, 10**40) if k == wrong else 0))
         with pytest.raises(MomentIntegrityError,
                            match=rf"moment k={wrong}: fast value .* != direct"):
             moment_table(3)
-
-
-def _in_child(oracle, here=even_moment_direct):
-    """`oracle` in a forked child and `here` in this process, by default the
-    real enumerator, so a stand-in that exits or kills itself cannot end the
-    test run."""
-    parent = os.getpid()
-    return lambda k: here(k) if os.getpid() == parent else oracle(k)
-
-
-def _raise(k):
-    raise RuntimeError("oracle failed")
-
-
-def _exit_early(k):
-    if k == 3:  # the child's second order at k_max = 3
-        os._exit(0)  # clean exit, nothing of the buffered reply written
-    return even_moment_direct(k)
-
-
-def _killed(k):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-@pytest.mark.parametrize("oracle, message", [
-    (_raise, r"k=1: .* exited with status 1"),
-    (lambda k: "not a fraction", r"k=1: .* replied 'not a fraction'"),
-    (_exit_early, r"k=1: .* reply ended early"),
-    (_killed, r"k=1: .* exited with status -9"),
-], ids=["raises", "unparsable", "short", "killed"])
-def test_failing_direct_child_is_an_integrity_error(monkeypatch, oracle, message):
-    monkeypatch.setattr(moments_mod, "even_moment_direct", _in_child(oracle))
-    with pytest.raises(MomentIntegrityError, match=message):
-        moment_table(3)
-
-
-def _fast_fails(k):
-    if k == 2:
-        raise RuntimeError("fast engine failed")
-    return even_moment_fast(k)
-
-
-def _recording_fork(monkeypatch) -> list[int]:
-    """Patch os.fork to record the pid of every child it starts."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def _assert_killed_and_reaped(pids, t0):
-    assert time.monotonic() - t0 < 30
-    assert len(pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
-
-
-def test_failed_fast_engine_kills_and_reaps_the_direct_child(monkeypatch):
-    pids = _recording_fork(monkeypatch)
-    # an oracle that would outlast the test: only a kill ends it in time
-    monkeypatch.setattr(moments_mod, "even_moment_direct", lambda k: time.sleep(60))
-    monkeypatch.setattr(moments_mod, "even_moment_fast", _fast_fails)
-    t0 = time.monotonic()
-    with pytest.raises(RuntimeError, match="fast engine failed"):
-        moment_table(2)
-    _assert_killed_and_reaped(pids, t0)
-
-
-def _parent_share_fails(k):
-    raise RuntimeError("parent's direct share failed")
-
-
-def test_failed_parent_direct_share_kills_and_reaps_the_direct_child(monkeypatch):
-    # at k_max = 2 the child checks k = 2 and the parent k = 1, after its
-    # fast loop computed k = 2
-    pids = _recording_fork(monkeypatch)
-    # the child's oracle would outlast the test: only a kill ends it in time
-    monkeypatch.setattr(moments_mod, "even_moment_direct",
-                        _in_child(lambda k: time.sleep(60), here=_parent_share_fails))
-    t0 = time.monotonic()
-    with pytest.raises(RuntimeError, match="parent's direct share failed"):
-        moment_table(2)
-    _assert_killed_and_reaped(pids, t0)
-
-
-def test_direct_child_flushes_no_inherited_stdio():
-    # "before" sits unflushed in the stdout buffer at the fork; a child that
-    # left through normal interpreter shutdown would print it a second time
-    code = ("from tetravol.moments import moment_table\n"
-            "print('before')\n"
-            "moment_table(2)\n"
-            "print('after')\n")
-    src = Path(moments_mod.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                         env=env, check=True, timeout=120).stdout
-    assert out == b"before\nafter\n"
