@@ -6,7 +6,8 @@ search, for two or more source trees.
 
 Before the timed runs it computes E V^(2k) for k <= 39 once, with
 `even_moment_fast` from the first side, into a temporary moment file that
-every run reads (about a minute on a slow 2-core host).
+every run reads (46 s with the triple sum, 6 s with the double sum, on a
+2-core host).
 
 Each timed run is a fresh process that imports `tetravol` from one `src`
 directory.  It takes every node set that the `warm-certify-sweep` plan of

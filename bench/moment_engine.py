@@ -23,10 +23,13 @@ fresh processes per side, alternating, each measure how long
 runs, one counting run per side wraps the engine's `_centred_integrals` and
 `_split_sum` to record, per order, the z-degree splits evaluated, the size
 of the centred-integral table and the largest bit lengths of its entries
-and of the split sums; a side whose engine has no such helpers records no
-counts.  Its timings are not used.  The values of orders 1..13 are hashed
-in the moment cache format, so a side whose moments differ shows a
-different hash.
+and of the split sums.  Where `_split_sum` takes a kernel (the double sum),
+it also records the kernel's entries summed over the order's splits and
+the most in one split; the triple sum has no kernel and records 0.  A side
+whose engine has no such helpers records no counts.  Its timings are not
+used.  The values of orders 1..13, and of every order run, are hashed in
+the moment cache format, so a side whose moments differ shows a different
+hash.
 Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
 
@@ -47,12 +50,19 @@ import sides as harness
 
 HASHED_ORDERS = 13
 #: per-order counts of the counting run: z-degree splits, centred-integral
-#: table entries, and the largest bit lengths of an entry and of a split sum
-COUNTERS = ("splits", "table_entries", "table_bits_max", "split_bits_max")
+#: table entries, the largest bit lengths of an entry and of a split sum, and
+#: the split kernels' entries, summed over the splits and the most in one
+COUNTERS = ("splits", "table_entries", "table_bits_max", "split_bits_max",
+            "kernel_entries", "kernel_entries_max")
 #: per-run figures of the moment-stage process
 STAGE_FIGURES = ("wall_s", "self_maxrss_mb", "children_maxrss_mb", "tree_maxrss_mb")
 #: fresh processes per side that time `import tetravol.cli`
 IMPORT_RUNS = 15
+
+
+def lines_sha256(lines: list[str]) -> str:
+    """sha256 of lines as a moment file holds them, one per line."""
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
 
 
 def child(src: str, k_max: int, direct_k_max: int, count: bool) -> dict:
@@ -75,11 +85,15 @@ def child(src: str, k_max: int, direct_k_max: int, count: bool) -> dict:
             s["table_bits_max"] = max(abs(v).bit_length() for row in table for v in row)
             return table
 
-        def counted_split(table, *split):
-            value = split_sum(table, *split)
+        def counted_split(table, *args):
+            value = split_sum(table, *args)
             s = order_stats()
             s["splits"] += 1
             s["split_bits_max"] = max(s["split_bits_max"], abs(value).bit_length())
+            if len(args) == 4:  # (kernel, n1, n2, n3)
+                entries = sum(map(len, args[0]))
+                s["kernel_entries"] += entries
+                s["kernel_entries_max"] = max(s["kernel_entries_max"], entries)
             return value
 
         moments._centred_integrals = counted_integrals
@@ -96,18 +110,17 @@ def child(src: str, k_max: int, direct_k_max: int, count: bool) -> dict:
                        "value_bits": max(v.numerator.bit_length(),
                                          v.denominator.bit_length()),
                        **stats.get(k, {})})
-        if k <= HASHED_ORDERS:
-            lines.append(f"{k}\t{v.numerator}\t{v.denominator}")
+        lines.append(f"{k}\t{v.numerator}\t{v.denominator}")
     direct = []
     for k in range(1, direct_k_max + 1):
         t0 = time.perf_counter()
         v = moments.even_moment_direct(k)
         direct.append({"k": k, "s": round(time.perf_counter() - t0, 4),
                        "equals_fast": k > k_max or v == values[k - 1]})
-    text = "\n".join(lines) + "\n"
     return {"orders": orders, "direct": direct,
             "verify_order_max": moments.VERIFY_ORDER_MAX, "direct_cap": moments.DIRECT_CAP,
-            "values_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "values_sha256": lines_sha256(lines[:HASHED_ORDERS + 1]),
+            "values_sha256_all": lines_sha256(lines),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
@@ -208,6 +221,7 @@ def main() -> None:
             "verify_order_max": counts["verify_order_max"],
             "direct_cap": counts["direct_cap"],
             "values_sha256": sorted({run["values_sha256"] for run in runs[label]}),
+            "values_sha256_all": sorted({run["values_sha256_all"] for run in runs[label]}),
             "peak_rss_mb": [run["peak_rss_mb"] for run in runs[label]],
             f"total_k1_{HASHED_ORDERS}_s": totals,
             f"total_k1_{HASHED_ORDERS}_s_median": round(statistics.median(totals), 3),

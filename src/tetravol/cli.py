@@ -3,7 +3,7 @@
 Stages communicate through files so each artifact can be audited and reused:
 the moment cache, the node set, and the certificate report all have exact
 line-oriented formats.  Exit codes: 0 = success (for `certify`/`all`: verdict
-true), 2 = verdict false, 1 = any error.
+true), 2 = verdict false, 1 = any error, a malformed command line included.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import functools
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import certificate as cert_mod
 from . import moments as moments_mod
@@ -146,8 +147,17 @@ def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
     return cmd_certify(nodes=nodes, moments=moments, report=report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit EXIT_ERROR, not argparse's
+    2, which means "verdict false" here; the subparsers share its class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tetravol",
         description="Exact even moments of a pinned random simplex volume and "
                     "a certified one-sided polynomial bound on its mean.")

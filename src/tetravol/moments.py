@@ -29,10 +29,11 @@ they share no helper, so a bug in one cannot hide in the other:
 
 * `even_moment_fast` - Laplace expansion along the z column,
   D = z1*A1 - z2*A2 + z3*A3, with A1 = u2 v3 - u3 v2, A2 = u1 v3 - u3 v1 and
-  A3 = u1 v2 - u2 v1.  For each z-degree split (n1, n2, n3) the binomial
-  expansion of the three 2x2 minors gives a triple sum of products of three
-  J (Nyquist, Rice & Riordan, Quart. Appl. Math. 12, 1954, for moments of
-  random determinants by this route).
+  A3 = u1 v2 - u2 v1.  For each z-degree split the binomial expansion of the
+  three 2x2 minors is a double sum of products of three J, weighted by a
+  kernel of small integers that is updated from one split to the next
+  (Nyquist, Rice & Riordan, Quart. Appl. Math. 12, 1954; Graham, Knuth &
+  Patashnik, Concrete Mathematics, 5.1).  An order costs about k^4.
 
 Both routes stay in integers until the final division.  Their common values
 for k <= VERIFY_ORDER_MAX are pinned in PINNED_MOMENTS, and the test suite
@@ -47,7 +48,9 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
+from operator import add, mul, sub
 from pathlib import Path
 
 __all__ = [
@@ -144,45 +147,73 @@ def even_moment_direct(k: int) -> Fraction:
 def _centred_integrals(k: int) -> list[list[int]]:
     """J[a][b] = 3^(a+b) (2k+3)! int_{T_o} u^a v^b z^n with n = 2k - a - b.
 
-    u^a = sum_p C(a, p) x^p (-1/3)^(a-p), and likewise v^b, so 3^(a+b) J is
-    a signed sum of 3^(p+q) C(a, p) C(b, q) times the monomial integral
-    p! q! n! / (p + q + n + 3)!, which (2k+3)! makes an integer.
+    Expanding u = x - 1/3 and v = y - 1/3 and grouping by the number N of
+    factors -1/3 gives J = n! sum_N (-1)^N 3^(a+b-N) (2k+3)!/(2k-N+3)!
+    a! b! R / N!, with R = sum_{i = max(0, N-b)}^{min(a, N)} C(N, i) a
+    partial Pascal row sum; the sum runs over the denominator m! (m = a + b).
     """
     n2k = 2 * k
     fact = [factorial(i) for i in range(n2k + 4)]
-    big = fact[n2k + 3]
-    table = []
-    for a in range(n2k + 1):
-        xs = [(-1) ** (a - p) * comb(a, p) * 3 ** p * fact[p] for p in range(a + 1)]
-        row = []
-        for b in range(n2k + 1 - a):
-            n = n2k - a - b
-            ys = [(-1) ** (b - q) * comb(b, q) * 3 ** q * fact[q] for q in range(b + 1)]
-            tail = [big // fact[s + n + 3] for s in range(a + b + 1)]
-            row.append(fact[n] * sum(xp * sum(yq * tail[p + q] for q, yq in enumerate(ys))
-                                     for p, xp in enumerate(xs)))
-        table.append(row)
+    # prefix[N][t] = C(N, 0) + ... + C(N, t - 1); R = hi[a][N] - lo[b][N]
+    prefix = [list(accumulate((comb(N, i) for i in range(N + 1)), initial=0))
+              for N in range(n2k + 1)]
+    hi = [[prefix[N][min(a, N) + 1] for N in range(n2k + 1)] for a in range(n2k + 1)]
+    lo = [[prefix[N][max(0, N - b)] for N in range(n2k + 1)] for b in range(n2k + 1)]
+    table: list[list[int]] = [[] for _ in range(n2k + 1)]
+    for m in range(n2k + 1):
+        w = [(-1) ** N * 3 ** (m - N) * (fact[n2k + 3] // fact[n2k - N + 3])
+             * (fact[m] // fact[N]) for N in range(m + 1)]
+        for a in range(m + 1):
+            r = sum(map(mul, w, map(sub, hi[a], lo[m - a])))  # times m!/(a! b!)
+            table[a].append(fact[n2k - m] * (r // comb(m, a)))
     return table
 
 
-def _split_sum(table: list[list[int]], n1: int, n2: int, n3: int) -> int:
+def _kernel(n1: int, n2: int, n3: int) -> list[list[int]]:
+    """H[a][s] = [x^a y^s] (1 - x)^n1 (1 - y)^n2 (x - y)^n3."""
+    kernel = [[0] * (n2 + n3 + 1) for _ in range(n1 + n3 + 1)]
+    ys = [(-1) ** j * comb(n2, j) for j in range(n2 + 1)]
+    for l in range(n3 + 1):
+        for i in range(n1 + 1):
+            c, row = (-1) ** (i + l) * comb(n3, l) * comb(n1, i), kernel[i + n3 - l]
+            for j, y in enumerate(ys):
+                row[j + l] += c * y
+    return kernel
+
+
+def _next_kernel(kernel: list[list[int]]) -> list[list[int]]:
+    """The kernel of the split (n1 - 1, n2 + 1, n3) from that of (n1, n2, n3):
+    divide by (1 - x), H'(a) = H(a) + H'(a - 1), dropping the top row, which
+    must come out zero, and multiply by (1 - y)."""
+    out, prev = [], [0] * len(kernel[0])
+    for row in kernel[:-1]:
+        prev = list(map(add, row, prev))
+        out.append(list(map(sub, prev + [0], [0] + prev)))
+    if any(map(add, kernel[-1], prev)):
+        raise MomentIntegrityError("split kernel is not divisible by (1 - x)")
+    return out
+
+
+def _split_sum(table: list[list[int]], kernel: list[list[int]],
+               n1: int, n2: int, n3: int) -> int:
     """Scaled integral of (z1 A1)^n1 (-z2 A2)^n2 (z3 A3)^n3 over T_o^3.
 
     Expanding A1^n1 over i (u2 v3 picked i times), A2^n2 over j (u1 v3) and
-    A3^n3 over l (u1 v2) leaves point 1 with u^(j+l) v^(n2+n3-j-l) z^n1,
-    point 2 with u^(i+n3-l) v^(n1-i+l) z^n2 and point 3 with
-    u^(n1+n2-i-j) v^(i+j) z^n3, at sign (-1)^(i+j+l+n2).  The result is the
-    integral times 3^(4k) ((2k+3)!)^3, the product of the three J scales.
+    A3^n3 over l (u1 v2) gives points 1, 2 and 3 the u-degrees s = j + l,
+    a = i + n3 - l and 2k - a - s, and the signed weights of one (a, s) add
+    up to (-1)^n2 H[a][s].  Swapping u and v keeps H and every J and maps
+    row a to n1 + n3 - a, so the rows below the middle count twice.  The
+    result is the integral times 3^(4k) ((2k+3)!)^3.
     """
-    s1 = [(-1) ** i * comb(n1, i) for i in range(n1 + 1)]
-    s2 = [(-1) ** j * comb(n2, j) for j in range(n2 + 1)]
-    s3 = [(-1) ** l * comb(n3, l) for l in range(n3 + 1)]
+    n2k = n1 + n2 + n3
+    t1 = [table[s][n2k - n1 - s] for s in range(n2 + n3 + 1)]
+    # point 3's J by a + s; H is zero where a + s < n3 or a + s > 2k
+    t3 = [table[n2k - m][m - n3] if m >= n3 else 0 for m in range(n2k + 1)]
+    half, odd = divmod(len(kernel), 2)
     total = 0
-    for i, bi in enumerate(s1):
-        for j, bj in enumerate(s2):
-            inner = sum(bl * table[j + l][n2 + n3 - j - l] * table[i + n3 - l][n1 - i + l]
-                        for l, bl in enumerate(s3))
-            total += bi * bj * table[n1 + n2 - i - j][i + j] * inner
+    for a in range(half + odd):
+        inner = sum(map(mul, map(mul, kernel[a], t1), t3[a:]))
+        total += (1 if a == half else 2) * table[a][n2k - n2 - a] * inner
     return -total if n2 % 2 else total
 
 
@@ -200,14 +231,13 @@ def even_moment_fast(k: int) -> Fraction:
     table = _centred_integrals(k)
     fact = [factorial(i) for i in range(n2k + 4)]
     total = 0
-    for n1 in range(n2k, -1, -1):
-        for n2 in range(min(n1, n2k - n1), -1, -1):
-            n3 = n2k - n1 - n2
-            if n3 > n2:
-                break
+    for n3 in range(n2k // 3 + 1):
+        for n2 in range(n3, (n2k - n3) // 2 + 1):
+            n1 = n2k - n2 - n3
+            kernel = _next_kernel(kernel) if n2 > n3 else _kernel(n1, n2, n3)
             orbit = 1 if n1 == n3 else 3 if n1 == n2 or n2 == n3 else 6
             weight = orbit * (fact[n2k] // (fact[n1] * fact[n2] * fact[n3]))
-            total += weight * _split_sum(table, n1, n2, n3)
+            total += weight * _split_sum(table, kernel, n1, n2, n3)
     return Fraction(216 * total, 3 ** (4 * k) * fact[n2k + 3] ** 3)
 
 

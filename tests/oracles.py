@@ -20,6 +20,12 @@ dominance proof by long division of P(x) - x by prod_j (x - x_j)^2
 (`verify_dominance_long_division`), and the helpers that evaluate P and
 P' on their coefficients in x (`x_coefficients`, `poly_derivative`).
 
+For the fast moment route it keeps the triple sum over each z-degree split
+(`even_moment_triple`, with `split_sum_triple`) and its centred-integral
+table summed over p and q (`centred_integrals_pq`), which cost about k^5
+and k^4 per order: the references for the library's double sum over an
+updated kernel and its O(k^3) table.
+
 For the Monte Carlo cross-check it keeps the whole-block sample kernel
 (`block_sums_slice`), the reference for the library's chunked one.
 """
@@ -219,6 +225,80 @@ def triple_integral(exponents: Sequence[int]) -> Fraction:
     for i in (0, 3, 6):
         out *= monomial_integral(exponents[i], exponents[i + 1], exponents[i + 2])
     return out
+
+
+# ---------------------------------------------------------------------------
+# fast moment route reference: the triple sum per z-degree split
+# ---------------------------------------------------------------------------
+
+def centred_integrals_pq(k: int) -> list[list[int]]:
+    """J[a][b] = 3^(a+b) (2k+3)! int_{T_o} u^a v^b z^n with n = 2k - a - b.
+
+    u^a = sum_p C(a, p) x^p (-1/3)^(a-p), and likewise v^b, so 3^(a+b) J is
+    a signed sum of 3^(p+q) C(a, p) C(b, q) times the monomial integral
+    p! q! n! / (p + q + n + 3)!, which (2k+3)! makes an integer.
+    """
+    n2k = 2 * k
+    fact = [factorial(i) for i in range(n2k + 4)]
+    big = fact[n2k + 3]
+    table = []
+    for a in range(n2k + 1):
+        xs = [(-1) ** (a - p) * comb(a, p) * 3 ** p * fact[p] for p in range(a + 1)]
+        row = []
+        for b in range(n2k + 1 - a):
+            n = n2k - a - b
+            ys = [(-1) ** (b - q) * comb(b, q) * 3 ** q * fact[q] for q in range(b + 1)]
+            tail = [big // fact[s + n + 3] for s in range(a + b + 1)]
+            row.append(fact[n] * sum(xp * sum(yq * tail[p + q] for q, yq in enumerate(ys))
+                                     for p, xp in enumerate(xs)))
+        table.append(row)
+    return table
+
+
+def split_sum_triple(table: list[list[int]], n1: int, n2: int, n3: int) -> int:
+    """Scaled integral of (z1 A1)^n1 (-z2 A2)^n2 (z3 A3)^n3 over T_o^3.
+
+    Expanding A1^n1 over i (u2 v3 picked i times), A2^n2 over j (u1 v3) and
+    A3^n3 over l (u1 v2) leaves point 1 with u^(j+l) v^(n2+n3-j-l) z^n1,
+    point 2 with u^(i+n3-l) v^(n1-i+l) z^n2 and point 3 with
+    u^(n1+n2-i-j) v^(i+j) z^n3, at sign (-1)^(i+j+l+n2).  The result is the
+    integral times 3^(4k) ((2k+3)!)^3, the product of the three J scales.
+    """
+    s1 = [(-1) ** i * comb(n1, i) for i in range(n1 + 1)]
+    s2 = [(-1) ** j * comb(n2, j) for j in range(n2 + 1)]
+    s3 = [(-1) ** l * comb(n3, l) for l in range(n3 + 1)]
+    total = 0
+    for i, bi in enumerate(s1):
+        for j, bj in enumerate(s2):
+            inner = sum(bl * table[j + l][n2 + n3 - j - l] * table[i + n3 - l][n1 - i + l]
+                        for l, bl in enumerate(s3))
+            total += bi * bj * table[n1 + n2 - i - j][i + j] * inner
+    return -total if n2 % 2 else total
+
+
+def even_moment_triple(k: int) -> Fraction:
+    """E V^(2k) by Laplace expansion along z and the binomial theorem.
+
+    Permuting the three points permutes the signed cofactors of the z column
+    up to a common sign, which cancels at even total degree, so only the
+    z-degree splits n1 >= n2 >= n3 are evaluated, each weighted by its
+    multinomial coefficient and its orbit size.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n2k = 2 * k
+    table = centred_integrals_pq(k)
+    fact = [factorial(i) for i in range(n2k + 4)]
+    total = 0
+    for n1 in range(n2k, -1, -1):
+        for n2 in range(min(n1, n2k - n1), -1, -1):
+            n3 = n2k - n1 - n2
+            if n3 > n2:
+                break
+            orbit = 1 if n1 == n3 else 3 if n1 == n2 or n2 == n3 else 6
+            weight = orbit * (fact[n2k] // (fact[n1] * fact[n2] * fact[n3]))
+            total += weight * split_sum_triple(table, n1, n2, n3)
+    return Fraction(216 * total, 3 ** (4 * k) * fact[n2k + 3] ** 3)
 
 
 # ---------------------------------------------------------------------------

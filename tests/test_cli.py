@@ -210,7 +210,7 @@ def test_main_reuses_one_parser_across_commands(moments13_file, tmp_path, monkey
 
     with pytest.raises(SystemExit) as rejected:
         main(["certify", "--nodes", "nodes.txt", "--moments", str(moments13_file)])
-    assert rejected.value.code == 2
+    assert rejected.value.code == 1
     assert "--report" in capsys.readouterr().err
     assert main(["search", "--grid", "0", "--moments", str(moments13_file),
                  "--out", "n.txt"]) == EXIT_ERROR
@@ -224,6 +224,16 @@ def test_main_reuses_one_parser_across_commands(moments13_file, tmp_path, monkey
     args = parser.parse_args(["certify", "--nodes", "a", "--moments", "b", "--report", "c"])
     assert (args.func, args.nodes, args.moments, args.report) == \
         (cli.cmd_certify, Path("a"), Path("b"), Path("c"))
+
+
+def test_help_exits_0(capsys):
+    # only usage errors exit 1; asking for help is not one
+    for argv in (["--help"], ["certify", "--help"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tetravol")
+
 
 def test_certified_bound_never_rises_with_degree(moments13_file, table13, tmp_path):
     # an even degree can reuse the nodes of the odd degree below it, so the
@@ -553,6 +563,16 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
                  None, ONE_NODE, "--ref must be a finite number, got nan", id="mc-ref-nan"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--ref", "inf"],
                  None, ONE_NODE, "--ref must be a finite number, got inf", id="mc-ref-inf"),
+    # usage errors: argparse prints the usage line, then "PROG: error: ..."
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 None, ONE_NODE, "the following arguments are required: --moments",
+                 id="certify-without-moments"),
+    pytest.param(["moments", "--k-max", "x", "--out", "new.tsv"],
+                 None, ONE_NODE, "argument --k-max: invalid int value: 'x'",
+                 id="moments-k-max-not-an-integer"),
+    # argparse reads -inf as an option, so the two words are a usage error
+    pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--ref", "-inf"],
+                 None, ONE_NODE, "argument --ref: expected one argument", id="mc-ref-minus-inf"),
 ])
 def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, request,
                                            argv, moments, nodes, names):
@@ -563,8 +583,16 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, reques
     if moments is not None:
         Path("m.tsv").write_text(moments)
         argv = argv + ["--moments", "m.tsv"]
-    assert main(argv) == EXIT_ERROR
-    out, err = capsys.readouterr()
+    try:
+        code = main(argv)
+        out, err = capsys.readouterr()
+    except SystemExit as exc:  # a usage error: argparse exits from parse_args
+        code = exc.code
+        out, err = capsys.readouterr()
+        usage, err = err.rstrip("\n").rsplit("\n", 1)
+        assert usage.startswith(f"usage: tetravol {argv[0]} ")
+        err = err.split(": ", 1)[1]  # drop the "tetravol CMD" prefix
+    assert code == EXIT_ERROR
     assert err.startswith("error: ")
     assert names in err
     assert "Fraction(" not in err

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from fractions import Fraction
@@ -20,9 +21,11 @@ from oracles import (
     TERMS_3D,
     VAR_NAMES,
     abbreviations,
+    centred_integrals_pq,
     composition_count,
     enumerate_compositions,
     even_moment_18,
+    even_moment_triple,
     triple_integral,
 )
 
@@ -243,6 +246,72 @@ def test_fast_matches_published_moments():
     # k = 4, 5 reach splits with odd and even n2, so both signs of A2^n2
     for k in range(1, 6):
         assert even_moment_fast(k) == PAPER_MOMENTS[k]
+
+
+def test_centred_integrals_equal_the_pq_double_sum():
+    # the one sum per entry over N against the sum over p and q it replaced
+    for k in range(1, 17):
+        assert moments_mod._centred_integrals(k) == centred_integrals_pq(k), k
+
+
+def test_fast_equals_the_triple_sum():
+    for k in range(1, 17):
+        assert even_moment_fast(k) == even_moment_triple(k), k
+
+
+@pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),
+                    reason="~4 s; set TETRAVOL_SLOW=1 to run")
+def test_fast_equals_the_triple_sum_slow():
+    for k in range(17, 27):
+        assert even_moment_fast(k) == even_moment_triple(k), k
+
+
+#: sha256 of orders 14..20 in the moment file format, as the triple sum
+#: (`even_moment_triple`) computes them: orders that no pin covers
+ORDERS_14_20_SHA256 = "f56bee0ddfe8062f7289d1bafda3f28afb303db99495b94377b4a656abf09ba2"
+
+
+def test_fast_orders_14_to_20_match_the_triple_sum(tmp_path):
+    path = tmp_path / "m.tsv"
+    MomentTable({k: even_moment_fast(k) for k in range(14, 21)}).write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ORDERS_14_20_SHA256
+
+
+def kernel_at(kernel, x, y):
+    return sum(h * x ** a * y ** s for a, row in enumerate(kernel) for s, h in enumerate(row))
+
+
+@pytest.mark.parametrize("split", [(0, 0, 0), (2, 1, 1), (5, 0, 3), (4, 4, 4), (9, 3, 6),
+                                   (20, 6, 14)])
+def test_kernel_is_the_product_and_updates_to_the_next_split(split):
+    # H[a][s] = [x^a y^s] (1 - x)^n1 (1 - y)^n2 (x - y)^n3, checked at
+    # integer points, and one update gives the kernel of (n1 - 1, n2 + 1, n3)
+    n1, n2, n3 = split
+    kernel = moments_mod._kernel(n1, n2, n3)
+    assert (len(kernel), len(kernel[0])) == (n1 + n3 + 1, n2 + n3 + 1)
+    for x, y in ((2, 3), (-1, 5), (7, -4)):
+        assert kernel_at(kernel, x, y) == (1 - x) ** n1 * (1 - y) ** n2 * (x - y) ** n3
+    if n1:
+        assert moments_mod._next_kernel(kernel) == moments_mod._kernel(n1 - 1, n2 + 1, n3)
+
+
+def test_a_wrong_kernel_update_is_an_integrity_error(monkeypatch):
+    # a kernel that (1 - x) does not divide leaves a nonzero top row, in the
+    # helper and in the route
+    kernel = moments_mod._kernel(4, 1, 1)
+    kernel[2][1] += 1
+    with pytest.raises(MomentIntegrityError, match=r"not divisible by \(1 - x\)"):
+        moments_mod._next_kernel(kernel)
+    start = moments_mod._kernel
+
+    def bumped(n1, n2, n3):
+        kernel = start(n1, n2, n3)
+        kernel[0][-1] += 1
+        return kernel
+
+    monkeypatch.setattr(moments_mod, "_kernel", bumped)
+    with pytest.raises(MomentIntegrityError, match=r"not divisible by \(1 - x\)"):
+        even_moment_fast(3)
 
 
 def test_moment_decay_invariants(table13):
