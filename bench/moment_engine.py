@@ -18,14 +18,16 @@ command.  It records the wall time, the peak RSS of the process
 tree that forks none), their sum as a bound on the memory of the process
 tree, and the sha256 of the cache file.  Runs alternate between the sides,
 starting with a different side on each repeat.  Then IMPORT_RUNS more
-fresh processes per side, alternating, each measure how long
-`import tetravol.cli` takes and whether it loaded numpy.  After the timed
-runs, one counting run per side wraps the engine's `_centred_integrals` and
-`_split_sum` to record, per order, the z-degree splits evaluated, the size
-of the centred-integral table and the largest bit lengths of its entries
-and of the split sums.  Where `_split_sum` takes a kernel (the double sum),
-it also records the kernel's entries summed over the order's splits and
-the most in one split; the triple sum has no kernel and records 0.  A side
+fresh interpreters per side, alternating, each measure how long
+`import tetravol.cli` takes as their first import, which `tetravol` modules
+it loaded and whether it loaded numpy, `fractions` and `dataclasses`.
+After the timed runs, one counting run per side wraps the engine's
+`_centred_integrals` and `_split_sum` to record, per order, the z-degree
+splits evaluated, the size of the centred-integral table and the largest
+bit lengths of its entries and of the split sums.  Where `_split_sum`
+takes a kernel (the double sum), it also records the kernel's entries
+summed over the order's splits and the most in one split; the triple sum
+has no kernel and records 0.  A side
 whose engine has no such helpers records no counts.  Its timings are not
 used.  The values of orders 1..13, and of every order run, are hashed in
 the moment cache format, so a side whose moments differ shows a different
@@ -145,12 +147,23 @@ def stage_child(src: str, cache: str) -> dict:
             "cache_sha256": hashlib.sha256(Path(cache).read_bytes()).hexdigest()}
 
 
-def import_child(src: str) -> dict:
-    sys.path.insert(0, src)
-    t0 = time.perf_counter()
-    import tetravol.cli  # noqa: F401
-    seconds = time.perf_counter() - t0
-    return {"import_s": round(seconds, 4), "numpy_loaded": "numpy" in sys.modules}
+#: run as `python3 -c IMPORT_CHILD SRC`: a bare interpreter, so that nothing
+#: this script imports (argparse, and `fractions` through `statistics`) is
+#: loaded before `import tetravol.cli`; json is imported after the figures
+IMPORT_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import tetravol.cli
+seconds = time.perf_counter() - t0
+result = {"import_s": round(seconds, 4), "numpy_loaded": "numpy" in sys.modules,
+          "fractions_loaded": "fractions" in sys.modules,
+          "dataclasses_loaded": "dataclasses" in sys.modules,
+          "tetravol_modules": sorted(m for m in sys.modules
+                                     if m == "tetravol" or m.startswith("tetravol."))}
+import json
+print(json.dumps(result))
+"""
 
 
 def spawn_stage(src: str, workdir: Path) -> dict:
@@ -188,7 +201,7 @@ def main() -> None:
                   file=sys.stderr)
     imports: dict[str, list] = {label: [] for label, _ in sides}
     for _, label, src in harness.alternate(sides, IMPORT_RUNS):
-        imports[label].append(harness.spawn(__file__, "--import", src))
+        imports[label].append(harness.spawn("-c", IMPORT_CHILD, src))
 
     result = {"benchmark": "fast moment engine, even_moment_fast(k) for k = 1..K "
                            "in one fresh process per run; moment stage, "
@@ -240,7 +253,10 @@ def main() -> None:
                 "import_s": [run["import_s"] for run in imports[label]],
                 "import_s_median": round(statistics.median(
                     run["import_s"] for run in imports[label]), 4),
-                "numpy_loaded": sorted({run["numpy_loaded"] for run in imports[label]}),
+                **{key: sorted({run[key] for run in imports[label]})
+                   for key in ("numpy_loaded", "fractions_loaded", "dataclasses_loaded")},
+                "tetravol_modules": sorted({tuple(run["tetravol_modules"])
+                                            for run in imports[label]}),
             },
         }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
@@ -253,7 +269,5 @@ if __name__ == "__main__":
                                sys.argv[5] == "1")))
     elif len(sys.argv) > 1 and sys.argv[1] == "--stage":
         print(json.dumps(stage_child(sys.argv[2], sys.argv[3])))
-    elif len(sys.argv) > 1 and sys.argv[1] == "--import":
-        print(json.dumps(import_child(sys.argv[2])))
     else:
         main()

@@ -4,6 +4,11 @@ Stages communicate through files so each artifact can be audited and reused:
 the moment cache, the node set, and the certificate report all have exact
 line-oriented formats.  Exit codes: 0 = success (for `certify`/`all`: verdict
 true), 2 = verdict false, 1 = any error, a malformed command line included.
+
+Each command imports the modules it runs when it starts, so importing this
+module loads argparse and no tetravol module: `moments` loads the moment
+engine alone, `mc` the Monte Carlo module alone (and with it numpy, which no
+exact command loads), and `search`, `certify` and `all` the exact stack.
 """
 
 from __future__ import annotations
@@ -11,15 +16,10 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 from typing import NoReturn
-
-from . import certificate as cert_mod
-from . import moments as moments_mod
-from . import node_search
-from .majorant import NodeSet, _require_orders, expected_value, hermite_onesided
-from .rational import fraction_to_decimal, target_enclosure
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -40,8 +40,10 @@ def _check_output(path: Path) -> None:
 
 
 def cmd_moments(*, k_max: int, out: Path) -> int:
+    from . import moments
+
     _check_output(out)
-    table = moments_mod.moment_table(k_max)
+    table = moments.moment_table(k_max)
     table.write(out)
     for k in table.orders():
         v = table[k]
@@ -63,9 +65,14 @@ def _check_search_args(degree: int, grid: int, max_denominator: int) -> None:
 
 def cmd_search(*, degree: int, grid: int, max_denominator: int,
                moments: Path, out: Path) -> int:
+    from . import node_search
+    from .majorant import NodeSet, expected_value, hermite_onesided
+    from .moments import MomentTable
+    from .rational import target_enclosure
+
     _check_search_args(degree, grid, max_denominator)
     _check_output(out)
-    table = moments_mod.MomentTable.read(moments)
+    table = MomentTable.read(moments)
     # n nodes give degree 2n - 1 in t = x^2; degree 0 is the single node 1/3
     n = (degree + 1) // 2
     nodes = node_search.gauss_nodes(n, table) if n else [1 / 3]
@@ -97,9 +104,14 @@ def cmd_search(*, degree: int, grid: int, max_denominator: int,
 
 
 def cmd_certify(*, nodes: Path, moments: Path, report: Path) -> int:
+    from . import certificate as cert_mod
+    from .majorant import NodeSet
+    from .moments import MomentTable
+    from .rational import fraction_to_decimal
+
     _check_output(report)
     node_set = NodeSet.read(nodes)
-    table = moments_mod.MomentTable.read(moments)
+    table = MomentTable.read(moments)
     cert = cert_mod.certify(node_set, table, metadata={"moment-file": str(moments)})
     text = cert_mod.render_report(cert)
     Path(report).write_text(text, newline="\n")
@@ -115,7 +127,7 @@ def cmd_mc(*, mode: str, power: int, samples: int, seed: int,
            ref: float | None) -> int:
     if ref is not None and not math.isfinite(ref):
         raise ValueError(f"--ref must be a finite number, got {ref}")
-    from . import montecarlo  # the only numpy user: the exact commands never load it
+    from . import montecarlo
     result = montecarlo.estimate(mode, power, samples, seed)
     print(f"mode={mode} power={power} N={result.n_samples} seed={result.seed}")
     print(f"mean = {result.mean:.9e}")
@@ -127,6 +139,8 @@ def cmd_mc(*, mode: str, power: int, samples: int, seed: int,
 
 def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
             workdir: Path) -> int:
+    from .majorant import _require_orders
+
     # reject what `search` would reject before the moments are computed
     _check_search_args(degree, grid, max_denominator)
     try:  # the orders of the nodes `search` will write: one node at degree 0
@@ -149,7 +163,15 @@ def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
 
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors exit EXIT_ERROR, not argparse's
-    2, which means "verdict false" here; the subparsers share its class."""
+    2, which means "verdict false" here.  Like Python 3.13's argparse, it
+    reads a word that starts with `-` and a digit, or `-.` and a digit, as a
+    value, not an option, so `--ref -1e-3` parses; before 3.13 only plain
+    integers and decimals did.  `-inf` and `-nan` are still read as options.
+    The subparsers share its class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)

@@ -8,9 +8,10 @@ Sampling is Dirichlet(1,1,1,1) barycentric: four unit exponentials normalized
 to sum one are uniform over a simplex.  Streams are counter-based (Philox
 keyed by the seed, one disjoint counter block per fixed-size sample block),
 so the blocks are independent: they run on a thread pool with one worker per
-usable CPU (numpy's generator and ufuncs release the interpreter lock), and
-their sums are reduced in block-index order.  A given (seed, N, mode, power)
-yields bit-identical results for any worker count.
+usable CPU (numpy's generator and ufuncs release the interpreter lock), each
+worker taking the next block index when it finishes a block, and their sums
+are reduced in block-index order.  A given (seed, N, mode, power) yields
+bit-identical results for any worker count.
 
 A block is computed in chunks of _CHUNK_SIZE samples, each laid out as
 contiguous coordinate planes, so that a chunk's draws and temporaries stay in
@@ -28,6 +29,7 @@ Nothing here feeds the certificate; double precision is fine.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -148,14 +150,32 @@ def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResul
     if not 0 <= seed < 1 << 128:  # the Philox key
         raise ValueError(f"seed {seed} is outside [0, 2**128)")
 
-    counts = [min(BLOCK_SIZE, n_samples - start) for start in range(0, n_samples, BLOCK_SIZE)]
-    # the pool is joined before estimate returns, so no thread outlives it
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(counts))) as pool:
-        sums = list(pool.map(lambda index, count: _block_sums(seed, index, count, mode, power),
-                             range(len(counts)), counts))
+    n_blocks = -(-n_samples // BLOCK_SIZE)
+    # sums[:, i]: the two sums of block i, stored by whichever worker ran it.
+    # One task per worker takes the next block index from a shared iterator,
+    # so the pool holds as many tasks as workers, not one per block.
+    sums = np.empty((2, n_blocks))
+    blocks = iter(range(n_blocks))
+    next_block = threading.Lock()
 
-    s1 = float(np.sum(np.array([s[0] for s in sums])))
-    s2 = float(np.sum(np.array([s[1] for s in sums])))
+    def work() -> None:
+        while True:
+            with next_block:
+                index = next(blocks, None)
+            if index is None:
+                return
+            count = min(BLOCK_SIZE, n_samples - index * BLOCK_SIZE)
+            sums[:, index] = _block_sums(seed, index, count, mode, power)
+
+    workers = min(_usable_cpus(), n_blocks)
+    # the pool is joined before estimate returns, so no thread outlives it
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tasks = [pool.submit(work) for _ in range(workers)]
+        for task in tasks:
+            task.result()
+
+    s1 = float(np.sum(sums[0]))
+    s2 = float(np.sum(sums[1]))
     mean = s1 / n_samples
     var = max(s2 - n_samples * mean * mean, 0.0) / (n_samples - 1)
     return EstimatorResult(mean=mean, stderr=(var / n_samples) ** 0.5,

@@ -277,11 +277,40 @@ assert callable(tetravol.estimate)
 assert main(["mc", "--mode", "centroid", "--samples", "1000", "--seed", "1"]) == 0
 assert "numpy" in sys.modules
 """
+    run_fresh(code)
+
+
+def run_fresh(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports tetravol from this tree."""
     src = Path(node_search.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["mc", "--mode", "centroid", "--samples", "1000", "--seed", "1"], "tetravol.montecarlo"),
+    (["moments", "--k-max", "2", "--out", "m.tsv"], "tetravol.moments"),
+], ids=["mc", "moments"])
+def test_each_command_loads_only_its_modules(tmp_path, monkeypatch, argv, loads):
+    """`import tetravol.cli` loads no tetravol module, no exact arithmetic and
+    no numpy; a command then loads only the module it runs."""
+    monkeypatch.chdir(tmp_path)
+    code = f"""
+import sys
+import tetravol.cli
+
+def loaded():
+    return {{m for m in sys.modules if m == "tetravol" or m.startswith("tetravol.")}}
+
+assert loaded() == {{"tetravol", "tetravol.cli"}}, loaded()
+for name in ("fractions", "dataclasses", "numpy"):
+    assert name not in sys.modules, "import tetravol.cli loaded " + name
+assert tetravol.cli.main({argv!r}) == 0
+assert loaded() == {{"tetravol", "tetravol.cli", {loads!r}}}, loaded()
+"""
+    run_fresh(code)
 
 
 def test_mc_modes_are_the_montecarlo_modes():
@@ -436,6 +465,16 @@ def test_small_pipeline_all(tmp_path):
     assert (tmp_path / "run" / "certificate.txt").exists()
 
 
+@pytest.mark.parametrize("ref", ["-1e-3", "-1E+2", "-.5", "-0.001"])
+def test_mc_ref_takes_a_negative_number_as_the_next_word(capsys, ref):
+    argv = ["mc", "--mode", "centroid", "--samples", "10"]
+    assert main(argv + ["--ref", ref]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert main(argv + [f"--ref={ref}"]) == EXIT_OK
+    assert capsys.readouterr().out == out
+    assert out.rstrip().endswith(f"vs reference {float(ref)}")
+
+
 def test_mc_deterministic_output(capsys):
     assert main(["mc", "--mode", "centroid", "--samples", "50000",
                  "--seed", "3", "--ref", "0.0174"]) == EXIT_OK
@@ -573,6 +612,8 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
     # argparse reads -inf as an option, so the two words are a usage error
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--ref", "-inf"],
                  None, ONE_NODE, "argument --ref: expected one argument", id="mc-ref-minus-inf"),
+    pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--ref", "-nan"],
+                 None, ONE_NODE, "argument --ref: expected one argument", id="mc-ref-minus-nan"),
 ])
 def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, request,
                                            argv, moments, nodes, names):

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,32 @@ def test_estimate_same_bits_for_any_worker_count(monkeypatch, cpus):
     for case in PINNED:
         assert estimate(*case[:4]) == _pinned_result(*case)
     assert threading.active_count() == threads
+
+
+def test_estimate_memory_grows_with_the_workers_not_the_blocks(monkeypatch):
+    """10**9 samples are 30,518 blocks.  With the kernel stubbed out, what
+    estimate allocates is its own bookkeeping: two sums per block (0.5 MB)
+    and a task per worker.  One Future per block peaked at 52 MB."""
+    n = 10**9
+    calls = [0]
+    lock = threading.Lock()
+
+    def stub(seed, index, count, mode, power):
+        with lock:
+            calls[0] += 1
+        return float(count), 1.0
+
+    monkeypatch.setattr(montecarlo, "_block_sums", stub)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    tracemalloc.start()
+    try:
+        result = estimate(MODE_CENTROID, 1, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [-(-n // BLOCK_SIZE)]
+    assert result.mean == 1.0  # every sample counted once
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("chunk_size", [1000, 4096, BLOCK_SIZE])
