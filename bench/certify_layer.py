@@ -35,8 +35,11 @@ reports, so a side whose proofs or reports differ shows a different
 histogram or hash; the `cli` reports and stdout are hashed apart.  It also
 counts the proofs that ran the exact `sturm_root_count` chain: a tree that
 proves dominance on a rounded-down quotient first runs it only as a
-fallback.  Runs alternate between the sides, starting with a different
-side on each repeat.  Stdlib only; the
+fallback.  In untimed passes after the timed ones it counts, per proof,
+the rounded rung (the bits kept) that settled it, and, on a tree whose
+`gauss_nodes` has a Newton jump, how many roots the jump settled and how
+many jumps fell back to bisection.  Runs alternate between the sides,
+starting with a different side on each repeat.  Stdlib only; the
 side-by-side harness is `bench/sides.py`.
 """
 
@@ -82,6 +85,61 @@ def write_large_moments(src: str, path: str) -> None:
     from tetravol.moments import MomentTable, even_moment_fast
 
     MomentTable({k: even_moment_fast(k) for k in range(1, LARGE_K_MAX + 1)}).write(path)
+
+
+def proof_rungs(certificate, cases) -> list[str]:
+    """What settled the dominance proof of each (majorant, nodes) of
+    `cases`, untimed: the rung of `_ROUNDED_BITS` (an int or a tuple of
+    them) that holds the widest coefficient of the last rounded chain
+    built, "exact" when `_rounded_root_free` declined and the exact chain
+    ran, and "none" when neither ran (a failed deflation or boundary
+    sign)."""
+    rungs = certificate._ROUNDED_BITS
+    rungs = (rungs,) if isinstance(rungs, int) else tuple(rungs)
+    bits, settled = [], []
+    real_chain, real_rounded = certificate.sturm_chain, certificate._rounded_root_free
+
+    def chain(p):
+        bits.append(max(abs(c) for c in p).bit_length())
+        return real_chain(p)
+
+    def rounded(nums):
+        settled.append(real_rounded(nums))
+        return settled[-1]
+
+    certificate.sturm_chain, certificate._rounded_root_free = chain, rounded
+    out = []
+    try:
+        for poly, nodes in cases:
+            bits.clear()
+            settled.clear()
+            certificate.verify_dominance(poly, nodes)
+            if settled == [True]:
+                out.append(str(min(r for r in rungs if r >= bits[-1])))
+            else:
+                out.append("exact" if settled else "none")
+    finally:
+        certificate.sturm_chain, certificate._rounded_root_free = real_chain, real_rounded
+    return out
+
+
+def jump_counts(node_search, table, large) -> dict | None:
+    """Untimed, over the timed `gauss_nodes` calls: how many roots the
+    Newton jump settled and how many jumps fell back to bisection; None for
+    a tree without `_jump`."""
+    real = getattr(node_search, "_jump", None)
+    if real is None:
+        return None
+    results = []
+    node_search._jump = lambda *args: results.append(real(*args)) or results[-1]
+    try:
+        for n, moments in [(n, table) for n in GAUSS_SIZES] + \
+                [(n, large) for n in LARGE_GAUSS_SIZES]:
+            node_search.gauss_nodes(n, moments)
+    finally:
+        node_search._jump = real
+    return {"settled": sum(1 for cell in results if cell),
+            "fell_back": sum(1 for cell in results if not cell)}
 
 
 def child(src: str, seed: int, large_moments: str) -> dict:
@@ -166,7 +224,13 @@ def child(src: str, seed: int, large_moments: str) -> dict:
                         "fallbacks": len(exact_calls)}
 
     histogram = Counter(p.interior_root_count for p in proofs)
+    rungs = Counter(proof_rungs(certificate, zip(polys, sets)))
+    high_sets = [NodeSet.from_rationals(text.split()) for text in HIGH_DEGREE.values()]
+    high_rungs = proof_rungs(certificate, [(hermite_onesided(s), s) for s in high_sets])
     return {"seconds": seconds,
+            "rungs": dict(sorted(rungs.items())),
+            "high_degree_rungs": dict(zip(HIGH_DEGREE, high_rungs)),
+            "jumps": jump_counts(node_search, table, large),
             "gauss_s": gauss,
             "gauss_sha256": gauss_digest.hexdigest(),
             "dominance_fallbacks": fallbacks,
@@ -233,6 +297,10 @@ def main() -> None:
             "dominance_fallbacks": sorted({run["dominance_fallbacks"] for run in side_runs}),
             "parsed_equal": sorted({run["parsed_equal"] for run in side_runs}),
             "gauss_sha256": sorted({run["gauss_sha256"] for run in side_runs}),
+            "rungs": sorted({json.dumps(run["rungs"]) for run in side_runs}),
+            "high_degree_rungs": sorted({json.dumps(run["high_degree_rungs"])
+                                         for run in side_runs}),
+            "jumps": sorted({json.dumps(run["jumps"]) for run in side_runs}),
         }
         for layer in LAYERS:
             totals = [round(sum(run["seconds"][layer]), 4) for run in side_runs]

@@ -44,13 +44,15 @@ from .rational import RationalInterval, fraction_to_decimal, target_enclosure
 DOMAIN_MAX = Fraction(1, 3)
 
 #: bits kept of the largest coefficient of the rounded quotient in
-#: `verify_dominance`.  On the 291 node sets of the warm-certify-sweep plans
-#: for seeds 901-903 and the four d = 25 and d = 33 Gauss sets (denominators
-#: <= 100 and <= 1000), 64 bits proved all 295 quotients positive with no
-#: exact fallback, the 291 warm proofs' rounded chains taking 0.045 s in all
-#: (2 cores, Python 3.11.7); 24 bits fell back on 2 warm sets and on all four
-#: Gauss sets.
-_ROUNDED_BITS = 64
+#: `verify_dominance`, one rung after another until one proves it.  On the
+#: 291 node sets of the warm-certify-sweep plans for seeds 901-903 and the
+#: three `search` sets, and on the 200 seeded sets of the test suite, 32 bits
+#: proves every quotient positive, at about half the cost of 64 bits.  The
+#: d = 25 and d = 33 Gauss sets (denominators <= 1000) fail the 32-bit
+#: endpoint check at once and prove at 64 bits; 24 bits fell back on 2 warm
+#: sets and on all four Gauss sets.  Only a quotient that no rung proves
+#: runs the exact chain.
+_ROUNDED_BITS = (32, 64)
 
 #: the published seven-node set whose certificate reproduces the bound
 #: 0.0173791...; kept as the reference input for reproduction tests
@@ -103,7 +105,7 @@ def sturm_chain(p: Sequence[Fraction | int]) -> list[list[int]]:
     and every count, is the classical one; no rational is ever normalised.
     Raises ValueError for the zero polynomial.
     """
-    den = lcm(*(Fraction(c).denominator for c in p))
+    den = lcm(*(c.denominator for c in p))
     chain = [_primitive([int(c * den) for c in reversed(p)])]
     if chain[0] == [0]:
         raise ValueError("zero polynomial")
@@ -126,22 +128,27 @@ def sturm_chain(p: Sequence[Fraction | int]) -> list[list[int]]:
     return chain
 
 
-def _sign_at(p: Sequence[int], x: Fraction) -> int:
-    """Sign of p(x) from the homogenised integer Horner sum
-    sum_i c_i n^i d^(deg - i) = d^deg p(n/d), for x = n/d."""
-    n, d = x.numerator, x.denominator
+def _horner(p: Sequence[int], n: int, d: int) -> int:
+    """d^deg p(n/d) for the integer p (highest degree first): the
+    homogenised Horner sum sum_i c_i n^i d^(deg - i), c_i ascending."""
     s = 0
     power = 1
     for c in p:
         s = s * n + c * power
         power *= d
+    return s
+
+
+def _sign_at(p: Sequence[int], x: Fraction | int, den: int = 1) -> int:
+    """Sign of p(x / den), x a `Fraction` or an `int`, from `_horner`."""
+    s = _horner(p, x.numerator, x.denominator * den)
     return (s > 0) - (s < 0)
 
 
-def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    """Sign changes along `chain` at x, zeros skipped.  Raises ValueError when
-    x is a root of the chain's first polynomial."""
-    signs = [_sign_at(q, x) for q in chain]
+def sign_variations(chain: Sequence[Sequence[int]], x: Fraction | int, den: int = 1) -> int:
+    """Sign changes along `chain` at x / den, zeros skipped.  Raises
+    ValueError when x / den is a root of the chain's first polynomial."""
+    signs = [_sign_at(q, x, den) for q in chain]
     if not signs[0]:
         raise ValueError("Sturm endpoints must not be roots")
     signs = [s for s in signs if s]
@@ -210,8 +217,9 @@ def _rounded_root_free(nums: Sequence[int]) -> bool:
     """True when a rounded-down copy of nums proves it positive on [0, 1/3].
 
     nums = c_m .. c_0 (highest degree first) is written in u = 3x as
-    T_i = c_i 3^(m - i), so T(u) = 3^m N(u/3), and each T_i is shifted right
-    by e = max(0, bits(max |T_i|) - _ROUNDED_BITS) bits.  `>>` floors, so
+    T_i = c_i 3^(m - i), so T(u) = 3^m N(u/3).  For each `bits` of
+    _ROUNDED_BITS in turn, each T_i is shifted right by
+    e = max(0, bits(max |T_i|) - bits) bits.  `>>` floors, so
     2^e Rhat_i <= T_i, and as u^i >= 0 on [0, 1], 2^e Rhat(u) <= T(u) there.
     Rhat(0) > 0, Rhat(1) > 0 and no Sturm root of Rhat in (0, 1) make Rhat,
     hence T, hence N on [0, 1/3], positive.  False says nothing about nums.
@@ -220,12 +228,17 @@ def _rounded_root_free(nums: Sequence[int]) -> bool:
     for c in nums:
         t.append(c * power)
         power *= 3
-    shift = max(0, max(abs(c) for c in t).bit_length() - _ROUNDED_BITS)
-    rounded = [c >> shift for c in t]
-    if rounded[-1] <= 0 or sum(rounded) <= 0:
-        return False
-    chain = sturm_chain(rounded[::-1])
-    return sign_variations(chain, Fraction(0)) == sign_variations(chain, Fraction(1))
+    top = max(abs(c) for c in t).bit_length()
+    for bits in _ROUNDED_BITS:
+        shift = max(0, top - bits)
+        rounded = [c >> shift for c in t]
+        if rounded[-1] > 0 and sum(rounded) > 0:
+            chain = sturm_chain(rounded[::-1])
+            if sign_variations(chain, 0) == sign_variations(chain, 1):
+                return True
+        if not shift:  # every later rung is this same copy
+            break
+    return False
 
 
 def verify_dominance(poly: EvenPoly, nodes: NodeSet) -> DominanceProof:
@@ -239,13 +252,13 @@ def verify_dominance(poly: EvenPoly, nodes: NodeSet) -> DominanceProof:
     quotient is nums times one positive scale, so its signs and Sturm count
     are those of the integers nums.
 
-    With both boundary signs positive, `_rounded_root_free` first tries a
-    rounded-down copy of nums in u = 3x, whose coefficients have about
-    _ROUNDED_BITS bits: floor shifts only lower coefficients and u^i >= 0
-    on [0, 1], so when that copy has no root in [0, 1] neither has the
-    quotient in [0, 1/3], and the root count is exactly 0.  Otherwise the
-    exact chain on nums counts the roots.  Either way the proof is the one
-    exact Sturm alone would give.
+    With both boundary signs positive, `_rounded_root_free` first tries
+    rounded-down copies of nums in u = 3x, whose coefficients have 32, then
+    64 bits (_ROUNDED_BITS): floor shifts only lower coefficients and
+    u^i >= 0 on [0, 1], so when a copy has no root in [0, 1] neither has
+    the quotient in [0, 1/3], and the root count is exactly 0.  Otherwise
+    the exact chain on nums counts the roots.  Either way the proof is the
+    one exact Sturm alone would give.
     """
     diff = [Fraction(0)] * max(poly.degree + 1, 2)
     for i, a in enumerate(poly.coeffs):

@@ -26,6 +26,10 @@ table summed over p and q (`centred_integrals_pq`), which cost about k^5
 and k^4 per order: the references for the library's double sum over an
 updated kernel and its O(k^3) table.
 
+For the Gauss-node search it keeps the bisection of each root over the
+rationals (`roots_bisection`), with a `Fraction` midpoint at every step:
+the reference for the library's integer cells and Newton jump.
+
 For the Monte Carlo cross-check it keeps the whole-block sample kernel
 (`block_sums_slice`), the reference for the library's chunked one.
 """
@@ -428,6 +432,28 @@ def verify_dominance_long_division(poly, nodes):
         return DominanceProof(tuple(quotient), True, -1, sign0, sign1)
     count = sturm_root_count(quotient, Fraction(0), DOMAIN_MAX)
     return DominanceProof(tuple(quotient), True, count, sign0, sign1)
+
+
+def roots_bisection(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction,
+                    count: int) -> list[Fraction]:
+    """The `count` simple roots of chain[0] in (lo, hi), each to a relative
+    width of 2^-60, by sign variations on a Sturm sequence until they are
+    apart and sign bisection after.  chain[0] must not vanish at lo or hi."""
+    from tetravol.certificate import _sign_at, sign_variations
+
+    if count == 0:
+        return []
+    if count == 1 and (hi - lo) * 2**60 <= lo:
+        return [(lo + hi) / 2]
+    mid = (lo + hi) / 2
+    while not (at_mid := _sign_at(chain[0], mid)):  # step off an exact root
+        mid = (lo + mid) / 2
+    if count == 1:
+        left = int(_sign_at(chain[0], lo) != at_mid)
+    else:
+        left = sign_variations(chain, lo) - sign_variations(chain, mid)
+    return (roots_bisection(chain, lo, mid, left)
+            + roots_bisection(chain, mid, hi, count - left))
 
 
 def block_sums_slice(seed: int, block_index: int, count: int, mode: str, power: int

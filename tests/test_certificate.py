@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import os
 import random
 import sys
@@ -339,6 +340,43 @@ def test_high_degree_gauss_set_proves_without_the_exact_chain(monkeypatch):
         proof = verify_dominance(hermite_onesided(nodes), nodes)
         assert proof.valid and proof.interior_root_count == 0, text
         assert len(proof.quotient) == 2 * len(nodes) - 1
+
+
+def _warm_plan_sets(seed):
+    """The node sets that the benchmark's warm-certify-sweep plan stages for
+    `seed`: the reference set and its seeded polished and random sets."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    plan = inputs.make_plan("warm-certify-sweep", seed)
+    return [NodeSet.from_rationals(nodes) for nodes in plan["files"].values()]
+
+
+def test_the_32_bit_rung_alone_proves_the_warm_plan(monkeypatch):
+    def exact(*args):
+        raise AssertionError("the exact chain ran")
+
+    monkeypatch.setattr(certificate, "sturm_root_count", exact)
+    monkeypatch.setattr(certificate, "_ROUNDED_BITS", (32,))
+    sets = _warm_plan_sets(901)
+    assert NodeSet(REFERENCE_NODES) in sets and len(sets) == 97
+    for nodes in sets:
+        proof = verify_dominance(hermite_onesided(nodes), nodes)
+        assert proof.valid and proof.interior_root_count == 0, nodes
+
+
+def test_high_degree_gauss_sets_skip_the_32_bit_rung_at_its_ends(monkeypatch):
+    # the 32-bit copy of each quotient is not positive at an end, so the
+    # first chain built is the 64-bit one, and it proves the quotient
+    bits, real = [], certificate.sturm_chain
+    monkeypatch.setattr(certificate, "sturm_chain", lambda p: bits.append(
+        max(abs(c) for c in p).bit_length()) or real(p))
+    for text in (GAUSS_25, GAUSS_33):
+        nodes = NodeSet.from_rationals(text.split())
+        bits.clear()
+        assert verify_dominance(hermite_onesided(nodes), nodes).valid, text
+        assert bits == [64], text
 
 
 @pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),

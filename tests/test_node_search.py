@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from tetravol import certificate, node_search
-from tetravol.certificate import _primitive, certify, sign_variations, sturm_root_count
+from tetravol.certificate import (_primitive, certify, sign_variations, sturm_chain,
+                                  sturm_root_count)
 from tetravol.cli import EXIT_OK, main
 from tetravol.majorant import MomentOrderError, NodeSet
 from tetravol.moments import MomentTable, even_moment_fast
@@ -25,6 +26,8 @@ from tetravol.node_search import (
     rationalize,
     solve_onesided_lp,
 )
+
+from oracles import roots_bisection
 
 
 @pytest.fixture(scope="module")
@@ -148,15 +151,87 @@ def test_gauss_nodes_need_neither_the_lp_solver_nor_a_sturm_chain(table13, monke
     assert tuple(x.hex() for x in gauss_nodes(7, table13)) == GAUSS7_HEX
 
 
+def _chain_and_nodes(n, table, monkeypatch):
+    """The Sturm sequence p_n, ..., p_0 that gauss_nodes(n, table) hands to
+    `_roots`, and the float nodes it returns."""
+    seen, real = [], node_search._roots
+    monkeypatch.setattr(node_search, "_roots",
+                        lambda chain, *args: seen.append(chain) or real(chain, *args))
+    nodes = gauss_nodes(n, table)
+    monkeypatch.setattr(node_search, "_roots", real)
+    return seen[0], nodes
+
+
+def _check_against_bisection(n, table, monkeypatch):
+    chain, nodes = _chain_and_nodes(n, table, monkeypatch)
+    reference = roots_bisection(chain, Fraction(0), Fraction(1, 9), n)
+    assert node_search._roots(chain, n) == reference
+    assert [x.hex() for x in nodes] == [math.sqrt(t).hex() for t in reference]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gauss_nodes_are_the_bits_of_rational_bisection(n, table13, monkeypatch):
+    _check_against_bisection(n, table13, monkeypatch)
+
+
+@pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),
+                    reason="computes orders 14..39; set TETRAVOL_SLOW=1 to run")
+def test_gauss_nodes_are_the_bits_of_rational_bisection_to_20_nodes_slow(
+        table13, monkeypatch):
+    values = dict(table13.values)
+    values.update((k, even_moment_fast(k)) for k in range(14, 40))
+    table39 = MomentTable(values)
+    for n in range(8, 21):
+        _check_against_bisection(n, table39, monkeypatch)
+
+
+def _counted_jumps(monkeypatch):
+    """Record each `_jump` result: a cell, or None when it fell back."""
+    jumps, real = [], node_search._jump
+    monkeypatch.setattr(node_search, "_jump",
+                        lambda *args: jumps.append(real(*args)) or jumps[-1])
+    return jumps
+
+
+def test_the_jump_settles_every_gauss_node(table13, monkeypatch):
+    # bisection alone never reaches the last cell of any of the seven roots
+    jumps = _counted_jumps(monkeypatch)
+    assert tuple(x.hex() for x in gauss_nodes(7, table13)) == GAUSS7_HEX
+    assert len([cell for cell in jumps if cell]) == 7
+
+
+def test_roots_step_off_a_root_on_the_grid(monkeypatch):
+    # (72t - 3)(72t - 5)(t^2 + 1): roots 3/(9 * 2^3) and 5/(9 * 2^3), both
+    # midpoints of bisection.  Each root is a point of the jump's final grid,
+    # so no cell there holds it strictly inside and the sign check refuses
+    # every jump; bisection then meets the root at a midpoint and steps off
+    # it, to cells of width 3 that no jump is tried from
+    chain = sturm_chain([15, -576, 5199, -576, 5184])
+    jumps = _counted_jumps(monkeypatch)
+    roots = node_search._roots(chain, 2)
+    assert roots == roots_bisection(chain, Fraction(0), Fraction(1, 9), 2)
+    assert jumps and not any(jumps)
+    assert [float(t) for t in roots] == [3 / 72, 5 / 72]
+
+
+def test_roots_apart_by_less_than_the_stop_width():
+    # roots 1/20 and 1/20 + 2^-70: isolation runs past the level where each
+    # one alone would stop, and each cell it leaves is already narrow enough
+    t1, t2 = Fraction(1, 20), Fraction(1, 20) + Fraction(1, 2**70)
+    p = [t1 * t2, -t1 - t2, Fraction(1)]
+    chain = sturm_chain(p)
+    roots = node_search._roots(chain, 2)
+    assert roots == roots_bisection(chain, Fraction(0), Fraction(1, 9), 2)
+    assert roots[0] < t2 and t1 < roots[1]
+    for t, root in zip((t1, t2), roots):
+        assert abs(root - t) * 2**60 <= t
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_recurrence_is_the_hankel_solution_and_a_sturm_sequence(n, table13, monkeypatch):
     # the sequence gauss_nodes hands to `_roots`: p_n, ..., p_0, each with
     # integer coefficients highest degree first
-    seen, real = [], node_search._roots
-    monkeypatch.setattr(node_search, "_roots",
-                        lambda chain, *args: seen.append(chain) or real(chain, *args))
-    gauss_nodes(n, table13)
-    sequence = seen[0]
+    sequence = _chain_and_nodes(n, table13, monkeypatch)[0]
     assert [len(p) - 1 for p in sequence] == list(range(n, -1, -1))
     m = [Fraction(1)] + [table13[i] for i in range(1, 2 * n)]
     hankel = node_search._solve_exact([m[i:i + n] for i in range(n)],
