@@ -36,11 +36,9 @@ histogram or hash; the `cli` reports and stdout are hashed apart.  It also
 counts the proofs that ran the exact `sturm_root_count` chain: a tree that
 proves dominance on a rounded-down quotient first runs it only as a
 fallback.  In untimed passes after the timed ones it counts, per proof,
-the rounded rung (the bits kept) that settled it, and, on a tree whose
-`gauss_nodes` has a Newton jump, how many roots the jump settled and how
-many jumps fell back to bisection.  Runs alternate between the sides,
-starting with a different side on each repeat.  Stdlib only; the
-side-by-side harness is `bench/sides.py`.
+the rounded rung (the bits kept) that settled it.  Runs alternate
+between the sides, starting with a different side on each repeat.  Stdlib
+only; the side-by-side harness is `bench/sides.py`.
 """
 
 from __future__ import annotations
@@ -121,25 +119,6 @@ def proof_rungs(certificate, cases) -> list[str]:
     finally:
         certificate.sturm_chain, certificate._rounded_root_free = real_chain, real_rounded
     return out
-
-
-def jump_counts(node_search, table, large) -> dict | None:
-    """Untimed, over the timed `gauss_nodes` calls: how many roots the
-    Newton jump settled and how many jumps fell back to bisection; None for
-    a tree without `_jump`."""
-    real = getattr(node_search, "_jump", None)
-    if real is None:
-        return None
-    results = []
-    node_search._jump = lambda *args: results.append(real(*args)) or results[-1]
-    try:
-        for n, moments in [(n, table) for n in GAUSS_SIZES] + \
-                [(n, large) for n in LARGE_GAUSS_SIZES]:
-            node_search.gauss_nodes(n, moments)
-    finally:
-        node_search._jump = real
-    return {"settled": sum(1 for cell in results if cell),
-            "fell_back": sum(1 for cell in results if not cell)}
 
 
 def child(src: str, seed: int, large_moments: str) -> dict:
@@ -230,7 +209,6 @@ def child(src: str, seed: int, large_moments: str) -> dict:
     return {"seconds": seconds,
             "rungs": dict(sorted(rungs.items())),
             "high_degree_rungs": dict(zip(HIGH_DEGREE, high_rungs)),
-            "jumps": jump_counts(node_search, table, large),
             "gauss_s": gauss,
             "gauss_sha256": gauss_digest.hexdigest(),
             "dominance_fallbacks": fallbacks,
@@ -300,7 +278,6 @@ def main() -> None:
             "rungs": sorted({json.dumps(run["rungs"]) for run in side_runs}),
             "high_degree_rungs": sorted({json.dumps(run["high_degree_rungs"])
                                          for run in side_runs}),
-            "jumps": sorted({json.dumps(run["jumps"]) for run in side_runs}),
         }
         for layer in LAYERS:
             totals = [round(sum(run["seconds"][layer]), 4) for run in side_runs]

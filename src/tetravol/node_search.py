@@ -346,10 +346,6 @@ def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
 
 #: a root is settled in a cell (a, b)/(9 * 2^e) with (b - a) * 2^_NODE_BITS <= a
 _NODE_BITS = 60
-#: extra bits of the Newton iterate in `_jump`, below the settling cell's
-_GUARD_BITS = 16
-#: Newton steps a jump may take before it falls back to bisection
-_NEWTON_STEPS = 8
 
 
 def _roots(chain: list[list[int]], count: int) -> list[Fraction]:
@@ -360,15 +356,10 @@ def _roots(chain: list[list[int]], count: int) -> list[Fraction]:
     Sturm sequence `chain` bisect (0, 1/9) until the roots are apart; a
     midpoint where chain[0] vanishes moves to (lo + mid)/2.  A cell holding
     one root is bisected on the sign of chain[0] until (b - a) 2^60 <= a,
-    and its midpoint is the root.  From a cell (a, a + 1)/(9 * 2^e) with
-    a > 0, `_jump` first tries to name that last cell by Newton; a jump it
-    cannot verify leaves the cell to one more bisection step.  Either way
-    each root is the midpoint that bisection over the rationals gives.
-    chain[0] must not vanish at 0 or 1/9.
+    and its midpoint is the root: the midpoint that bisection over the
+    rationals gives.  chain[0] must not vanish at 0 or 1/9.
     """
     p = chain[0]
-    top = len(p) - 1
-    slope = [(top - i) * c for i, c in enumerate(p[:-1])]
 
     def isolate(a: int, b: int, e: int, count: int) -> list[Fraction]:
         if count == 0:
@@ -384,10 +375,6 @@ def _roots(chain: list[list[int]], count: int) -> list[Fraction]:
     def settle(a: int, b: int, e: int) -> Fraction:
         below = _horner(p, a, 9 << e) > 0  # the sign of p left of the root
         while (b - a) << _NODE_BITS > a:
-            if b - a == 1 and a and (cell := _jump(p, slope, a, e)):
-                a, e = cell
-                b = a + 1
-                break
             mid, a, b, e = a + b, 2 * a, 2 * b, e + 1
             while not (value := _horner(p, mid, 9 << e)):  # step off an exact root
                 mid, a, b, e = a + mid, 2 * a, 2 * b, e + 1
@@ -398,37 +385,6 @@ def _roots(chain: list[list[int]], count: int) -> list[Fraction]:
         return Fraction(a + b, 9 << (e + 1))
 
     return isolate(0, 1, 0, count)
-
-
-def _jump(p: list[int], slope: list[int], a: int, e: int) -> tuple[int, int] | None:
-    """The cell (A, A + 1)/(9 * 2^E) where bisection of the one root of p in
-    (a, a + 1)/(9 * 2^e) stops, or None.
-
-    With a > 0, that cell has 2^60 <= A < 2^61, which fixes E.  Integer
-    Newton on p, with its derivative `slope`, runs from the cell's midpoint
-    at _GUARD_BITS bits below E and gives up when the iterate leaves the
-    cell, so A >> (E - e) == a.  The cell is returned only when p(A) and
-    p(A + 1) are nonzero and of opposite signs: then the root lies inside
-    it, no bisection midpoint down to level E is a root, and every step of
-    the bisection goes the way that ends in this cell.
-    """
-    E = e + _NODE_BITS + 1 - a.bit_length()
-    shift = E - e + _GUARD_BITS
-    scale = 9 << (E + _GUARD_BITS)
-    x = (2 * a + 1) << (shift - 1)
-    for _ in range(_NEWTON_STEPS):
-        gradient = _horner(slope, x, scale)
-        if not gradient:
-            return None
-        step = _horner(p, x, scale) // gradient
-        x -= step
-        if x >> shift != a:
-            return None
-        if -1 <= step <= 1:
-            break
-    A = x >> _GUARD_BITS
-    lo, hi = _horner(p, A, 9 << E), _horner(p, A + 1, 9 << E)
-    return (A, E) if lo and hi and (lo > 0) != (hi > 0) else None
 
 
 def polish_nodes(nodes: Sequence[float], moments: MomentTable) -> list[float]:

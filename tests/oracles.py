@@ -27,8 +27,9 @@ and k^4 per order: the references for the library's double sum over an
 updated kernel and its O(k^3) table.
 
 For the Gauss-node search it keeps the bisection of each root over the
-rationals (`roots_bisection`), with a `Fraction` midpoint at every step:
-the reference for the library's integer cells and Newton jump.
+rationals (`roots_bisection`), with a `Fraction` midpoint at every step
+and its own signs of the Sturm sequence: the reference for the library's
+bisection on integer cells.
 
 For the Monte Carlo cross-check it keeps the whole-block sample kernel
 (`block_sums_slice`), the reference for the library's chunked one.
@@ -438,20 +439,29 @@ def roots_bisection(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction,
                     count: int) -> list[Fraction]:
     """The `count` simple roots of chain[0] in (lo, hi), each to a relative
     width of 2^-60, by sign variations on a Sturm sequence until they are
-    apart and sign bisection after.  chain[0] must not vanish at lo or hi."""
-    from tetravol.certificate import _sign_at, sign_variations
+    apart and sign bisection after.  Each element of `chain` (integers,
+    highest degree first) is evaluated by `poly_eval` over the rationals.
+    chain[0] must not vanish at lo or hi."""
+
+    def sign(q: Sequence[int], x: Fraction) -> int:
+        value = poly_eval(q[::-1], x)
+        return (value > 0) - (value < 0)
+
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (sign(q, x) for q in chain) if s]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
     if count == 0:
         return []
     if count == 1 and (hi - lo) * 2**60 <= lo:
         return [(lo + hi) / 2]
     mid = (lo + hi) / 2
-    while not (at_mid := _sign_at(chain[0], mid)):  # step off an exact root
+    while not (at_mid := sign(chain[0], mid)):  # step off an exact root
         mid = (lo + mid) / 2
     if count == 1:
-        left = int(_sign_at(chain[0], lo) != at_mid)
+        left = int(sign(chain[0], lo) != at_mid)
     else:
-        left = sign_variations(chain, lo) - sign_variations(chain, mid)
+        left = variations(lo) - variations(mid)
     return (roots_bisection(chain, lo, mid, left)
             + roots_bisection(chain, mid, hi, count - left))
 

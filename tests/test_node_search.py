@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -146,8 +147,14 @@ def test_gauss_nodes_need_neither_the_lp_solver_nor_a_sturm_chain(table13, monke
     def refuse(*args, **kwargs):
         raise AssertionError("gauss_nodes called the LP's solver or built a Sturm chain")
 
-    monkeypatch.setattr(node_search, "_solve_exact", refuse)
-    monkeypatch.setattr(certificate, "sturm_chain", refuse)
+    # every `tetravol` module that binds either function, under any name,
+    # binds the refusal instead
+    targets = (certificate.sturm_chain, node_search._solve_exact)
+    for name, module in list(sys.modules.items()):
+        if name == "tetravol" or name.startswith("tetravol."):
+            for attr, value in list(vars(module).items()):
+                if any(value is target for target in targets):
+                    monkeypatch.setattr(module, attr, refuse)
     assert tuple(x.hex() for x in gauss_nodes(7, table13)) == GAUSS7_HEX
 
 
@@ -185,33 +192,21 @@ def test_gauss_nodes_are_the_bits_of_rational_bisection_to_20_nodes_slow(
         _check_against_bisection(n, table39, monkeypatch)
 
 
-def _counted_jumps(monkeypatch):
-    """Record each `_jump` result: a cell, or None when it fell back."""
-    jumps, real = [], node_search._jump
-    monkeypatch.setattr(node_search, "_jump",
-                        lambda *args: jumps.append(real(*args)) or jumps[-1])
-    return jumps
-
-
-def test_the_jump_settles_every_gauss_node(table13, monkeypatch):
-    # bisection alone never reaches the last cell of any of the seven roots
-    jumps = _counted_jumps(monkeypatch)
-    assert tuple(x.hex() for x in gauss_nodes(7, table13)) == GAUSS7_HEX
-    assert len([cell for cell in jumps if cell]) == 7
-
-
-def test_roots_step_off_a_root_on_the_grid(monkeypatch):
+@pytest.mark.parametrize("p, roots", [
+    ([15, -576, 5199, -576, 5184], [3 / 72, 5 / 72]),
+    ([-1, 2**100], [2.0**-100]),
+], ids=["two-roots-at-level-3", "one-root-at-2^-100"])
+def test_roots_step_off_a_root_on_the_grid(p, roots):
     # (72t - 3)(72t - 5)(t^2 + 1): roots 3/(9 * 2^3) and 5/(9 * 2^3), both
-    # midpoints of bisection.  Each root is a point of the jump's final grid,
-    # so no cell there holds it strictly inside and the sign check refuses
-    # every jump; bisection then meets the root at a midpoint and steps off
-    # it, to cells of width 3 that no jump is tried from
-    chain = sturm_chain([15, -576, 5199, -576, 5184])
-    jumps = _counted_jumps(monkeypatch)
-    roots = node_search._roots(chain, 2)
-    assert roots == roots_bisection(chain, Fraction(0), Fraction(1, 9), 2)
-    assert jumps and not any(jumps)
-    assert [float(t) for t in roots] == [3 / 72, 5 / 72]
+    # midpoints of bisection, which meets each one and steps off it.
+    # 2^100 t - 1: the root 2^-100 = 9/(9 * 2^100) lies in the first cell
+    # (0, 1)/(9 * 2^e) for e <= 96, where the stop rule cannot hold, and is
+    # the midpoint of the cell (4, 5)/(9 * 2^99) that bisection reaches
+    # three levels later
+    chain = sturm_chain(p)
+    found = node_search._roots(chain, len(roots))
+    assert found == roots_bisection(chain, Fraction(0), Fraction(1, 9), len(roots))
+    assert [float(t) for t in found] == roots
 
 
 def test_roots_apart_by_less_than_the_stop_width():
