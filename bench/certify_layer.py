@@ -36,7 +36,8 @@ histogram or hash; the `cli` reports and stdout are hashed apart.  It also
 counts the proofs that ran the exact `sturm_root_count` chain: a tree that
 proves dominance on a rounded-down quotient first runs it only as a
 fallback.  In untimed passes after the timed ones it counts, per proof,
-the rounded rung (the bits kept) that settled it.  Runs alternate
+the rounded rung (the bits kept) that settled it, and the
+`sign_variations` calls of each timed `gauss_nodes(n)`.  Runs alternate
 between the sides, starting with a different side on each repeat.  Stdlib
 only; the side-by-side harness is `bench/sides.py`.
 """
@@ -87,13 +88,10 @@ def write_large_moments(src: str, path: str) -> None:
 
 def proof_rungs(certificate, cases) -> list[str]:
     """What settled the dominance proof of each (majorant, nodes) of
-    `cases`, untimed: the rung of `_ROUNDED_BITS` (an int or a tuple of
-    them) that holds the widest coefficient of the last rounded chain
-    built, "exact" when `_rounded_root_free` declined and the exact chain
-    ran, and "none" when neither ran (a failed deflation or boundary
-    sign)."""
-    rungs = certificate._ROUNDED_BITS
-    rungs = (rungs,) if isinstance(rungs, int) else tuple(rungs)
+    `cases`, untimed: the rung of `_ROUNDED_BITS` that holds the widest
+    coefficient of the last rounded chain built, "exact" when
+    `_rounded_root_free` declined and the exact chain ran, and "none" when
+    neither ran (a failed deflation or boundary sign)."""
     bits, settled = [], []
     real_chain, real_rounded = certificate.sturm_chain, certificate._rounded_root_free
 
@@ -113,11 +111,27 @@ def proof_rungs(certificate, cases) -> list[str]:
             settled.clear()
             certificate.verify_dominance(poly, nodes)
             if settled == [True]:
-                out.append(str(min(r for r in rungs if r >= bits[-1])))
+                out.append(str(min(r for r in certificate._ROUNDED_BITS if r >= bits[-1])))
             else:
                 out.append("exact" if settled else "none")
     finally:
         certificate.sturm_chain, certificate._rounded_root_free = real_chain, real_rounded
+    return out
+
+
+def sign_counts(node_search, cases) -> list[int]:
+    """The `sign_variations` calls of `gauss_nodes(n, moments)` for each
+    (n, moments) of `cases`, untimed."""
+    calls, real = [], node_search.sign_variations
+    node_search.sign_variations = lambda *args: calls.append(1) or real(*args)
+    out = []
+    try:
+        for n, moments in cases:
+            calls.clear()
+            node_search.gauss_nodes(n, moments)
+            out.append(len(calls))
+    finally:
+        node_search.sign_variations = real
     return out
 
 
@@ -185,8 +199,8 @@ def child(src: str, seed: int, large_moments: str) -> dict:
     gauss = {}
     gauss_digest = hashlib.sha256()
     large = MomentTable.read(large_moments)
-    for n, moments in [(n, table) for n in GAUSS_SIZES] + \
-            [(n, large) for n in LARGE_GAUSS_SIZES]:
+    gauss_cases = [(n, table) for n in GAUSS_SIZES] + [(n, large) for n in LARGE_GAUSS_SIZES]
+    for n, moments in gauss_cases:
         t0 = time.perf_counter()
         nodes = node_search.gauss_nodes(n, moments)
         gauss[str(n)] = time.perf_counter() - t0
@@ -211,6 +225,8 @@ def child(src: str, seed: int, large_moments: str) -> dict:
             "high_degree_rungs": dict(zip(HIGH_DEGREE, high_rungs)),
             "gauss_s": gauss,
             "gauss_sha256": gauss_digest.hexdigest(),
+            "gauss_sign_variations": dict(zip(map(str, GAUSS_SIZES + LARGE_GAUSS_SIZES),
+                                              sign_counts(node_search, gauss_cases))),
             "dominance_fallbacks": fallbacks,
             "parsed_equal": parsed_equal,
             "high_degree": high,
@@ -275,6 +291,8 @@ def main() -> None:
             "dominance_fallbacks": sorted({run["dominance_fallbacks"] for run in side_runs}),
             "parsed_equal": sorted({run["parsed_equal"] for run in side_runs}),
             "gauss_sha256": sorted({run["gauss_sha256"] for run in side_runs}),
+            "gauss_sign_variations": sorted({json.dumps(run["gauss_sign_variations"])
+                                             for run in side_runs}),
             "rungs": sorted({json.dumps(run["rungs"]) for run in side_runs}),
             "high_degree_rungs": sorted({json.dumps(run["high_degree_rungs"])
                                          for run in side_runs}),

@@ -139,19 +139,15 @@ def _horner(p: Sequence[int], n: int, d: int) -> int:
     return s
 
 
-def _sign_at(p: Sequence[int], x: Fraction | int, den: int = 1) -> int:
-    """Sign of p(x / den), x a `Fraction` or an `int`, from `_horner`."""
-    s = _horner(p, x.numerator, x.denominator * den)
-    return (s > 0) - (s < 0)
-
-
 def sign_variations(chain: Sequence[Sequence[int]], x: Fraction | int, den: int = 1) -> int:
-    """Sign changes along `chain` at x / den, zeros skipped.  Raises
-    ValueError when x / den is a root of the chain's first polynomial."""
-    signs = [_sign_at(q, x, den) for q in chain]
-    if not signs[0]:
+    """Sign changes along `chain` at x / den, x a `Fraction` or an `int`,
+    zeros skipped; each value is `_horner`'s, which has the sign of
+    q(x / den).  Raises ValueError when x / den is a root of the chain's
+    first polynomial."""
+    values = [_horner(q, x.numerator, x.denominator * den) for q in chain]
+    if not values[0]:
         raise ValueError("Sturm endpoints must not be roots")
-    signs = [s for s in signs if s]
+    signs = [v > 0 for v in values if v]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -280,8 +276,8 @@ def verify_dominance(poly: EvenPoly, nodes: NodeSet) -> DominanceProof:
     if not remainder_is_zero:
         return DominanceProof(quotient, False, -1, 0, 0)
 
-    sign0 = (nums[-1] > 0) - (nums[-1] < 0)
-    sign1 = _sign_at(nums, DOMAIN_MAX)
+    end = _horner(nums, 1, 3)  # 3^deg nums(1/3), of the quotient's sign at 1/3
+    sign0, sign1 = (nums[-1] > 0) - (nums[-1] < 0), (end > 0) - (end < 0)
     if sign0 == 0 or sign1 == 0:
         return DominanceProof(quotient, True, -1, sign0, sign1)
     if sign0 > 0 and sign1 > 0 and _rounded_root_free(nums):

@@ -309,12 +309,12 @@ def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
     p_(k+1) = (t - alpha_k) p_k - beta_k p_(k-1) over the rationals from
     m_0 = 1 and m_i = E t^i up to order 2n - 1.  When every beta_k > 0, the
     primitive integer forms of p_n, ..., p_0 are a Sturm sequence for p_n
-    (Szego 1939, sec. 3.3): it checks that all n roots lie in (0, 1/9) and
-    serves their exact bisection; only the square root is a float.  A table
-    without every order 1..2n - 1 raises MomentOrderError from
-    `majorant._require_orders`, at once for any n; a beta_k <= 0 (Hankel
-    matrix not positive definite) or a root outside (0, 1/9), which V's
-    moments cannot have, raises MomentIntegrityError.
+    (Szego 1939, sec. 3.3): its counts at 0 and 1/9 check that all n roots
+    lie in (0, 1/9) and start their exact bisection; only the square root is
+    a float.  A table without every order 1..2n - 1 raises MomentOrderError
+    from `majorant._require_orders`, at once for any n; a beta_k <= 0
+    (Hankel matrix not positive definite) or a root outside (0, 1/9), which
+    V's moments cannot have, raises MomentIntegrityError.
     """
     _require_orders(moments, nodes=n)
     order = 2 * n - 1
@@ -334,57 +334,51 @@ def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
         den = math.lcm(*(c.denominator for c in p))
         chain.insert(0, _primitive([c.numerator * (den // c.denominator) for c in reversed(p)]))
     try:
-        found = sign_variations(chain, 0, 9) - sign_variations(chain, 1, 9)
-    except ValueError:  # a root at 0 or 1/9
-        found = None
-    if found != n:
+        low, high = sign_variations(chain, 0, 9), sign_variations(chain, 1, 9)
+    except ValueError:  # a root at 0 or 1/9, so not n roots inside
+        low = high = 0
+    if low - high != n:
         raise MomentIntegrityError(
             f"moments to order {order} have no {n}-point Gauss rule with nodes "
             f"t = V^2 in (0, 1/9), so they are not the moments of V")
-    return [math.sqrt(t) for t in _roots(chain, n)]
+    return [math.sqrt(t) for t in _roots(chain, low, high)]
 
 
 #: a root is settled in a cell (a, b)/(9 * 2^e) with (b - a) * 2^_NODE_BITS <= a
 _NODE_BITS = 60
 
 
-def _roots(chain: list[list[int]], count: int) -> list[Fraction]:
-    """The `count` simple roots of chain[0] in (0, 1/9), each to a relative
-    width of 2^-60.
+def _roots(chain: list[list[int]], low: int, high: int) -> list[Fraction]:
+    """The low - high simple roots of chain[0] in (0, 1/9), each to a relative
+    width of 2^-60; `low` and `high` count the sign variations of the Sturm
+    sequence `chain` at 0 and 1/9, where chain[0] must not vanish.
 
-    Every point is an integer pair a/(9 * 2^e).  Sign variations on the
-    Sturm sequence `chain` bisect (0, 1/9) until the roots are apart; a
-    midpoint where chain[0] vanishes moves to (lo + mid)/2.  A cell holding
-    one root is bisected on the sign of chain[0] until (b - a) 2^60 <= a,
-    and its midpoint is the root: the midpoint that bisection over the
-    rationals gives.  chain[0] must not vanish at 0 or 1/9.
+    One bisection on integer cells (a, b)/(9 * 2^e) carries the counts at
+    both ends of each cell and the sign of chain[0] at its left end, so a
+    cell holding two or more roots counts only its midpoint, and a cell
+    holding one root splits on the sign of chain[0] until (b - a) 2^60 <= a.
+    A midpoint where chain[0] vanishes moves to (a + mid)/2.  Each root is
+    the midpoint of its last cell: the one bisection over the rationals gives.
+    Cells wait on a stack, left first, so no root is too deep to reach.
     """
-    p = chain[0]
-
-    def isolate(a: int, b: int, e: int, count: int) -> list[Fraction]:
-        if count == 0:
-            return []
-        if count == 1:
-            return [settle(a, b, e)]
+    p, roots = chain[0], []
+    cells = [(0, 1, 0, low, high, p[-1] > 0)]
+    while cells:
+        a, b, e, va, vb, positive = cells.pop()
+        if va == vb:
+            continue
+        if va - vb == 1 and (b - a) << _NODE_BITS <= a:
+            roots.append(Fraction(a + b, 9 << (e + 1)))
+            continue
         mid, a, b, e = a + b, 2 * a, 2 * b, e + 1
-        while not _horner(p, mid, 9 << e):  # step off an exact root
+        while not (value := _horner(p, mid, 9 << e)):  # step off an exact root
             mid, a, b, e = a + mid, 2 * a, 2 * b, e + 1
-        left = sign_variations(chain, a, 9 << e) - sign_variations(chain, mid, 9 << e)
-        return isolate(a, mid, e, left) + isolate(mid, b, e, count - left)
-
-    def settle(a: int, b: int, e: int) -> Fraction:
-        below = _horner(p, a, 9 << e) > 0  # the sign of p left of the root
-        while (b - a) << _NODE_BITS > a:
-            mid, a, b, e = a + b, 2 * a, 2 * b, e + 1
-            while not (value := _horner(p, mid, 9 << e)):  # step off an exact root
-                mid, a, b, e = a + mid, 2 * a, 2 * b, e + 1
-            if (value > 0) == below:
-                a = mid
-            else:
-                b = mid
-        return Fraction(a + b, 9 << (e + 1))
-
-    return isolate(0, 1, 0, count)
+        if va - vb > 1:
+            vm = sign_variations(chain, mid, 9 << e)
+        else:  # the root is left of mid when the sign of chain[0] changes
+            vm = va - ((value > 0) != positive)
+        cells += [(mid, b, e, vm, vb, value > 0), (a, mid, e, va, vm, positive)]
+    return roots
 
 
 def polish_nodes(nodes: Sequence[float], moments: MomentTable) -> list[float]:

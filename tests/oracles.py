@@ -17,8 +17,11 @@ layers as references for the library's integer ones: the Newton-basis
 expansion of the Hermite majorant (`hermite_coefficients_newton`), the
 bound E P(V) as a term-by-term sum (`expected_value_fraction`) and the
 dominance proof by long division of P(x) - x by prod_j (x - x_j)^2
-(`verify_dominance_long_division`), and the helpers that evaluate P and
-P' on their coefficients in x (`x_coefficients`, `poly_derivative`).
+(`verify_dominance_long_division`), whose quotient's roots it counts on its
+own classical Sturm sequence over the rationals
+(`sturm_root_count_fraction`), not on the library's integer chain, and the
+helpers that evaluate P and P' on their coefficients in x
+(`x_coefficients`, `poly_derivative`).
 
 For the fast moment route it keeps the triple sum over each z-degree split
 (`even_moment_triple`, with `split_sum_triple`) and its centred-integral
@@ -407,15 +410,41 @@ def x_coefficients(poly) -> list[Fraction]:
     return out
 
 
+def _sign(p: Sequence[Fraction | int], x: Fraction) -> int:
+    """The sign of p(x), coefficients ascending, by `poly_eval`."""
+    value = poly_eval(p, x)
+    return (value > 0) - (value < 0)
+
+
+def _variations(seq: Sequence[Sequence[Fraction | int]], x: Fraction) -> int:
+    """Sign changes along the polynomials `seq` (coefficients ascending) at
+    x, zeros skipped."""
+    signs = [s for s in (_sign(q, x) for q in seq) if s]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def sturm_root_count_fraction(p: Sequence[Fraction], a: Fraction, b: Fraction) -> int:
+    """Distinct roots of p (coefficients ascending, p(a) and p(b) nonzero)
+    in (a, b), counted on the classical Sturm sequence p, p', and the
+    negated remainders of `poly_divmod`, all over the rationals.  Each
+    remainder is divided by its leading coefficient's absolute value, which
+    keeps every sign and the rationals short."""
+    seq = [list(p), poly_derivative(p)]
+    while any(seq[-1]) and any(rem := poly_divmod(seq[-2], seq[-1])[1]):
+        seq.append([-c / abs(rem[-1]) for c in rem])
+    return _variations(seq, a) - _variations(seq, b)
+
+
 def verify_dominance_long_division(poly, nodes):
     """The dominance proof of P on nodes with Fraction long division.
 
     P(x) - x is divided by prod_j (x - x_j)^2; a nonzero remainder gives
     (quotient, False, -1, 0, 0), a zero boundary value a root count of -1,
-    and otherwise the library's `sturm_root_count` counts the quotient's
-    roots in (0, 1/3).  Returns a `tetravol.certificate.DominanceProof`.
+    and otherwise `sturm_root_count_fraction`, which shares no code with
+    the library's Sturm chain, counts the quotient's roots in (0, 1/3).
+    Returns a `tetravol.certificate.DominanceProof`.
     """
-    from tetravol.certificate import DOMAIN_MAX, DominanceProof, sturm_root_count
+    from tetravol.certificate import DOMAIN_MAX, DominanceProof
 
     diff = [Fraction(0)] * max(poly.degree + 1, 2)
     for i, a in enumerate(poly.coeffs):
@@ -427,11 +456,10 @@ def verify_dominance_long_division(poly, nodes):
     quotient, remainder = poly_divmod(_trim(diff), divisor)
     if any(remainder):
         return DominanceProof(tuple(quotient), False, -1, 0, 0)
-    r0, r1 = poly_eval(quotient, Fraction(0)), poly_eval(quotient, DOMAIN_MAX)
-    sign0, sign1 = (r0 > 0) - (r0 < 0), (r1 > 0) - (r1 < 0)
+    sign0, sign1 = _sign(quotient, Fraction(0)), _sign(quotient, DOMAIN_MAX)
     if sign0 == 0 or sign1 == 0:
         return DominanceProof(tuple(quotient), True, -1, sign0, sign1)
-    count = sturm_root_count(quotient, Fraction(0), DOMAIN_MAX)
+    count = sturm_root_count_fraction(quotient, Fraction(0), DOMAIN_MAX)
     return DominanceProof(tuple(quotient), True, count, sign0, sign1)
 
 
@@ -442,26 +470,18 @@ def roots_bisection(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction,
     apart and sign bisection after.  Each element of `chain` (integers,
     highest degree first) is evaluated by `poly_eval` over the rationals.
     chain[0] must not vanish at lo or hi."""
-
-    def sign(q: Sequence[int], x: Fraction) -> int:
-        value = poly_eval(q[::-1], x)
-        return (value > 0) - (value < 0)
-
-    def variations(x: Fraction) -> int:
-        signs = [s for s in (sign(q, x) for q in chain) if s]
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
+    ascending = [q[::-1] for q in chain]
     if count == 0:
         return []
     if count == 1 and (hi - lo) * 2**60 <= lo:
         return [(lo + hi) / 2]
     mid = (lo + hi) / 2
-    while not (at_mid := sign(chain[0], mid)):  # step off an exact root
+    while not (at_mid := _sign(ascending[0], mid)):  # step off an exact root
         mid = (lo + mid) / 2
     if count == 1:
-        left = int(sign(chain[0], lo) != at_mid)
+        left = int(_sign(ascending[0], lo) != at_mid)
     else:
-        left = variations(lo) - variations(mid)
+        left = _variations(ascending, lo) - _variations(ascending, mid)
     return (roots_bisection(chain, lo, mid, left)
             + roots_bisection(chain, mid, hi, count - left))
 

@@ -28,7 +28,7 @@ from tetravol.node_search import (
     solve_onesided_lp,
 )
 
-from oracles import roots_bisection
+from oracles import poly_mul, roots_bisection
 
 
 @pytest.fixture(scope="module")
@@ -169,10 +169,15 @@ def _chain_and_nodes(n, table, monkeypatch):
     return seen[0], nodes
 
 
+def _ends(chain):
+    """The sign variations of `chain` at 0 and 1/9, which `_roots` takes."""
+    return sign_variations(chain, 0, 9), sign_variations(chain, 1, 9)
+
+
 def _check_against_bisection(n, table, monkeypatch):
     chain, nodes = _chain_and_nodes(n, table, monkeypatch)
     reference = roots_bisection(chain, Fraction(0), Fraction(1, 9), n)
-    assert node_search._roots(chain, n) == reference
+    assert node_search._roots(chain, *_ends(chain)) == reference
     assert [x.hex() for x in nodes] == [math.sqrt(t).hex() for t in reference]
 
 
@@ -204,22 +209,50 @@ def test_roots_step_off_a_root_on_the_grid(p, roots):
     # the midpoint of the cell (4, 5)/(9 * 2^99) that bisection reaches
     # three levels later
     chain = sturm_chain(p)
-    found = node_search._roots(chain, len(roots))
+    found = node_search._roots(chain, *_ends(chain))
     assert found == roots_bisection(chain, Fraction(0), Fraction(1, 9), len(roots))
     assert [float(t) for t in found] == roots
 
 
-def test_roots_apart_by_less_than_the_stop_width():
-    # roots 1/20 and 1/20 + 2^-70: isolation runs past the level where each
-    # one alone would stop, and each cell it leaves is already narrow enough
-    t1, t2 = Fraction(1, 20), Fraction(1, 20) + Fraction(1, 2**70)
-    p = [t1 * t2, -t1 - t2, Fraction(1)]
+def test_roots_deeper_than_the_recursion_limit():
+    # 2^1050 t - 1: its root 2^-1050, a subnormal float, settles about 1100
+    # halvings below 1/9, more levels than the interpreter nests calls
+    chain = sturm_chain([-1, 2**1050])
+    assert [float(t) for t in node_search._roots(chain, *_ends(chain))] == [2.0**-1050]
+
+
+@pytest.mark.parametrize("offsets", [(0, 2**-70), (0, 2**-70, 2**-69)],
+                         ids=["two-roots", "three-roots"])
+def test_roots_apart_by_less_than_the_stop_width(offsets):
+    # roots 1/20 + offset: isolation runs past the level where each one
+    # alone would stop, and each cell it leaves is already narrow enough.
+    # Three roots leave a cell below the stop width that still holds two,
+    # which splits on the counts carried from its ends
+    ts = [Fraction(1, 20) + Fraction(d) for d in offsets]
+    p = [Fraction(1)]
+    for t in ts:
+        p = poly_mul(p, [-t, Fraction(1)])
     chain = sturm_chain(p)
-    roots = node_search._roots(chain, 2)
-    assert roots == roots_bisection(chain, Fraction(0), Fraction(1, 9), 2)
-    assert roots[0] < t2 and t1 < roots[1]
-    for t, root in zip((t1, t2), roots):
+    roots = node_search._roots(chain, *_ends(chain))
+    assert roots == roots_bisection(chain, Fraction(0), Fraction(1, 9), len(ts))
+    assert all(root < t for root, t in zip(roots, ts[1:]))
+    assert all(t < root for t, root in zip(ts, roots[1:]))
+    for t, root in zip(ts, roots):
         assert abs(root - t) * 2**60 <= t
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gauss_nodes_count_sign_variations_once_per_point(n, table13, monkeypatch):
+    points, real = [], node_search.sign_variations
+
+    def counted(chain, x, den=1):
+        points.append(Fraction(x) / den)
+        return real(chain, x, den)
+
+    monkeypatch.setattr(node_search, "sign_variations", counted)
+    gauss_nodes(n, table13)
+    assert points[:2] == [0, Fraction(1, 9)]
+    assert len(set(points)) == len(points), sorted(points)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
