@@ -70,7 +70,7 @@ class _Laps:
 
 
 def _determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2):
-    """`tetra_volume`'s expansion along the first row, on coordinate planes."""
+    """The library's determinant, expanded along the first row."""
     return (u0 * (v1 * w2 - v2 * w1)
             - u1 * (v0 * w2 - v2 * w0)
             + u2 * (v0 * w1 - v1 * w0))
@@ -113,7 +113,8 @@ def _slice_block(mc, np, lap, seed, index, mode):
     pts *= mc._SCALE
     lap("normalize")
     last = pts[:, 3] if mode == mc.MODE_ALL_RANDOM else mc.FACET_CENTROID
-    vol = mc.tetra_volume(pts[:, 0], pts[:, 1], pts[:, 2], last)
+    edges = [pts[:, i] - last for i in range(3)]
+    vol = np.abs(_determinant(*(e[..., c] for e in edges for c in range(3)))) / 6.0
     lap("volume")
     return vol
 

@@ -18,7 +18,7 @@ _MODULE_OF = {
                     "majorant"),
     **dict.fromkeys(("MomentTable", "even_moment_direct", "even_moment_fast",
                      "moment_table"), "moments"),
-    **dict.fromkeys(("EstimatorResult", "estimate", "tetra_volume"), "montecarlo"),
+    **dict.fromkeys(("EstimatorResult", "estimate"), "montecarlo"),
     "rationalize": "node_search",
     **dict.fromkeys(("RationalInterval", "pi_squared_enclosure", "target_enclosure"),
                     "rational"),

@@ -53,28 +53,36 @@ def cmd_moments(*, k_max: int, out: Path) -> int:
     return EXIT_OK
 
 
-def _check_search_args(degree: int, grid: int, max_denominator: int) -> None:
+def _check_search_args(degree: int, max_denominator: int) -> None:
     """Reject what `search` cannot use before any file is read or moment computed."""
     if degree < 0:
         raise ValueError(f"--degree must be >= 0, got {degree}")
-    if grid < 1:
-        raise ValueError(f"--grid must be >= 1, got {grid}")
     if max_denominator < 1:
         raise ValueError(f"--max-denominator must be >= 1, got {max_denominator}")
 
 
-def cmd_search(*, degree: int, grid: int, max_denominator: int,
-               moments: Path, out: Path) -> int:
+def _gauss_count(degree: int) -> int:
+    """How many Gauss nodes `--degree d` takes: n give degree 2n - 1 in
+    t = x^2.  Degree 0 takes none; `search` writes the single node 1/3."""
+    return (degree + 1) // 2
+
+
+def cmd_search(*, grid: int, **search_args) -> int:
+    if grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {grid}")
+    return _search(**search_args)
+
+
+def _search(*, degree: int, max_denominator: int, moments: Path, out: Path) -> int:
     from . import node_search
     from .majorant import NodeSet, expected_value, hermite_onesided
     from .moments import MomentTable
     from .rational import target_enclosure
 
-    _check_search_args(degree, grid, max_denominator)
+    _check_search_args(degree, max_denominator)
     _check_output(out)
     table = MomentTable.read(moments)
-    # n nodes give degree 2n - 1 in t = x^2; degree 0 is the single node 1/3
-    n = (degree + 1) // 2
+    n = _gauss_count(degree)
     nodes = node_search.gauss_nodes(n, table) if n else [1 / 3]
     try:
         node_set = NodeSet.from_rationals(
@@ -137,16 +145,9 @@ def cmd_mc(*, mode: str, power: int, samples: int, seed: int,
     return EXIT_OK
 
 
-def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
-            workdir: Path) -> int:
-    from .majorant import _require_orders
-
+def cmd_all(*, degree: int, max_denominator: int, workdir: Path) -> int:
     # reject what `search` would reject before the moments are computed
-    _check_search_args(degree, grid, max_denominator)
-    try:  # the orders of the nodes `search` will write: one node at degree 0
-        _require_orders(range(1, k_max + 1), nodes=max(1, (degree + 1) // 2))
-    except ValueError as exc:
-        raise ValueError(f"--degree {degree} needs more than --k-max {k_max}: {exc}") from None
+    _check_search_args(degree, max_denominator)
     workdir.mkdir(parents=True, exist_ok=True)
     moments = workdir / "moments.tsv"
     nodes = workdir / "nodes.txt"
@@ -155,9 +156,9 @@ def cmd_all(*, k_max: int, degree: int, grid: int, max_denominator: int,
     for path in (nodes, report):
         _check_output(path)
 
-    cmd_moments(k_max=k_max, out=moments)
-    cmd_search(degree=degree, grid=grid, max_denominator=max_denominator,
-               moments=moments, out=nodes)
+    # the orders 1..2n - 1 of the nodes `search` will write: one at degree 0
+    cmd_moments(k_max=2 * max(1, _gauss_count(degree)) - 1, out=moments)
+    _search(degree=degree, max_denominator=max_denominator, moments=moments, out=nodes)
     return cmd_certify(nodes=nodes, moments=moments, report=report)
 
 
@@ -218,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("all", help="moments -> search -> certify")
-    p.add_argument("--k-max", type=int, default=13)
-    p.add_argument("--degree", type=int, default=13)
-    p.add_argument("--grid", type=int, default=1000)
+    p.add_argument("--degree", type=int, default=13,
+                   help="as for `search`; computes the moment orders it needs")
     p.add_argument("--max-denominator", type=int, default=100)
     p.add_argument("--workdir", type=Path, default=Path("tetravol-run"))
     p.set_defaults(func=cmd_all)

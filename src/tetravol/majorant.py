@@ -178,17 +178,16 @@ def hermite_onesided(nodes: NodeSet) -> EvenPoly:
     return EvenPoly(tuple(hermite_coefficients(nodes.nodes)))
 
 
-def _require_orders(moments: MomentTable | Iterable[int], degree: int | None = None,
+def _require_orders(moments: MomentTable, degree: int | None = None,
                     *, nodes: int | None = None) -> None:
-    """Raise MomentOrderError naming the orders that `moments` (a table, or
-    the ascending orders one will hold) lacks and an even polynomial of
-    degree `degree` in x needs, E V^(2i) for i <= degree/2, or the majorant
-    on n `nodes`: orders 1..2n - 1, those its n-point Gauss rule in t = x^2
-    is exact for.  The orders are walked once and a run of three or more
-    missing ones is written a..b, so time and message grow with the table."""
+    """Raise MomentOrderError naming the orders that `moments` lacks and an
+    even polynomial of degree `degree` in x needs, E V^(2i) for
+    i <= degree/2, or the majorant on n `nodes`: orders 1..2n - 1, those its
+    n-point Gauss rule in t = x^2 is exact for.  The orders are walked once
+    and a run of three or more missing ones is written a..b, so time and
+    message grow with the table."""
     top = degree // 2 if nodes is None else 2 * nodes - 1
-    orders = moments.orders() if isinstance(moments, MomentTable) else moments
-    have = [0, *takewhile(lambda k: k <= top, orders), top + 1]
+    have = [0, *takewhile(lambda k: k <= top, moments.orders()), top + 1]
     missing = [", ".join(map(str, range(a + 1, b))) if b - a <= 3 else f"{a + 1}..{b - 1}"
                for a, b in pairwise(have) if b - a > 1]
     if missing:

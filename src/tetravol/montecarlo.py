@@ -51,9 +51,7 @@ _BLOCK_STRIDE = 1 << 64
 
 _SCALE = 6.0 ** (1.0 / 3.0)
 
-#: unit-volume representative tetrahedron and its pinned facet centroid
-UNIT_TETRA_VERTICES = _SCALE * np.array(
-    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+#: the pinned facet centroid of the representative body _SCALE * T_o
 FACET_CENTROID = _SCALE * np.array([1.0 / 3.0, 1.0 / 3.0, 0.0])
 
 MODE_ALL_RANDOM = "four"
@@ -80,17 +78,6 @@ def _determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2):
             + u2 * (v0 * w1 - v1 * w0))
 
 
-def tetra_volume(p1, p2, p3, p4) -> np.ndarray | float:
-    """|det(p1-p4, p2-p4, p3-p4)| / 6; broadcasts over leading axes."""
-    u = np.asarray(p1, dtype=float) - p4
-    v = np.asarray(p2, dtype=float) - p4
-    w = np.asarray(p3, dtype=float) - p4
-    det = _determinant(u[..., 0], u[..., 1], u[..., 2],
-                       v[..., 0], v[..., 1], v[..., 2],
-                       w[..., 0], w[..., 1], w[..., 2])
-    return np.abs(det) / 6.0
-
-
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     bg = np.random.Philox(key=seed)
     bg.advance(block_index * _BLOCK_STRIDE)
@@ -108,7 +95,7 @@ def _block_sums(seed: int, block_index: int, count: int, mode: str, power: int
         # block would give them, copied once so that w[i, j] is the plane of
         # the j-th exponential of point i
         w = np.ascontiguousarray(gen.standard_exponential((m, n_random, 4)).transpose(1, 2, 0))
-        # barycentric weights times UNIT_TETRA_VERTICES = _SCALE * [0; I3] are
+        # barycentric weights times the body's vertices _SCALE * [0; I3] are
         # the last three weights times _SCALE: every other matmul term is an
         # exact 0.  The row sum is np.sum's order for four terms,
         # ((e0 + e1) + e2) + e3, so the points are the matmul's bits.

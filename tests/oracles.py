@@ -35,15 +35,19 @@ and its own signs of the Sturm sequence: the reference for the library's
 bisection on integer cells.
 
 For the Monte Carlo cross-check it keeps the whole-block sample kernel
-(`block_sums_slice`), the reference for the library's chunked one.
+(`block_sums_slice`), the reference for the library's chunked one, and the
+vertices of the unit-volume body (`UNIT_TETRA_VERTICES`) and the volume of
+a tetrahedron (`tetra_volume`) for the statistical checks of the samples.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 Exponent3 = tuple[int, int, int]
 
@@ -423,15 +427,24 @@ def _variations(seq: Sequence[Sequence[Fraction | int]], x: Fraction) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
+def _primitive(p: Sequence[Fraction]) -> list[Fraction]:
+    """p times the positive rational that makes its coefficients coprime
+    integers, as Fractions: the same sign at every point, in short numbers."""
+    den = lcm(*(c.denominator for c in p))
+    nums = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*nums)
+    return [Fraction(n // g) for n in nums]
+
+
 def sturm_root_count_fraction(p: Sequence[Fraction], a: Fraction, b: Fraction) -> int:
     """Distinct roots of p (coefficients ascending, p(a) and p(b) nonzero)
     in (a, b), counted on the classical Sturm sequence p, p', and the
     negated remainders of `poly_divmod`, all over the rationals.  Each
-    remainder is divided by its leading coefficient's absolute value, which
-    keeps every sign and the rationals short."""
-    seq = [list(p), poly_derivative(p)]
+    element is cleared to its primitive integer form, which keeps every
+    sign and the long division's rationals short."""
+    seq = [_primitive(p), _primitive(poly_derivative(p))]
     while any(seq[-1]) and any(rem := poly_divmod(seq[-2], seq[-1])[1]):
-        seq.append([-c / abs(rem[-1]) for c in rem])
+        seq.append([-c for c in _primitive(rem)])
     return _variations(seq, a) - _variations(seq, b)
 
 
@@ -469,21 +482,44 @@ def roots_bisection(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction,
     width of 2^-60, by sign variations on a Sturm sequence until they are
     apart and sign bisection after.  Each element of `chain` (integers,
     highest degree first) is evaluated by `poly_eval` over the rationals.
-    chain[0] must not vanish at lo or hi."""
+    chain[0] must not vanish at lo or hi.  The intervals left to split are
+    a list, the leftmost last, so no depth of bisection can exhaust the
+    interpreter's stack."""
     ascending = [q[::-1] for q in chain]
-    if count == 0:
-        return []
-    if count == 1 and (hi - lo) * 2**60 <= lo:
-        return [(lo + hi) / 2]
-    mid = (lo + hi) / 2
-    while not (at_mid := _sign(ascending[0], mid)):  # step off an exact root
-        mid = (lo + mid) / 2
-    if count == 1:
-        left = int(_sign(ascending[0], lo) != at_mid)
-    else:
-        left = _variations(ascending, lo) - _variations(ascending, mid)
-    return (roots_bisection(chain, lo, mid, left)
-            + roots_bisection(chain, mid, hi, count - left))
+    roots, todo = [], [(lo, hi, count)]
+    while todo:
+        lo, hi, count = todo.pop()
+        if count == 0:
+            continue
+        if count == 1 and (hi - lo) * 2**60 <= lo:
+            roots.append((lo + hi) / 2)
+            continue
+        mid = (lo + hi) / 2
+        while not (at_mid := _sign(ascending[0], mid)):  # step off an exact root
+            mid = (lo + mid) / 2
+        if count == 1:
+            left = int(_sign(ascending[0], lo) != at_mid)
+        else:
+            left = _variations(ascending, lo) - _variations(ascending, mid)
+        todo += [(mid, hi, count - left), (lo, mid, left)]
+    return roots
+
+
+#: the unit-volume body 6^(1/3) T_o whose points `tetravol.montecarlo` samples
+UNIT_TETRA_VERTICES = 6.0 ** (1.0 / 3.0) * np.array(
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def tetra_volume(p1, p2, p3, p4) -> np.ndarray | float:
+    """|det(p1-p4, p2-p4, p3-p4)| / 6, the determinant expanded along its
+    first row; broadcasts over leading axes."""
+    u = np.asarray(p1, dtype=float) - p4
+    v = np.asarray(p2, dtype=float) - p4
+    w = np.asarray(p3, dtype=float) - p4
+    det = (u[..., 0] * (v[..., 1] * w[..., 2] - v[..., 2] * w[..., 1])
+           - u[..., 1] * (v[..., 0] * w[..., 2] - v[..., 2] * w[..., 0])
+           + u[..., 2] * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]))
+    return np.abs(det) / 6.0
 
 
 def block_sums_slice(seed: int, block_index: int, count: int, mode: str, power: int
@@ -493,8 +529,6 @@ def block_sums_slice(seed: int, block_index: int, count: int, mode: str, power: 
     and points formed in place on strided views of that draw, and the
     determinant expanded along its first row on the points' coordinates.
     `tetravol.montecarlo._block_sums` must give the same bits."""
-    import numpy as np
-
     from tetravol import montecarlo as mc
 
     n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3

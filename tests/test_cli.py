@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ GOLDEN_FACTS = GOLDEN_DIR / "golden.json"
 #: the k <= 13 moment file, as `tetravol moments --k-max 13` writes it
 GOLDEN_MOMENTS = GOLDEN_DIR / "moments13.tsv"
 GOLDEN_MOMENTS_SHA256 = "2ad5ab20d6185f819638ea6c27397c06f69275bb7fb7573a59544fb5b717e3f5"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_moments_k1(tmp_path, capsys):
@@ -228,11 +230,30 @@ def test_main_reuses_one_parser_across_commands(moments13_file, tmp_path, monkey
 
 def test_help_exits_0(capsys):
     # only usage errors exit 1; asking for help is not one
-    for argv in (["--help"], ["certify", "--help"]):
+    for argv in (["--help"], ["certify", "--help"], ["all", "--help"]):
         with pytest.raises(SystemExit) as done:
             main(argv)
         assert done.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: tetravol")
+        out = capsys.readouterr().out
+        assert out.startswith("usage: tetravol")
+    # `all` works out its moment orders from --degree and takes no --grid
+    assert re.findall(r"--[a-z-]+", out.split("options:")[1]) == \
+        ["--help", "--degree", "--max-denominator", "--workdir"]
+
+
+def test_readme_command_lines_parse():
+    # the docs must not name a command or option that the parser no longer has
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("tetravol ")]
+    assert {words[1] for words in commands} == {"moments", "search", "certify", "mc", "all"}
+    parser = cli.build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {shlex.join(words)}")
 
 
 def test_certified_bound_never_rises_with_degree(moments13_file, table13, tmp_path):
@@ -398,11 +419,21 @@ def test_search_refuses_a_huge_degree_at_once(moments13_file, tmp_path, capsys):
 
 
 def test_all_at_even_degree_certifies_with_the_orders_of_its_nodes(tmp_path, capsys):
-    rc = main(["all", "--k-max", "13", "--degree", "14", "--workdir", str(tmp_path / "run")])
+    rc = main(["all", "--degree", "14", "--workdir", str(tmp_path / "run")])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "Gauss optimum for degree 14: 0.01737170" in out
     assert out.splitlines()[-2] == f"verdict  : {VERDICT_TRUE}"
+    assert MomentTable.read(tmp_path / "run" / "moments.tsv").orders() == list(range(1, 14))
+
+
+@pytest.mark.parametrize("degree, top, code", [
+    ("0", 1, EXIT_NOT_CERTIFIED),  # the one node 1/3 needs order 1
+    ("25", 25, EXIT_OK),  # 13 nodes: more orders than the k <= 13 file holds
+])
+def test_all_computes_the_orders_its_degree_needs(tmp_path, degree, top, code):
+    assert main(["all", "--degree", degree, "--workdir", str(tmp_path)]) == code
+    assert MomentTable.read(tmp_path / "moments.tsv").orders() == list(range(1, top + 1))
 
 
 @pytest.mark.parametrize("error", [MomentOrderError, moments_mod.MomentCacheError,
@@ -455,8 +486,7 @@ def test_certify_names_a_missing_order_without_quotes(moments_without_order_3,
 
 
 def test_small_pipeline_all(tmp_path):
-    rc = main(["all", "--k-max", "3", "--degree", "3", "--grid", "60",
-               "--workdir", str(tmp_path / "run")])
+    rc = main(["all", "--degree", "3", "--workdir", str(tmp_path / "run")])
     # degree-6 majorants cannot get below the target: pipeline completes but
     # does not certify
     assert rc == EXIT_NOT_CERTIFIED
@@ -503,24 +533,14 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
                  ORDER_1, ONE_NODE, "--max-denominator", id="search-max-denominator-0"),
     pytest.param(["search", "--degree", "-2", "--grid", "10", "--out", "n.txt"],
                  ORDER_1, ONE_NODE, "--degree", id="search-degree-negative"),
-    pytest.param(["all", "--k-max", "2", "--degree", "3", "--workdir", "run"],
-                 None, ONE_NODE, "--degree", id="all-degree-above-k-max"),
-    # degree 14 takes the 7 nodes of degree 13, which need orders 1..13
-    pytest.param(["all", "--k-max", "12", "--degree", "14", "--workdir", "run"],
-                 None, ONE_NODE, "--degree 14 needs more than --k-max 12: moment table "
-                 "lacks orders [13] needed for 7 nodes", id="all-degree-14-k-max-12"),
     # refused before anything is printed or written: node 1 rounds to 0/1
     pytest.param(["search", "--degree", "13", "--max-denominator", "5", "--out", "n.txt"],
                  GOLDEN_MOMENTS.read_text(), ONE_NODE,
                  "--max-denominator 5 is too coarse: nodes must be positive and strictly "
                  "increasing: node 1 is 0/1", id="search-max-denominator-too-coarse"),
-    pytest.param(["all", "--k-max", "1", "--degree", "1",
-                  "--max-denominator", "0", "--workdir", "run"],
+    pytest.param(["all", "--degree", "1", "--max-denominator", "0", "--workdir", "run"],
                  None, ONE_NODE, "--max-denominator", id="all-max-denominator-0"),
-    pytest.param(["all", "--k-max", "1", "--degree", "1", "--grid", "0",
-                  "--workdir", "run"],
-                 None, ONE_NODE, "--grid", id="all-grid-0"),
-    pytest.param(["all", "--k-max", "1", "--degree", "-2", "--workdir", "run"],
+    pytest.param(["all", "--degree", "-2", "--workdir", "run"],
                  None, ONE_NODE, "--degree", id="all-degree-negative"),
     pytest.param(["moments", "--k-max", "0", "--out", "new.tsv"],
                  None, ONE_NODE, "k_max", id="moments-k-max-0"),
@@ -587,10 +607,10 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
                  id="certify-node-file-only-comments"),
     # refused before the moment stage, which would otherwise print every
     # order and write run/moments.tsv first
-    pytest.param(["all", "--k-max", "3", "--degree", "3", "--workdir", "run"],
+    pytest.param(["all", "--degree", "3", "--workdir", "run"],
                  None, ONE_NODE, "run/nodes.txt: is a directory",
                  id="all-nodes-is-a-directory"),
-    pytest.param(["all", "--k-max", "3", "--degree", "3", "--workdir", "run"],
+    pytest.param(["all", "--degree", "3", "--workdir", "run"],
                  None, ONE_NODE, "run/certificate.txt: is a directory",
                  id="all-report-is-a-directory"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", "-1"],
@@ -609,6 +629,16 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
     pytest.param(["moments", "--k-max", "x", "--out", "new.tsv"],
                  None, ONE_NODE, "argument --k-max: invalid int value: 'x'",
                  id="moments-k-max-not-an-integer"),
+    # `all` works out its moment orders from --degree and passes no grid to
+    # `search`, so it has neither option; argparse names what it does not know
+    pytest.param(["all", "--k-max", "2", "--degree", "3", "--workdir", "run"],
+                 None, ONE_NODE, "unrecognized arguments: --k-max 2",
+                 id="all-degree-above-k-max"),
+    pytest.param(["all", "--k-max", "12", "--degree", "14", "--workdir", "run"],
+                 None, ONE_NODE, "unrecognized arguments: --k-max 12",
+                 id="all-degree-14-k-max-12"),
+    pytest.param(["all", "--degree", "1", "--grid", "0", "--workdir", "run"],
+                 None, ONE_NODE, "unrecognized arguments: --grid 0", id="all-grid-0"),
     # argparse reads -inf as an option, so the two words are a usage error
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--ref", "-inf"],
                  None, ONE_NODE, "argument --ref: expected one argument", id="mc-ref-minus-inf"),
@@ -631,7 +661,9 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, reques
         code = exc.code
         out, err = capsys.readouterr()
         usage, err = err.rstrip("\n").rsplit("\n", 1)
-        assert usage.startswith(f"usage: tetravol {argv[0]} ")
+        # the top-level parser reports the words that no parser took
+        prog = "tetravol" if "unrecognized arguments" in err else f"tetravol {argv[0]}"
+        assert usage.startswith(f"usage: {prog} ")
         err = err.split(": ", 1)[1]  # drop the "tetravol CMD" prefix
     assert code == EXIT_ERROR
     assert err.startswith("error: ")

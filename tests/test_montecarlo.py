@@ -11,13 +11,11 @@ from tetravol.montecarlo import (
     FACET_CENTROID,
     MODE_ALL_RANDOM,
     MODE_CENTROID,
-    UNIT_TETRA_VERTICES,
     EstimatorResult,
     estimate,
-    tetra_volume,
 )
 
-from oracles import block_sums_slice
+from oracles import UNIT_TETRA_VERTICES, block_sums_slice, tetra_volume
 
 T_O_VERTICES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])

@@ -218,7 +218,9 @@ def test_roots_deeper_than_the_recursion_limit():
     # 2^1050 t - 1: its root 2^-1050, a subnormal float, settles about 1100
     # halvings below 1/9, more levels than the interpreter nests calls
     chain = sturm_chain([-1, 2**1050])
-    assert [float(t) for t in node_search._roots(chain, *_ends(chain))] == [2.0**-1050]
+    roots = node_search._roots(chain, *_ends(chain))
+    assert roots == roots_bisection(chain, Fraction(0), Fraction(1, 9), 1)
+    assert [float(t) for t in roots] == [2.0**-1050]
 
 
 @pytest.mark.parametrize("offsets", [(0, 2**-70), (0, 2**-70, 2**-69)],
