@@ -13,13 +13,17 @@ after them and the number of workers the side's `estimate` runs (its
 usable-CPU count capped at the block count; 1 for a side without a pool).
 
 After the estimates the same process times the steps of a sample block on
-the calling thread, for two formulations of the block kernel, over
+the calling thread, for three formulations of the block kernel, over
 STEP_BLOCKS blocks of each command line's stream:
 
   chunked  the library's kernel: the block in chunks of the side's
            `_CHUNK_SIZE` samples (CHUNK_SIZE where the side has none), each
-           chunk's draw copied once into contiguous planes and worked on
-           there
+           chunk drawn into, and worked on in, buffers allocated once per
+           block, with the transpose folded into the row sums and the
+           division and the determinant written through `out=`
+  copied   the chunked kernel before that: each chunk's draw copied once
+           into contiguous planes, with new arrays for the row sums, the
+           edges and every determinant temporary
   slice    the whole-block kernel: one draw of the block, worked on in place
            through strided views
 
@@ -29,7 +33,8 @@ and the steps of each, summed over a block's chunks:
   normalize  to points of the representative body: each row summed, the last
              three columns divided by the sum and scaled
   volume     the absolute determinant over 6 of the points
-  reduce     V^power and its two sums, once over the block
+  reduce     V^power and its two sums, once over the block and in place,
+             as the library reduces
 
 and whether each formulation's two sums equal the side's own `_block_sums`
 bit for bit.  Runs alternate between the sides, starting with a different
@@ -50,9 +55,10 @@ import sides as harness
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: blocks per command line whose steps are timed, per kernel formulation
 STEP_BLOCKS = 8
-#: chunk of the `chunked` formulation on a side whose kernel has no chunks
+#: chunk of the `chunked` and `copied` formulations on a side whose kernel has
+#: no chunks
 CHUNK_SIZE = 1 << 12
-KERNELS = ("chunked", "slice")
+KERNELS = ("chunked", "copied", "slice")
 STEPS = ("draw", "normalize", "volume", "reduce")
 
 
@@ -69,14 +75,63 @@ class _Laps:
         self.last = now
 
 
-def _determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2):
-    """The library's determinant, expanded along the first row."""
+def _determinant(np, u0, u1, u2, v0, v1, v2, w0, w1, w2, *, out, a, b):
+    """The library's determinant, expanded along the first row as
+    (u0 A - u1 B) + u2 C, written through `out=` with two scratch rows."""
+    np.multiply(v1, w2, out=a)
+    a -= np.multiply(v2, w1, out=b)
+    np.multiply(u0, a, out=out)
+    np.multiply(v0, w2, out=a)
+    a -= np.multiply(v2, w0, out=b)
+    out -= np.multiply(u1, a, out=a)
+    np.multiply(v0, w1, out=a)
+    a -= np.multiply(v1, w0, out=b)
+    out += np.multiply(u2, a, out=a)
+    return out
+
+
+def _expanded_determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2):
+    """The same expansion with a new array for every temporary, as the
+    copied and the slice kernels compute it."""
     return (u0 * (v1 * w2 - v2 * w1)
             - u1 * (v0 * w2 - v2 * w0)
             + u2 * (v0 * w1 - v1 * w0))
 
 
 def _chunked_block(mc, np, lap, seed, index, mode):
+    chunk = getattr(mc, "_CHUNK_SIZE", CHUNK_SIZE)
+    n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
+    gen = mc._block_generator(seed, index)
+    draw = np.empty((chunk, n_random, 4))
+    totals = np.empty((n_random, chunk))
+    planes = np.empty((n_random, 3, chunk))
+    scratch = np.empty((2, chunk))
+    vol = np.empty(mc.BLOCK_SIZE)
+    for start in range(0, mc.BLOCK_SIZE, chunk):
+        m = min(chunk, mc.BLOCK_SIZE - start)
+        e = gen.standard_exponential(out=draw[:m]).transpose(1, 2, 0)
+        lap("draw")
+        total = np.add(e[:, 0], e[:, 1], out=totals[:, :m])
+        total += e[:, 2]
+        total += e[:, 3]
+        pts = np.divide(e[:, 1:], total[:, None], out=planes[:, :, :m])
+        pts *= mc._SCALE
+        lap("normalize")
+        if n_random == 4:
+            edges = pts[:3]
+            edges -= pts[3]
+        else:
+            edges = pts
+            edges -= mc.FACET_CENTROID[:, None]
+        v = _determinant(np, *edges.reshape(9, m), out=vol[start:start + m],
+                         a=scratch[0, :m], b=scratch[1, :m])
+        np.abs(v, out=v)
+        v /= 6.0
+        lap("volume")
+    return vol
+
+
+def _copied_block(mc, np, lap, seed, index, mode):
     chunk = getattr(mc, "_CHUNK_SIZE", CHUNK_SIZE)
     n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
     gen = mc._block_generator(seed, index)
@@ -94,7 +149,7 @@ def _chunked_block(mc, np, lap, seed, index, mode):
         pts *= mc._SCALE
         lap("normalize")
         edges = pts[:3] - pts[3] if n_random == 4 else pts - mc.FACET_CENTROID[:, None]
-        det = _determinant(*edges.reshape(9, m))
+        det = _expanded_determinant(*edges.reshape(9, m))
         np.divide(np.abs(det, out=det), 6.0, out=vol[start:start + m])
         lap("volume")
     return vol
@@ -114,7 +169,7 @@ def _slice_block(mc, np, lap, seed, index, mode):
     lap("normalize")
     last = pts[:, 3] if mode == mc.MODE_ALL_RANDOM else mc.FACET_CENTROID
     edges = [pts[:, i] - last for i in range(3)]
-    vol = np.abs(_determinant(*(e[..., c] for e in edges for c in range(3)))) / 6.0
+    vol = np.abs(_expanded_determinant(*(e[..., c] for e in edges for c in range(3)))) / 6.0
     lap("volume")
     return vol
 
@@ -122,10 +177,13 @@ def _slice_block(mc, np, lap, seed, index, mode):
 def _timed_block(mc, np, kernel: str, seed: int, index: int, mode: str, power: int
                  ) -> tuple[dict, tuple[float, float]]:
     """One block's step times, and its two sums."""
-    volumes = _chunked_block if kernel == "chunked" else _slice_block
+    volumes = {"chunked": _chunked_block, "copied": _copied_block, "slice": _slice_block}[kernel]
     lap = _Laps()
-    vp = volumes(mc, np, lap, seed, index, mode) ** power
-    sums = float(np.sum(vp)), float(np.sum(vp * vp))
+    vol = volumes(mc, np, lap, seed, index, mode)
+    vol **= power
+    s1 = float(np.sum(vol))
+    vol *= vol
+    sums = s1, float(np.sum(vol))
     lap("reduce")
     return lap.seconds, sums
 
@@ -188,7 +246,7 @@ def main() -> None:
                for label, side_runs in runs.items()}
     result = {"benchmark": "the three mc-crosscheck estimates, one montecarlo.estimate "
                            "call each, and the steps of one sample block under the "
-                           "chunked and the whole-block slice kernel on one thread, in "
+                           "chunked, the copied and the whole-block slice kernel on one thread, in "
                            "one fresh process per run",
               "machine": harness.machine(),
               "seed": args.seed, "repeats": args.repeats, "step_blocks": STEP_BLOCKS,

@@ -43,12 +43,12 @@ def cmd_moments(*, k_max: int, out: Path) -> int:
     from . import moments
 
     _check_output(out)
-    table = moments.moment_table(k_max)
-    table.write(out)
-    for k in table.orders():
-        v = table[k]
-        print(f"k={k}: {v.numerator}/{v.denominator} "
-              f"({table.provenance.get(k, '?')})")
+
+    def report(k, v, provenance):
+        # at once: a long run shows each order as it is checked
+        print(f"k={k}: {v.numerator}/{v.denominator} ({provenance})", flush=True)
+
+    moments.moment_table(k_max, report=report).write(out)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -185,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact even moments of a pinned random simplex volume and "
                     "a certified one-sided polynomial bound on its mean.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(commands=sub.choices)
 
     p = sub.add_parser("moments", help="compute the exact moment table")
     p.add_argument("--k-max", type=int, default=13)
@@ -237,8 +238,11 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  Bad input, an unusable
     moment table included (its three errors are ValueErrors), and a failed
     file operation print one `error:` line and return EXIT_ERROR."""
-    args = vars(_main_parser().parse_args(argv))
-    del args["command"]
+    args, extra = _main_parser().parse_known_args(argv)
+    args = vars(args)
+    command = args.pop("commands")[args.pop("command")]
+    if extra:  # with the usage line of the command they were given to
+        command.error(f"unrecognized arguments: {' '.join(extra)}")
     func = args.pop("func")
     try:
         return func(**args)

@@ -47,6 +47,7 @@ atomically.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
@@ -265,8 +266,9 @@ PINNED_MOMENTS = (
     (10039994952996017627, 276732447829114797436111393912214941440000),
 )
 
-#: orders whose fast value must equal its pin before a table is trusted: all
-#: 13 that `tetravol all` uses
+#: orders whose fast value must equal its pin before a table is trusted: the
+#: 13 that `tetravol all` uses at its default degree; higher orders, which a
+#: higher `--degree` needs, come from the fast route alone
 VERIFY_ORDER_MAX = len(PINNED_MOMENTS)
 
 
@@ -375,17 +377,20 @@ class MomentTable:
         return cls(values, {k: "file" for k in values})
 
 
-def moment_table(k_max: int) -> MomentTable:
+def moment_table(k_max: int,
+                 report: Callable[[int, Fraction, str], object] | None = None
+                 ) -> MomentTable:
     """Moments 1..k_max by the fast route, checked against the pins.
 
     Each order up to VERIFY_ORDER_MAX is compared bit-exactly with its pin,
     the direct enumerator's value, as soon as it is computed; any mismatch is
     a hard integrity failure.  Checked orders are tagged "direct", the others
-    "fast".  No file is read or written.
+    "fast".  Each order, once checked, is passed to `report` as (k, value,
+    tag) before the next is computed.  No file is read or written.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    values = {}
+    values, provenance = {}, {}
     for k in range(1, k_max + 1):
         values[k] = even_moment_fast(k)
         if k <= VERIFY_ORDER_MAX:
@@ -393,5 +398,7 @@ def moment_table(k_max: int) -> MomentTable:
             if values[k] != direct:
                 raise MomentIntegrityError(
                     f"moment k={k}: fast value {values[k]} != direct value {direct}")
-    return MomentTable(values, {k: "direct" if k <= VERIFY_ORDER_MAX else "fast"
-                                for k in values})
+        provenance[k] = "direct" if k <= VERIFY_ORDER_MAX else "fast"
+        if report is not None:
+            report(k, values[k], provenance[k])
+    return MomentTable(values, provenance)

@@ -13,15 +13,18 @@ worker taking the next block index when it finishes a block, and their sums
 are reduced in block-index order.  A given (seed, N, mode, power) yields
 bit-identical results for any worker count.
 
-A block is computed in chunks of _CHUNK_SIZE samples, each laid out as
-contiguous coordinate planes, so that a chunk's draws and temporaries stay in
-a core's cache.  Chunking leaves every bit of every result as one pass over
-the whole block gives it, for three reasons: consecutive draws from one
+A block is computed in chunks of _CHUNK_SIZE samples, in buffers allocated
+once per block: each chunk is drawn into one buffer, its row sums and points
+are formed from a transposed view of that draw into contiguous coordinate
+planes, and its volumes are written into the block's volume array, so that
+a chunk's draws and temporaries stay in a core's cache and no chunk
+allocates.  Chunking leaves every bit of every result as one pass over the
+whole block gives it, for three reasons: consecutive draws from one
 generator continue its Philox stream, so the chunks hold the very variates
 of one draw of the block; every step from the draws to V is a per-element
 ufunc applied in the same order to each sample, so its bits do not depend on
-how the samples are laid out or split; and V^p and both sums still run once
-over the whole block, so np.sum's pairwise tree is the block's.
+how the samples are laid out, split or stored; and V^p and both sums still
+run once over the whole block, so np.sum's pairwise tree is the block's.
 
 Nothing here feeds the certificate; double precision is fine.
 """
@@ -39,11 +42,11 @@ import numpy as np
 BLOCK_SIZE = 1 << 15
 
 #: samples per chunk of a block.  A chunk of four random points draws 512 KiB
-#: and copies it once, which stays within a 2 MiB L2 cache.  On one thread of
-#: such a core, 48 blocks (16 of each `mc-crosscheck` line, median of 9 runs)
-#: took 0.54, 0.46, 0.41, 0.37, 0.38 and 0.77 s at 512, 1024, 2048, 4096, 8192
-#: and 32768 samples, against 0.70 s for the whole-block kernel.  Any value
-#: gives the same bits.
+#: into a buffer that, with the chunk's row sums, points and scratch rows,
+#: takes 1.1 MiB and stays within a 2 MiB L2 cache.  On one thread of such a
+#: core, 16 blocks (median of 9 runs) took 0.179, 0.168 and 0.211 s of four
+#: random points, and 0.082, 0.073 and 0.071 s with the centroid, at 2048,
+#: 4096 and 8192 samples.  Any value gives the same bits.
 _CHUNK_SIZE = 1 << 12
 
 #: counter stride between blocks (draw consumption per block is far smaller)
@@ -69,13 +72,22 @@ class EstimatorResult:
         return (self.mean - reference) / self.stderr
 
 
-def _determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2):
+def _determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2, *, out, a, b):
     """det of the rows (u0, u1, u2), (v0, v1, v2), (w0, w1, w2), expanded
-    along the first row.  Every volume goes through this expression, so its
-    operation order, which fixes the bits of each estimate, is written once."""
-    return (u0 * (v1 * w2 - v2 * w1)
-            - u1 * (v0 * w2 - v2 * w0)
-            + u2 * (v0 * w1 - v1 * w0))
+    along the first row as (u0 A - u1 B) + u2 C, written to `out`, with `a`
+    and `b` as scratch rows of its shape.  Every volume goes through this
+    function, so its operation order, which fixes the bits of each estimate,
+    is written once."""
+    np.multiply(v1, w2, out=a)
+    a -= np.multiply(v2, w1, out=b)
+    np.multiply(u0, a, out=out)  # u0 A
+    np.multiply(v0, w2, out=a)
+    a -= np.multiply(v2, w0, out=b)
+    out -= np.multiply(u1, a, out=a)  # - u1 B
+    np.multiply(v0, w1, out=a)
+    a -= np.multiply(v1, w0, out=b)
+    out += np.multiply(u2, a, out=a)  # + u2 C
+    return out
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -88,33 +100,44 @@ def _block_sums(seed: int, block_index: int, count: int, mode: str, power: int
                 ) -> tuple[float, float]:
     gen = _block_generator(seed, block_index)
     n_random = 4 if mode == MODE_ALL_RANDOM else 3
+    chunk = min(_CHUNK_SIZE, count)
+    # every chunk works in these buffers: its draw, its row sums, its points
+    # as one contiguous plane per coordinate, and the determinant's scratch
+    draw = np.empty((chunk, n_random, 4))
+    totals = np.empty((n_random, chunk))
+    planes = np.empty((n_random, 3, chunk))
+    scratch = np.empty((2, chunk))
     vol = np.empty(count)
     for start in range(0, count, _CHUNK_SIZE):
         m = min(_CHUNK_SIZE, count - start)
         # the next m samples of the block's stream, as one draw of the whole
-        # block would give them, copied once so that w[i, j] is the plane of
-        # the j-th exponential of point i
-        w = np.ascontiguousarray(gen.standard_exponential((m, n_random, 4)).transpose(1, 2, 0))
+        # block would give them; e[i, j] is the j-th exponential of point i
+        e = gen.standard_exponential(out=draw[:m]).transpose(1, 2, 0)
         # barycentric weights times the body's vertices _SCALE * [0; I3] are
         # the last three weights times _SCALE: every other matmul term is an
         # exact 0.  The row sum is np.sum's order for four terms,
         # ((e0 + e1) + e2) + e3, so the points are the matmul's bits.
-        total = w[:, 0] + w[:, 1]
-        total += w[:, 2]
-        total += w[:, 3]
-        pts = w[:, 1:]
-        pts /= total[:, None]
-        pts *= _SCALE  # pts[i, c]: coordinate c of point i, one plane each
+        total = np.add(e[:, 0], e[:, 1], out=totals[:, :m])
+        total += e[:, 2]
+        total += e[:, 3]
+        pts = np.divide(e[:, 1:], total[:, None], out=planes[:, :, :m])
+        pts *= _SCALE  # pts[i, c]: coordinate c of point i
         if mode == MODE_ALL_RANDOM:
-            edges = pts[:3] - pts[3]
+            edges = pts[:3]
+            edges -= pts[3]
         else:
-            edges = pts - FACET_CENTROID[:, None]
-        det = _determinant(*edges.reshape(9, m))
-        np.divide(np.abs(det, out=det), 6.0, out=vol[start:start + m])
+            edges = pts
+            edges -= FACET_CENTROID[:, None]
+        v = _determinant(*edges.reshape(9, m), out=vol[start:start + m],
+                         a=scratch[0, :m], b=scratch[1, :m])
+        np.abs(v, out=v)
+        v /= 6.0
     # the power and both sums run once over the whole block: np.sum's
     # pairwise tree depends on the length it is given
-    vp = vol ** power
-    return float(np.sum(vp)), float(np.sum(vp * vp))
+    vol **= power
+    s1 = float(np.sum(vol))
+    vol *= vol
+    return s1, float(np.sum(vol))
 
 
 def _usable_cpus() -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import select
 import shlex
 import subprocess
 import sys
@@ -436,6 +437,27 @@ def test_all_computes_the_orders_its_degree_needs(tmp_path, degree, top, code):
     assert MomentTable.read(tmp_path / "moments.tsv").orders() == list(range(1, top + 1))
 
 
+def test_a_long_all_run_reports_each_order_at_once(tmp_path):
+    """`all --degree 1000000000` would take hours over its orders: it prints
+    each one as soon as it is checked, and a run stopped part way leaves no
+    moment file and no temporary file."""
+    src = Path(node_search.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tetravol.cli", "all", "--degree", "1000000000",
+         "--workdir", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        first = proc.stdout.readline() if ready else ""
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    assert first == "k=1: 1/2000 (direct)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("error", [MomentOrderError, moments_mod.MomentCacheError,
                                    moments_mod.MomentIntegrityError])
 def test_every_moment_table_error_is_a_value_error(tmp_path, monkeypatch, capsys, error):
@@ -661,9 +683,8 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, reques
         code = exc.code
         out, err = capsys.readouterr()
         usage, err = err.rstrip("\n").rsplit("\n", 1)
-        # the top-level parser reports the words that no parser took
-        prog = "tetravol" if "unrecognized arguments" in err else f"tetravol {argv[0]}"
-        assert usage.startswith(f"usage: {prog} ")
+        # the command's own usage, unrecognized arguments included
+        assert usage.startswith(f"usage: tetravol {argv[0]} ")
         err = err.split(": ", 1)[1]  # drop the "tetravol CMD" prefix
     assert code == EXIT_ERROR
     assert err.startswith("error: ")

@@ -119,11 +119,29 @@ def test_estimate_bits_do_not_depend_on_the_chunk_size(monkeypatch, chunk_size):
     1_699,  # the partial last block of the pinned 100,003 samples
     1_000,  # less than one chunk
     montecarlo._CHUNK_SIZE + 1,  # a chunk and a one-sample chunk
+    # a full chunk, then a partial one in the same buffers: a tail left from
+    # the full chunk would change the sums
+    2 * montecarlo._CHUNK_SIZE - 1,
 ])
 def test_block_sums_equal_the_whole_block_kernel(mode, power, count):
     got = montecarlo._block_sums(21, 2, count, mode, power)
     want = block_sums_slice(21, 2, count, mode, power)
     assert [s.hex() for s in got] == [s.hex() for s in want]
+
+
+def test_block_sums_allocate_no_block_sized_temporaries():
+    """A block's kernel allocates its chunk buffers and its volumes once and
+    works in them: 1.45 MB for four random points.  One block-sized
+    temporary more (0.26 MB) fails the bound; one draw of the whole block
+    alone is 4.2 MB."""
+    montecarlo._block_sums(4, 0, BLOCK_SIZE, MODE_ALL_RANDOM, 2)  # numpy's one-time setup
+    tracemalloc.start()
+    try:
+        montecarlo._block_sums(4, 1, BLOCK_SIZE, MODE_ALL_RANDOM, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_600_000
 
 
 def test_chunked_draws_continue_the_stream():
