@@ -10,24 +10,14 @@ directory and calls `montecarlo.estimate` once for each command line of the
 powers, sample count and per-line seeds), timing each call.  It records the
 mean and standard error of each as `float.hex`, the peak RSS of the process
 after them and the number of workers the side's `estimate` runs (its
-usable-CPU count capped at the block count; 1 for a side without a pool).
+usable-CPU count capped at the block count).
 
-After the estimates the same process times the steps of a sample block on
-the calling thread, for three formulations of the block kernel, over
-STEP_BLOCKS blocks of each command line's stream:
-
-  chunked  the library's kernel: the block in chunks of the side's
-           `_CHUNK_SIZE` samples (CHUNK_SIZE where the side has none), each
-           chunk drawn into, and worked on in, buffers allocated once per
-           block, with the transpose folded into the row sums and the
-           division and the determinant written through `out=`
-  copied   the chunked kernel before that: each chunk's draw copied once
-           into contiguous planes, with new arrays for the row sums, the
-           edges and every determinant temporary
-  slice    the whole-block kernel: one draw of the block, worked on in place
-           through strided views
-
-and the steps of each, summed over a block's chunks:
+After the estimates the same process times, on the calling thread, the
+steps of the library's block kernel (the `chunked` one) over STEP_BLOCKS
+blocks of each command line's stream: the block in chunks of the side's
+`_CHUNK_SIZE` samples, each drawn into, and worked on in, buffers allocated
+once per block, with the side's own `_determinant`.  The steps, summed over
+a block's chunks, are
 
   draw       the unit exponentials
   normalize  to points of the representative body: each row summed, the last
@@ -36,9 +26,9 @@ and the steps of each, summed over a block's chunks:
   reduce     V^power and its two sums, once over the block and in place,
              as the library reduces
 
-and whether each formulation's two sums equal the side's own `_block_sums`
-bit for bit.  Runs alternate between the sides, starting with a different
-side on each repeat.  Stdlib only; the side-by-side harness is
+and the run checks that the timed kernel's two sums equal the side's own
+`_block_sums` bit for bit.  Runs alternate between the sides, starting with
+a different side on each repeat.  Stdlib only; the side-by-side harness is
 `bench/sides.py`.
 """
 
@@ -53,12 +43,8 @@ from pathlib import Path
 import sides as harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-#: blocks per command line whose steps are timed, per kernel formulation
+#: blocks per command line whose steps are timed
 STEP_BLOCKS = 8
-#: chunk of the `chunked` and `copied` formulations on a side whose kernel has
-#: no chunks
-CHUNK_SIZE = 1 << 12
-KERNELS = ("chunked", "copied", "slice")
 STEPS = ("draw", "normalize", "volume", "reduce")
 
 
@@ -75,31 +61,12 @@ class _Laps:
         self.last = now
 
 
-def _determinant(np, u0, u1, u2, v0, v1, v2, w0, w1, w2, *, out, a, b):
-    """The library's determinant, expanded along the first row as
-    (u0 A - u1 B) + u2 C, written through `out=` with two scratch rows."""
-    np.multiply(v1, w2, out=a)
-    a -= np.multiply(v2, w1, out=b)
-    np.multiply(u0, a, out=out)
-    np.multiply(v0, w2, out=a)
-    a -= np.multiply(v2, w0, out=b)
-    out -= np.multiply(u1, a, out=a)
-    np.multiply(v0, w1, out=a)
-    a -= np.multiply(v1, w0, out=b)
-    out += np.multiply(u2, a, out=a)
-    return out
-
-
-def _expanded_determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2):
-    """The same expansion with a new array for every temporary, as the
-    copied and the slice kernels compute it."""
-    return (u0 * (v1 * w2 - v2 * w1)
-            - u1 * (v0 * w2 - v2 * w0)
-            + u2 * (v0 * w1 - v1 * w0))
-
-
-def _chunked_block(mc, np, lap, seed, index, mode):
-    chunk = getattr(mc, "_CHUNK_SIZE", CHUNK_SIZE)
+def _timed_block(mc, np, seed: int, index: int, mode: str, power: int
+                 ) -> tuple[dict, tuple[float, float]]:
+    """The steps of `mc._block_sums` for one full block, with a lap after
+    each: its step times, and its two sums."""
+    lap = _Laps()
+    chunk = mc._CHUNK_SIZE
     n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
     gen = mc._block_generator(seed, index)
     draw = np.empty((chunk, n_random, 4))
@@ -123,63 +90,11 @@ def _chunked_block(mc, np, lap, seed, index, mode):
         else:
             edges = pts
             edges -= mc.FACET_CENTROID[:, None]
-        v = _determinant(np, *edges.reshape(9, m), out=vol[start:start + m],
-                         a=scratch[0, :m], b=scratch[1, :m])
+        v = mc._determinant(*edges.reshape(9, m), out=vol[start:start + m],
+                            a=scratch[0, :m], b=scratch[1, :m])
         np.abs(v, out=v)
         v /= 6.0
         lap("volume")
-    return vol
-
-
-def _copied_block(mc, np, lap, seed, index, mode):
-    chunk = getattr(mc, "_CHUNK_SIZE", CHUNK_SIZE)
-    n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
-    gen = mc._block_generator(seed, index)
-    vol = np.empty(mc.BLOCK_SIZE)
-    for start in range(0, mc.BLOCK_SIZE, chunk):
-        m = min(chunk, mc.BLOCK_SIZE - start)
-        e = gen.standard_exponential((m, n_random, 4))
-        lap("draw")
-        w = np.ascontiguousarray(e.transpose(1, 2, 0))
-        total = w[:, 0] + w[:, 1]
-        total += w[:, 2]
-        total += w[:, 3]
-        pts = w[:, 1:]
-        pts /= total[:, None]
-        pts *= mc._SCALE
-        lap("normalize")
-        edges = pts[:3] - pts[3] if n_random == 4 else pts - mc.FACET_CENTROID[:, None]
-        det = _expanded_determinant(*edges.reshape(9, m))
-        np.divide(np.abs(det, out=det), 6.0, out=vol[start:start + m])
-        lap("volume")
-    return vol
-
-
-def _slice_block(mc, np, lap, seed, index, mode):
-    n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
-    e = mc._block_generator(seed, index).standard_exponential((mc.BLOCK_SIZE, n_random, 4))
-    lap("draw")
-    total = e[..., :1]
-    total += e[..., 1:2]
-    total += e[..., 2:3]
-    total += e[..., 3:4]
-    pts = e[..., 1:]
-    pts /= total
-    pts *= mc._SCALE
-    lap("normalize")
-    last = pts[:, 3] if mode == mc.MODE_ALL_RANDOM else mc.FACET_CENTROID
-    edges = [pts[:, i] - last for i in range(3)]
-    vol = np.abs(_expanded_determinant(*(e[..., c] for e in edges for c in range(3)))) / 6.0
-    lap("volume")
-    return vol
-
-
-def _timed_block(mc, np, kernel: str, seed: int, index: int, mode: str, power: int
-                 ) -> tuple[dict, tuple[float, float]]:
-    """One block's step times, and its two sums."""
-    volumes = {"chunked": _chunked_block, "copied": _copied_block, "slice": _slice_block}[kernel]
-    lap = _Laps()
-    vol = volumes(mc, np, lap, seed, index, mode)
     vol **= power
     s1 = float(np.sum(vol))
     vol *= vol
@@ -207,20 +122,19 @@ def child(src: str, seed: int) -> dict:
         results.append([r.mean.hex(), r.stderr.hex()])
     peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
-    steps = {kernel: dict.fromkeys(STEPS, 0.0) for kernel in KERNELS}
-    bits_match = dict.fromkeys(KERNELS, True)
+    steps = dict.fromkeys(STEPS, 0.0)
+    bits_match = True
     for mode, power, _, line_seed in lines:
         for index in range(STEP_BLOCKS):
             expected = mc._block_sums(line_seed, index, mc.BLOCK_SIZE, mode, power)
-            for kernel in KERNELS:
-                times, sums = _timed_block(mc, np, kernel, line_seed, index, mode, power)
-                for step, seconds in times.items():
-                    steps[kernel][step] += seconds / (STEP_BLOCKS * len(lines))
-                bits_match[kernel] &= sums == expected
+            times, sums = _timed_block(mc, np, line_seed, index, mode, power)
+            for step, seconds in times.items():
+                steps[step] += seconds / (STEP_BLOCKS * len(lines))
+            bits_match &= sums == expected
 
     blocks = -(-lines[0][2] // mc.BLOCK_SIZE)
-    workers = min(mc._usable_cpus(), blocks) if hasattr(mc, "_usable_cpus") else 1
-    return {"estimate_s": estimate_s, "results": results, "workers": workers,
+    return {"estimate_s": estimate_s, "results": results,
+            "workers": min(mc._usable_cpus(), blocks),
             "block_step_s": steps, "bits_match": bits_match, "peak_rss_mb": peak_rss_mb}
 
 
@@ -246,8 +160,8 @@ def main() -> None:
                for label, side_runs in runs.items()}
     result = {"benchmark": "the three mc-crosscheck estimates, one montecarlo.estimate "
                            "call each, and the steps of one sample block under the "
-                           "chunked, the copied and the whole-block slice kernel on one thread, in "
-                           "one fresh process per run",
+                           "library's chunked kernel on one thread, in one fresh "
+                           "process per run",
               "machine": harness.machine(),
               "seed": args.seed, "repeats": args.repeats, "step_blocks": STEP_BLOCKS,
               "results_identical_across_sides": len({json.dumps(v) for v in results.values()}) == 1
@@ -265,13 +179,11 @@ def main() -> None:
             "estimates_total_s_summary": harness.summary(totals),
             "estimate_s": [harness.summary([run["estimate_s"][i] for run in side_runs])
                            for i in range(len(side_runs[0]["estimate_s"]))],
-            "block_step_s": {
-                kernel: {step: harness.summary([run["block_step_s"][kernel][step]
-                                                for run in side_runs], digits=7)
-                         for step in STEPS}
-                for kernel in KERNELS},
-            "bits_match_block_sums": {kernel: all(run["bits_match"][kernel] for run in side_runs)
-                                      for kernel in KERNELS},
+            "block_step_s": {"chunked": {
+                step: harness.summary([run["block_step_s"][step] for run in side_runs],
+                                      digits=7)
+                for step in STEPS}},
+            "bits_match_block_sums": {"chunked": all(run["bits_match"] for run in side_runs)},
         }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

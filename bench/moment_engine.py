@@ -11,27 +11,20 @@ would in a real run; with `--direct-k-max N` it then times
 `even_moment_direct(k)` for k = 1..N the same way.  Beside it, a second
 fresh process per run times one `tetravol moments --k-max 13 --out FILE`
 into an empty directory, through `tetravol.cli.main`: the fast engine, its
-check (against the pinned values, or on older trees against a forked
-direct-enumerator child) and the file write, on any tree that has the
-command.  It records the wall time, the peak RSS of the process
-(`RUSAGE_SELF`) and of its largest reaped child (`RUSAGE_CHILDREN`, 0 on a
-tree that forks none), their sum as a bound on the memory of the process
-tree, and the sha256 of the cache file.  Runs alternate between the sides,
-starting with a different side on each repeat.  Then IMPORT_RUNS more
-fresh interpreters per side, alternating, each measure how long
-`import tetravol.cli` takes as their first import, which `tetravol` modules
-it loaded and whether it loaded numpy, `fractions` and `dataclasses`.
-After the timed runs, one counting run per side wraps the engine's
-`_centred_integrals` and `_split_sum` to record, per order, the z-degree
-splits evaluated, the size of the centred-integral table and the largest
-bit lengths of its entries and of the split sums.  Where `_split_sum`
-takes a kernel (the double sum), it also records the kernel's entries
-summed over the order's splits and the most in one split; the triple sum
-has no kernel and records 0.  A side
-whose engine has no such helpers records no counts.  Its timings are not
-used.  The values of orders 1..13, and of every order run, are hashed in
-the moment cache format, so a side whose moments differ shows a different
-hash.
+check against the pinned values and the file write.  It records the wall
+time, the peak RSS of the process and the sha256 of the cache file.  Runs
+alternate between the sides, starting with a different side on each
+repeat.  Then IMPORT_RUNS more fresh interpreters per side, alternating,
+each measure how long `import tetravol.cli` takes as their first import,
+which `tetravol` modules it loaded and whether it loaded numpy, `fractions`
+and `dataclasses`.  After the timed runs, one counting run per side wraps
+the engine's `_centred_integrals` and `_split_sum` to record, per order,
+the z-degree splits evaluated, the size of the centred-integral table, the
+largest bit lengths of its entries and of the split sums, and the entries
+of the kernel `_split_sum` takes, summed over the order's splits and the
+most in one split.  Its timings are not used.  The values of orders 1..13,
+and of every order run, are hashed in the moment cache format, so a side
+whose moments differ shows a different hash.
 Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
 
@@ -57,7 +50,7 @@ HASHED_ORDERS = 13
 COUNTERS = ("splits", "table_entries", "table_bits_max", "split_bits_max",
             "kernel_entries", "kernel_entries_max")
 #: per-run figures of the moment-stage process
-STAGE_FIGURES = ("wall_s", "self_maxrss_mb", "children_maxrss_mb", "tree_maxrss_mb")
+STAGE_FIGURES = ("wall_s", "self_maxrss_mb")
 #: fresh processes per side that time `import tetravol.cli`
 IMPORT_RUNS = 15
 
@@ -74,7 +67,7 @@ def child(src: str, k_max: int, direct_k_max: int, count: bool) -> dict:
     from tetravol import moments
 
     stats: dict[int, dict] = {}
-    if count and hasattr(moments, "_split_sum"):
+    if count:
         integrals, split_sum = moments._centred_integrals, moments._split_sum
 
         def order_stats() -> dict:
@@ -87,15 +80,14 @@ def child(src: str, k_max: int, direct_k_max: int, count: bool) -> dict:
             s["table_bits_max"] = max(abs(v).bit_length() for row in table for v in row)
             return table
 
-        def counted_split(table, *args):
-            value = split_sum(table, *args)
+        def counted_split(table, kernel, *args):
+            value = split_sum(table, kernel, *args)
             s = order_stats()
             s["splits"] += 1
             s["split_bits_max"] = max(s["split_bits_max"], abs(value).bit_length())
-            if len(args) == 4:  # (kernel, n1, n2, n3)
-                entries = sum(map(len, args[0]))
-                s["kernel_entries"] += entries
-                s["kernel_entries_max"] = max(s["kernel_entries_max"], entries)
+            entries = sum(map(len, kernel))
+            s["kernel_entries"] += entries
+            s["kernel_entries_max"] = max(s["kernel_entries_max"], entries)
             return value
 
         moments._centred_integrals = counted_integrals
@@ -138,12 +130,8 @@ def stage_child(src: str, cache: str) -> dict:
     seconds = time.perf_counter() - t0
     if rc:
         raise SystemExit(f"tetravol moments exited {rc}")
-    mb = [resource.getrusage(who).ru_maxrss / 1024
-          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
     return {"wall_s": round(seconds, 4),
-            "self_maxrss_mb": round(mb[0], 1),
-            "children_maxrss_mb": round(mb[1], 1),
-            "tree_maxrss_mb": round(sum(mb), 1),
+            "self_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             "cache_sha256": hashlib.sha256(Path(cache).read_bytes()).hexdigest()}
 
 
@@ -247,7 +235,6 @@ def main() -> None:
                     st["wall_s"] for st in stages[label]), 4),
                 "wall_s_quartiles": harness.quartiles(
                     [st["wall_s"] for st in stages[label]], 4),
-                "tree_maxrss_mb_max": max(st["tree_maxrss_mb"] for st in stages[label]),
             },
             "import_cli": {
                 "import_s": [run["import_s"] for run in imports[label]],

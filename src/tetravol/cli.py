@@ -236,8 +236,9 @@ _main_parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  Bad input, an unusable
-    moment table included (its three errors are ValueErrors), and a failed
-    file operation print one `error:` line and return EXIT_ERROR."""
+    moment table included (its three errors are ValueErrors), a failed file
+    operation and a run too large for memory print one `error:` line and
+    return EXIT_ERROR."""
     args, extra = _main_parser().parse_known_args(argv)
     args = vars(args)
     command = args.pop("commands")[args.pop("command")]
@@ -246,8 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     func = args.pop("func")
     try:
         return func(**args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -69,7 +69,11 @@ class EstimatorResult:
     seed: int
 
     def z_score(self, reference: float) -> float:
-        return (self.mean - reference) / self.stderr
+        """(mean - reference) / stderr under IEEE division: a zero standard
+        error (every V^power underflowed) gives +-inf when the mean differs
+        from the reference and nan when it equals it."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(self.mean - reference) / self.stderr)
 
 
 def _determinant(u0, u1, u2, v0, v1, v2, w0, w1, w2, *, out, a, b):

@@ -358,7 +358,8 @@ def _roots(chain: list[list[int]], low: int, high: int) -> list[Fraction]:
     cell holding two or more roots counts only its midpoint, and a cell
     holding one root splits on the sign of chain[0] until (b - a) 2^60 <= a.
     A midpoint where chain[0] vanishes moves to (a + mid)/2.  Each root is
-    the midpoint of its last cell: the one bisection over the rationals gives.
+    the midpoint of its last cell, the one that bisection over the rationals
+    reaches.
     Cells wait on a stack, left first, so no root is too deep to reach.
     """
     p, roots = chain[0], []

@@ -6,6 +6,7 @@ import pytest
 
 from tetravol.majorant import NodeSet
 from tetravol.moments import moment_table
+from tetravol.node_search import LpProblem, solve_onesided_lp
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,18 @@ def table13_timed():
 @pytest.fixture(scope="session")
 def table13(table13_timed):
     return table13_timed[0]
+
+
+@pytest.fixture(scope="session")
+def sol13(table13):
+    """The degree-13 grid LP on 1000 points, solved once per session."""
+    return solve_onesided_lp(LpProblem.equispaced(13, 1000, table13))
+
+
+@pytest.fixture(scope="session")
+def sol12(table13):
+    """The degree-12 grid LP on 100 points, solved once per session."""
+    return solve_onesided_lp(LpProblem.equispaced(12, 100, table13))
 
 
 @pytest.fixture(scope="session")

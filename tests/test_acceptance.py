@@ -21,13 +21,7 @@ from tetravol.moments import (
     even_moment_fast,
 )
 from tetravol.montecarlo import MODE_ALL_RANDOM, MODE_CENTROID, estimate
-from tetravol.node_search import (
-    LpProblem,
-    extract_nodes,
-    polish_nodes,
-    rationalize,
-    solve_onesided_lp,
-)
+from tetravol.node_search import extract_nodes, polish_nodes, rationalize
 from tetravol.rational import fraction_to_decimal, target_enclosure
 
 from oracles import poly_derivative, poly_eval, x_coefficients
@@ -50,11 +44,6 @@ def direct_timed():
     values[5] = even_moment_direct(5)
     t_five = time.monotonic() - t0
     return values, t_low, t_five
-
-
-@pytest.fixture(scope="module")
-def sol13(table13):
-    return solve_onesided_lp(LpProblem.equispaced(13, 1000, table13))
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +103,7 @@ def test_criterion_4_certificate_reproduction(table13):
           f"{float(cert.margin):.2e}, verdict TRUE")
 
 
-def test_criterion_5_negative_control(table13):
-    sol12 = solve_onesided_lp(LpProblem.equispaced(12, 100, table13))
+def test_criterion_5_negative_control(sol12, table13):
     assert sol12.objective > 0.01746 - 1e-4, \
         f"[criterion 5] FAIL: n=12 LP objective {sol12.objective:.6f}"
 

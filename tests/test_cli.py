@@ -537,6 +537,33 @@ def test_mc_deterministic_output(capsys):
     assert "z    =" in first
 
 
+def test_mc_ref_with_a_zero_standard_error_prints_an_infinite_z(capsys):
+    # V^5000 underflows to 0 in every sample, so mean and s.e. are both 0
+    assert main(["mc", "--mode", "centroid", "--power", "5000", "--samples", "10",
+                 "--seed", "1", "--ref", "1e-300"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "mean = 0.000000000e+00\ns.e. = 0.000e+00\n" in out
+    assert out.endswith("z    = -inf vs reference 1e-300\n")
+
+
+@pytest.mark.parametrize("message, printed", [
+    ("Unable to allocate 455. GiB for an array", "Unable to allocate 455. GiB for an array"),
+    ("", "out of memory"),
+], ids=["numpy-message", "no-message"])
+def test_mc_too_large_for_memory_prints_one_error_line(monkeypatch, capsys, message, printed):
+    # `mc --samples 10**15` needs 455 GiB of block sums; a host that always
+    # overcommits would start that run, so the estimate refuses here instead
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("tetravol.montecarlo.estimate", refuse)
+    assert main(["mc", "--mode", "four", "--samples", str(10 ** 15),
+                 "--seed", "1"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {printed}\n"
+
+
 ORDER_1 = "tetra-moments v1\n1\t1\t2000\n"
 ONE_NODE = "1/3\n"
 #: output paths that a case of test_bad_input_exits_1_with_error_line makes

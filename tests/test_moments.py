@@ -214,7 +214,7 @@ def test_18_term_enumerator_matches_direct():
 
 
 @pytest.mark.skipif(not os.environ.get("TETRAVOL_SLOW"),
-                    reason="~2 min; set TETRAVOL_SLOW=1 to run")
+                    reason="~7 min; set TETRAVOL_SLOW=1 to run")
 def test_18_term_enumerator_matches_direct_slow():
     # 8.4M and 51.9M compositions of 2k into 18 parts
     for k in (5, 6):

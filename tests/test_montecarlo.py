@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -32,6 +33,17 @@ def test_tetra_volume_degenerate():
 
 def test_tetra_volume_unit_representative():
     assert tetra_volume(*UNIT_TETRA_VERTICES) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mean, stderr, reference, z", [
+    (1.5, 0.25, 1.0, 2.0),
+    (0.0, 0.0, 1e-300, -math.inf),  # every V^power underflowed
+    (2.0, 0.0, 1.0, math.inf),
+    (0.5, 0.0, 0.5, math.nan),
+])
+def test_z_score_divides_as_ieee_does(mean, stderr, reference, z):
+    z_score = EstimatorResult(mean=mean, stderr=stderr, n_samples=10, seed=1).z_score(reference)
+    assert z_score == z or math.isnan(z) and math.isnan(z_score)
 
 
 def test_estimate_reproducible():

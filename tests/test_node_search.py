@@ -31,16 +31,6 @@ from tetravol.node_search import (
 from oracles import poly_mul, roots_bisection
 
 
-@pytest.fixture(scope="module")
-def sol13(table13):
-    return solve_onesided_lp(LpProblem.equispaced(13, 1000, table13))
-
-
-@pytest.fixture(scope="module")
-def sol12(table13):
-    return solve_onesided_lp(LpProblem.equispaced(12, 100, table13))
-
-
 def test_problem_validation(table13):
     with pytest.raises(ValueError):
         LpProblem(1, (0.0, 0.2), (float(table13[1]),))  # max != 1/3
