@@ -32,14 +32,15 @@ majorant of each high-degree Gauss set (degrees 25 and 33 in t = x^2,
 denominators at most 1000).  It counts the proofs' interior root counts
 (-1 where the deflation or a boundary sign already failed) and hashes the rendered
 reports, so a side whose proofs or reports differ shows a different
-histogram or hash; the `cli` reports and stdout are hashed apart.  It also
-counts the proofs that ran the exact `sturm_root_count` chain: a tree that
-proves dominance on a rounded-down quotient first runs it only as a
-fallback.  In untimed passes after the timed ones it counts, per proof,
-the rounded rung (the bits kept) that settled it, and the
-`sign_variations` calls of each timed `gauss_nodes(n)`.  Runs alternate
-between the sides, starting with a different side on each repeat.  Stdlib
-only; the side-by-side harness is `bench/sides.py`.
+histogram or hash; the `cli` reports and stdout are hashed apart.  The
+timed passes wrap nothing.  In untimed passes after them it reads, per
+proof, the rung that settled it from the widest coefficient of the last
+`sturm_chain` the proof built, which every tree calls: the rounded rung
+(the bits kept) that holds it, or "exact" for a chain on the quotient's
+full width, counted as a fallback.  It also counts the `sign_variations`
+calls of each timed `gauss_nodes(n)`.  Runs alternate between the sides,
+starting with a different side on each repeat.  Stdlib only; the
+side-by-side harness is `bench/sides.py`.
 """
 
 from __future__ import annotations
@@ -88,34 +89,27 @@ def write_large_moments(src: str, path: str) -> None:
 
 def proof_rungs(certificate, cases) -> list[str]:
     """What settled the dominance proof of each (majorant, nodes) of
-    `cases`, untimed: the rung of `_ROUNDED_BITS` that holds the widest
-    coefficient of the last rounded chain built, "exact" when
-    `_rounded_root_free` declined and the exact chain ran, and "none" when
-    neither ran (a failed deflation or boundary sign)."""
-    bits, settled = [], []
-    real_chain, real_rounded = certificate.sturm_chain, certificate._rounded_root_free
+    `cases`, untimed, read from the widest coefficient of the last
+    `sturm_chain` the proof built: the least rung of `_ROUNDED_BITS` that
+    holds it, "exact" when it is wider than every rung, and "none" when no
+    chain ran (a failed deflation or boundary sign).  A quotient narrow
+    enough for a rung is that rung's, counted exactly."""
+    bits, real = [], certificate.sturm_chain
 
     def chain(p):
         bits.append(max(abs(c) for c in p).bit_length())
-        return real_chain(p)
+        return real(p)
 
-    def rounded(nums):
-        settled.append(real_rounded(nums))
-        return settled[-1]
-
-    certificate.sturm_chain, certificate._rounded_root_free = chain, rounded
+    certificate.sturm_chain = chain
     out = []
     try:
         for poly, nodes in cases:
             bits.clear()
-            settled.clear()
             certificate.verify_dominance(poly, nodes)
-            if settled == [True]:
-                out.append(str(min(r for r in certificate._ROUNDED_BITS if r >= bits[-1])))
-            else:
-                out.append("exact" if settled else "none")
+            held = [r for r in certificate._ROUNDED_BITS if bits and r >= bits[-1]]
+            out.append(str(min(held)) if held else "exact" if bits else "none")
     finally:
-        certificate.sturm_chain, certificate._rounded_root_free = real_chain, real_rounded
+        certificate.sturm_chain = real
     return out
 
 
@@ -149,14 +143,6 @@ def child(src: str, seed: int, large_moments: str) -> dict:
     sets = [NodeSet.from_rationals(nodes) for nodes in plan["files"].values()]
     table = MomentTable.read(inputs.GOLDEN_MOMENTS)
     seconds = {layer: [] for layer in LAYERS}
-    exact_calls = []
-    exact_count = certificate.sturm_root_count
-
-    def counted(*args):
-        exact_calls.append(1)
-        return exact_count(*args)
-
-    certificate.sturm_root_count = counted
 
     def timed(layer, call, *args):
         t0 = time.perf_counter()
@@ -169,7 +155,6 @@ def child(src: str, seed: int, large_moments: str) -> dict:
         timed("expected_value", expected_value, poly, table)
     proofs = [timed("dominance", certificate.verify_dominance, poly, nodes)
               for poly, nodes in zip(polys, sets)]
-    fallbacks = len(exact_calls)
 
     def certify_and_render(nodes):
         cert = certificate.certify(nodes, table)
@@ -210,16 +195,16 @@ def child(src: str, seed: int, large_moments: str) -> dict:
     for degree, text in HIGH_DEGREE.items():
         nodes = NodeSet.from_rationals(text.split())
         poly = hermite_onesided(nodes)
-        exact_calls.clear()
         t0 = time.perf_counter()
         valid = certificate.verify_dominance(poly, nodes).valid
-        high[degree] = {"s": time.perf_counter() - t0, "valid": valid,
-                        "fallbacks": len(exact_calls)}
+        high[degree] = {"s": time.perf_counter() - t0, "valid": valid}
 
     histogram = Counter(p.interior_root_count for p in proofs)
     rungs = Counter(proof_rungs(certificate, zip(polys, sets)))
     high_sets = [NodeSet.from_rationals(text.split()) for text in HIGH_DEGREE.values()]
     high_rungs = proof_rungs(certificate, [(hermite_onesided(s), s) for s in high_sets])
+    for degree, rung in zip(HIGH_DEGREE, high_rungs):
+        high[degree]["fallbacks"] = int(rung == "exact")
     return {"seconds": seconds,
             "rungs": dict(sorted(rungs.items())),
             "high_degree_rungs": dict(zip(HIGH_DEGREE, high_rungs)),
@@ -227,7 +212,7 @@ def child(src: str, seed: int, large_moments: str) -> dict:
             "gauss_sha256": gauss_digest.hexdigest(),
             "gauss_sign_variations": dict(zip(map(str, GAUSS_SIZES + LARGE_GAUSS_SIZES),
                                               sign_counts(node_search, gauss_cases))),
-            "dominance_fallbacks": fallbacks,
+            "dominance_fallbacks": rungs["exact"],
             "parsed_equal": parsed_equal,
             "high_degree": high,
             "root_counts": {str(k): histogram[k] for k in sorted(histogram)},

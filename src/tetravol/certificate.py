@@ -12,11 +12,11 @@ majorant property is only needed on [0, 1/3].
 
 Dominance of P over |x| is not taken on faith from the interpolation
 construction: P(x) - x is deflated, on Python integers, by the known double
-roots at the nodes, and the quotient R is proven positive on [0, 1/3] by a
-Sturm root count plus boundary signs, first on a rounded-down copy of R that
-lies exactly below it (the rounded-polynomial certificate of Chevillard,
-Harrison, Joldes & Lauter, Theor. Comput. Sci. 412, 2011; see
-`verify_dominance`).  A corrupted node file or a buggy interpolation breaks
+roots at the nodes, and the quotient R is proven positive on [0, 1/3] by
+boundary signs and one ladder of Sturm root counts: on rounded-down copies
+of R that lie exactly below it, then on R itself (the rounded-polynomial
+certificate of Chevillard, Harrison, Joldes & Lauter, Theor. Comput. Sci.
+412, 2011; see `verify_dominance`).  A corrupted node file or a buggy interpolation breaks
 the deflation or the root count, never the verdict's soundness.
 
 Only B depends on the moments: the nodes fix P and its proof, and the target
@@ -40,9 +40,6 @@ from .majorant import (EvenPoly, NodeSet, _require_orders, expected_value,
 from .moments import MomentTable
 from .rational import RationalInterval, fraction_to_decimal, target_enclosure
 
-#: upper end of the interval on which dominance is verified (V <= 1/3)
-DOMAIN_MAX = Fraction(1, 3)
-
 #: bits kept of the largest coefficient of the rounded quotient in
 #: `verify_dominance`, one rung after another until one proves it.  On the
 #: 291 node sets of the warm-certify-sweep plans for seeds 901-903 and the
@@ -50,8 +47,8 @@ DOMAIN_MAX = Fraction(1, 3)
 #: proves every quotient positive, at about half the cost of 64 bits.  The
 #: d = 25 and d = 33 Gauss sets (denominators <= 1000) fail the 32-bit
 #: endpoint check at once and prove at 64 bits; 24 bits fell back on 2 warm
-#: sets and on all four Gauss sets.  Only a quotient that no rung proves
-#: runs the exact chain.
+#: sets and on all four Gauss sets.  After these rungs comes one that keeps
+#: every bit: only a quotient that no rounded rung proves is counted exactly.
 _ROUNDED_BITS = (32, 64)
 
 #: the published seven-node set whose certificate reproduces the bound
@@ -151,7 +148,8 @@ def sign_variations(chain: Sequence[Sequence[int]], x: Fraction | int, den: int 
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def sturm_root_count(p: Sequence[Fraction], a: Fraction, b: Fraction) -> int:
+def sturm_root_count(p: Sequence[Fraction | int], a: Fraction | int,
+                     b: Fraction | int) -> int:
     """Number of distinct real roots of p in the open interval (a, b).
 
     Counts sign variations at a and b on the integer Sturm chain of p,
@@ -209,32 +207,31 @@ def _deflate(nums: Sequence[int], p: int, q: int) -> tuple[list[int], int, bool]
     return quot, g, last * g + carry == 0
 
 
-def _rounded_root_free(nums: Sequence[int]) -> bool:
-    """True when a rounded-down copy of nums proves it positive on [0, 1/3].
+def _interior_root_count(nums: Sequence[int]) -> int:
+    """Number of roots in (0, 1/3) of nums, nonzero at 0 and 1/3.
 
     nums = c_m .. c_0 (highest degree first) is written in u = 3x as
-    T_i = c_i 3^(m - i), so T(u) = 3^m N(u/3).  For each `bits` of
-    _ROUNDED_BITS in turn, each T_i is shifted right by
-    e = max(0, bits(max |T_i|) - bits) bits.  `>>` floors, so
-    2^e Rhat_i <= T_i, and as u^i >= 0 on [0, 1], 2^e Rhat(u) <= T(u) there.
-    Rhat(0) > 0, Rhat(1) > 0 and no Sturm root of Rhat in (0, 1) make Rhat,
-    hence T, hence N on [0, 1/3], positive.  False says nothing about nums.
+    T_i = c_i 3^(m - i), so T(u) = 3^m N(u/3), and the roots of N in
+    (0, 1/3) are those of T in (0, 1).  For each `bits` of _ROUNDED_BITS in
+    turn, each T_i is shifted right by e = max(0, bits(max |T_i|) - bits)
+    bits.  `>>` floors, so 2^e Rhat_i <= T_i, and as u^i >= 0 on [0, 1],
+    2^e Rhat(u) <= T(u) there: Rhat(0) > 0, Rhat(1) > 0 and no Sturm root of
+    Rhat in (0, 1) make Rhat, hence T, hence N on [0, 1/3], positive.  A
+    rung that counts roots says nothing about N.  The last rung keeps every
+    bit, so its copy is T and its count is exact.
     """
     t, power = [], 1
     for c in nums:
         t.append(c * power)
         power *= 3
     top = max(abs(c) for c in t).bit_length()
-    for bits in _ROUNDED_BITS:
+    for bits in (*_ROUNDED_BITS, top):
         shift = max(0, top - bits)
         rounded = [c >> shift for c in t]
-        if rounded[-1] > 0 and sum(rounded) > 0:
-            chain = sturm_chain(rounded[::-1])
-            if sign_variations(chain, 0) == sign_variations(chain, 1):
-                return True
-        if not shift:  # every later rung is this same copy
-            break
-    return False
+        if not shift or rounded[-1] > 0 and sum(rounded) > 0:
+            count = sturm_root_count(rounded[::-1], 0, 1)
+            if not (shift and count):
+                return count
 
 
 def verify_dominance(poly: EvenPoly, nodes: NodeSet) -> DominanceProof:
@@ -248,13 +245,14 @@ def verify_dominance(poly: EvenPoly, nodes: NodeSet) -> DominanceProof:
     quotient is nums times one positive scale, so its signs and Sturm count
     are those of the integers nums.
 
-    With both boundary signs positive, `_rounded_root_free` first tries
-    rounded-down copies of nums in u = 3x, whose coefficients have 32, then
-    64 bits (_ROUNDED_BITS): floor shifts only lower coefficients and
-    u^i >= 0 on [0, 1], so when a copy has no root in [0, 1] neither has
-    the quotient in [0, 1/3], and the root count is exactly 0.  Otherwise
-    the exact chain on nums counts the roots.  Either way the proof is the
-    one exact Sturm alone would give.
+    With both boundary signs nonzero, `_interior_root_count` walks one
+    ladder of Sturm counts on nums in u = 3x: copies rounded down to 32,
+    then 64 bits (_ROUNDED_BITS), then nums itself.  Floor shifts only lower
+    coefficients and u^i >= 0 on [0, 1], so when a rounded copy is positive
+    at both ends and has no root in (0, 1), the quotient has none in
+    (0, 1/3), and the root count is exactly 0; otherwise the last rung
+    counts the roots exactly.  Either way the proof is the one exact Sturm
+    alone would give.
     """
     diff = [Fraction(0)] * max(poly.degree + 1, 2)
     for i, a in enumerate(poly.coeffs):
@@ -280,10 +278,7 @@ def verify_dominance(poly: EvenPoly, nodes: NodeSet) -> DominanceProof:
     sign0, sign1 = (nums[-1] > 0) - (nums[-1] < 0), (end > 0) - (end < 0)
     if sign0 == 0 or sign1 == 0:
         return DominanceProof(quotient, True, -1, sign0, sign1)
-    if sign0 > 0 and sign1 > 0 and _rounded_root_free(nums):
-        return DominanceProof(quotient, True, 0, sign0, sign1)
-    count = sturm_root_count(nums[::-1], Fraction(0), DOMAIN_MAX)
-    return DominanceProof(quotient, True, count, sign0, sign1)
+    return DominanceProof(quotient, True, _interior_root_count(nums), sign0, sign1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +320,7 @@ def certify(nodes: NodeSet, moments: MomentTable,
     rendered from incomplete data); a failed dominance proof or a non-strict
     comparison yields a verdict-false certificate with full diagnostics.
     """
-    # n nodes give degree 2(2n - 1) in x
-    _require_orders(moments, 2 * (2 * len(nodes) - 1))
+    _require_orders(moments, nodes=len(nodes))
     p_cert = hermite_onesided(nodes)
     meta = {"tool": f"tetravol {__version__}",
             "moments": moments.provenance_summary()}

@@ -47,6 +47,7 @@ atomically.
 from __future__ import annotations
 
 import os
+import re
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate
@@ -247,6 +248,8 @@ def even_moment_fast(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 CACHE_HEADER = "tetra-moments v1"
+#: each field of a cache line, as `MomentTable.write` writes it
+_CACHE_FIELD = re.compile(r"-?[0-9]+")
 
 #: E V^(2k) for k = 1, 2, ... as exact (numerator, denominator) pairs: the
 #: values on which `even_moment_direct` and `even_moment_fast` agree
@@ -362,8 +365,10 @@ class MomentTable:
             fields = line.split("\t")
             if len(fields) != 3:
                 raise MomentCacheError(f"{path}:{ln}: expected k<TAB>num<TAB>den")
-            try:
-                k, num, den = (int(f) for f in fields)
+            try:  # only what `write` writes: no `_`, padding or non-ASCII digit
+                if not all(map(_CACHE_FIELD.fullmatch, fields)):
+                    raise ValueError
+                k, num, den = map(int, fields)
             except ValueError as exc:
                 raise MomentCacheError(f"{path}:{ln}: non-integer field") from exc
             if k in values:

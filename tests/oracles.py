@@ -457,7 +457,7 @@ def verify_dominance_long_division(poly, nodes):
     the library's Sturm chain, counts the quotient's roots in (0, 1/3).
     Returns a `tetravol.certificate.DominanceProof`.
     """
-    from tetravol.certificate import DOMAIN_MAX, DominanceProof
+    from tetravol.certificate import DominanceProof
 
     diff = [Fraction(0)] * max(poly.degree + 1, 2)
     for i, a in enumerate(poly.coeffs):
@@ -469,10 +469,11 @@ def verify_dominance_long_division(poly, nodes):
     quotient, remainder = poly_divmod(_trim(diff), divisor)
     if any(remainder):
         return DominanceProof(tuple(quotient), False, -1, 0, 0)
-    sign0, sign1 = _sign(quotient, Fraction(0)), _sign(quotient, DOMAIN_MAX)
+    end = Fraction(1, 3)  # V never exceeds 1/3
+    sign0, sign1 = _sign(quotient, Fraction(0)), _sign(quotient, end)
     if sign0 == 0 or sign1 == 0:
         return DominanceProof(tuple(quotient), True, -1, sign0, sign1)
-    count = sturm_root_count_fraction(quotient, Fraction(0), DOMAIN_MAX)
+    count = sturm_root_count_fraction(quotient, Fraction(0), end)
     return DominanceProof(tuple(quotient), True, count, sign0, sign1)
 
 

@@ -272,31 +272,37 @@ def _through_one_node(a, e):
 LARGE = (7 ** 60, 3 ** 100, 10 ** 40 + 1, 2 ** 150 + 1, 11 ** 110)
 
 
-def _exact_counts(monkeypatch):
-    """Record each exact Sturm count that verify_dominance (or the oracle)
-    runs."""
+def _sturm_counts(monkeypatch):
+    """Record (bits of the widest coefficient, count) for each Sturm count
+    that verify_dominance runs, one per rung of its ladder."""
     counts = []
 
     def counted(p, a, b):
-        counts.append(sturm_root_count(p, a, b))
-        return counts[-1]
+        counts.append((max(abs(c) for c in p).bit_length(), sturm_root_count(p, a, b)))
+        return counts[-1][1]
 
     monkeypatch.setattr(certificate, "sturm_root_count", counted)
     return counts
 
 
+#: more bits than a rung of _ROUNDED_BITS keeps (a floor shift can carry a
+#: negative coefficient one bit past its rung): a count on this many is exact
+EXACT_BITS = max(certificate._ROUNDED_BITS) + 2
+
+
 def test_rounded_proof_falls_back_when_the_minimum_is_below_the_rounding(monkeypatch):
     # R(x) = 1/(2a) + K (x + a)^2 (x^2 - 1/36)^2 >= 1/(2a) > 0, with its
     # minimum 1/(2a) at x = 1/6 (u = 1/2) far below the K-sized rounding
-    # error: the rounded quotient dips to or below 0, and the exact chain
-    # proves R positive
-    counts = _exact_counts(monkeypatch)
+    # error: each rounded quotient dips below 0 and shows two spurious
+    # roots, and the exact rung, the last, proves R positive
+    counts = _sturm_counts(monkeypatch)
     a = Fraction(1, 5)
     for k in LARGE:
         poly, nodes = _through_one_node(a, [k * Fraction(1, 1296), -k * Fraction(1, 18), k])
         counts.clear()
         proof = verify_dominance(poly, nodes)
-        assert counts == [0], k
+        assert [n for _, n in counts] == [2, 2, 0], k
+        assert counts[-1][0] >= EXACT_BITS, k
         assert proof.valid, k
         assert proof == verify_dominance_long_division(poly, nodes), k
 
@@ -304,8 +310,8 @@ def test_rounded_proof_falls_back_when_the_minimum_is_below_the_rounding(monkeyp
 def test_rounded_proof_never_passes_a_quotient_with_an_interior_root(monkeypatch):
     # R as above with E lowered by c, so that R(1/6) = -delta: two roots near
     # x = 1/6 while R(0), R(1/3) > 0.  Rounding down only lowers the rounded
-    # quotient, so it always shows the dip and the exact chain counts both
-    counts = _exact_counts(monkeypatch)
+    # quotient, so no rounded rung counts 0, and the exact rung counts both
+    counts = _sturm_counts(monkeypatch)
     a = Fraction(1, 5)
     for k in LARGE:
         for delta in (Fraction(1, 10 ** 6), Fraction(1, 3), Fraction(1)):
@@ -314,32 +320,34 @@ def test_rounded_proof_never_passes_a_quotient_with_an_interior_root(monkeypatch
             poly, nodes = _through_one_node(a, e)
             counts.clear()
             proof = verify_dominance(poly, nodes)
-            assert counts == [2], (k, delta)
+            assert counts[-1][0] >= EXACT_BITS and counts[-1][1] == 2, (k, delta)
+            assert 0 not in [n for _, n in counts[:-1]], (k, delta)
             assert proof.interior_root_count == 2 and not proof.valid, (k, delta)
             assert proof == verify_dominance_long_division(poly, nodes), (k, delta)
 
 
-def test_rounded_check_declines_a_rounded_root_at_either_end():
+def test_rounded_check_declines_a_rounded_root_at_either_end(monkeypatch):
     # N(x) = -(3A - 1) x + A, A = 2^100: T(u) = 3A - (3A - 1) u is 1 at u = 1,
-    # and its floor-shifted copy is 0 there; N(x) = A x + 1 shifts to 0 at
-    # u = 0.  The check declines both, without raising, and leaves them to
-    # the exact chain; with T(1) = 2^40 the shifted copy keeps a positive end
+    # and its floor-shifted copies are 0 there; N(x) = A x + 1 shifts to 0
+    # at u = 0.  The ladder skips both rounded rungs, without raising, and
+    # counts on the exact rung, T itself (102 and 101 bits); with
+    # T(1) = 2^40 the 64-bit copy keeps a positive end and proves N
+    counts = _sturm_counts(monkeypatch)
     big = 2 ** 100
-    assert not certificate._rounded_root_free([-(3 * big - 1), big])
-    assert not certificate._rounded_root_free([big, 1])
-    assert certificate._rounded_root_free([-(3 * big - 2 ** 40), big])
+    assert certificate._interior_root_count([-(3 * big - 1), big]) == 0
+    assert certificate._interior_root_count([big, 1]) == 0
+    assert certificate._interior_root_count([-(3 * big - 2 ** 40), big]) == 0
+    assert counts == [(102, 0), (101, 0), (64, 0)]
 
 
 def test_high_degree_gauss_set_proves_without_the_exact_chain(monkeypatch):
-    def exact(*args):
-        raise AssertionError("the exact chain ran")
-
-    monkeypatch.setattr(certificate, "sturm_root_count", exact)
+    counts = _sturm_counts(monkeypatch)
     for text in (GAUSS_25, GAUSS_33):
         nodes = NodeSet.from_rationals(text.split())
         proof = verify_dominance(hermite_onesided(nodes), nodes)
         assert proof.valid and proof.interior_root_count == 0, text
         assert len(proof.quotient) == 2 * len(nodes) - 1
+    assert counts and all(bits <= 64 for bits, _ in counts)
 
 
 def _warm_plan_sets(seed):
@@ -354,16 +362,14 @@ def _warm_plan_sets(seed):
 
 
 def test_the_32_bit_rung_alone_proves_the_warm_plan(monkeypatch):
-    def exact(*args):
-        raise AssertionError("the exact chain ran")
-
-    monkeypatch.setattr(certificate, "sturm_root_count", exact)
+    counts = _sturm_counts(monkeypatch)
     monkeypatch.setattr(certificate, "_ROUNDED_BITS", (32,))
     sets = _warm_plan_sets(901)
     assert NodeSet(REFERENCE_NODES) in sets and len(sets) == 97
     for nodes in sets:
         proof = verify_dominance(hermite_onesided(nodes), nodes)
         assert proof.valid and proof.interior_root_count == 0, nodes
+    assert len(counts) == 97 and all(bits <= 32 for bits, _ in counts)
 
 
 def test_high_degree_gauss_sets_skip_the_32_bit_rung_at_its_ends(monkeypatch):
@@ -385,7 +391,7 @@ def test_high_degree_rounded_proof_equals_the_exact_one(monkeypatch):
     nodes = NodeSet.from_rationals(GAUSS_33.split())
     poly = hermite_onesided(nodes)
     rounded = verify_dominance(poly, nodes)
-    monkeypatch.setattr(certificate, "_rounded_root_free", lambda nums: False)
+    monkeypatch.setattr(certificate, "_ROUNDED_BITS", ())
     assert verify_dominance(poly, nodes) == rounded
 
 
@@ -416,7 +422,7 @@ def test_certify_checks_the_orders_before_building_the_majorant(table13, monkeyp
     short = MomentTable({k: table13[k] for k in range(1, 13)})
     with pytest.raises(MomentOrderError) as info:
         certify(NodeSet(REFERENCE_NODES), short)
-    assert str(info.value) == "moment table lacks orders [13] needed for degree 26"
+    assert str(info.value) == "moment table lacks orders [13] needed for 7 nodes"
 
 
 def test_report_contains_verdict_and_round_trips(table13):

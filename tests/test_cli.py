@@ -503,7 +503,7 @@ def test_certify_names_a_missing_order_without_quotes(moments_without_order_3,
                str(moments_without_order_3), "--report", str(report)])
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err == "error: moment table lacks orders [3] needed for degree 26\n"
+    assert err == "error: moment table lacks orders [3] needed for 7 nodes\n"
     assert not report.exists()
 
 
@@ -615,6 +615,16 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n0\t1\t2\n1\t1\t2000\n", ONE_NODE, "order",
                  id="certify-order-0"),
+    # a field is read only in the form `MomentTable.write` writes it
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n1\t1\t2_000\n", ONE_NODE, "m.tsv:2: non-integer field",
+                 id="certify-moment-underscore"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n1\t1\t\u0662\u0660\u0660\u0660\n", ONE_NODE,
+                 "m.tsv:2: non-integer field", id="certify-moment-arabic-indic-digits"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n 1\t1\t2000\n", ONE_NODE, "m.tsv:2: non-integer field",
+                 id="certify-moment-padded-field"),
     # the cap test must not build 3^(2k) for a huge order from the file
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1 + "100000000\t1\t7\n", ONE_NODE,
