@@ -379,7 +379,10 @@ class MomentTable:
             if frac.numerator != num or frac.denominator != den:
                 raise MomentCacheError(f"{path}:{ln}: fraction {num}/{den} not reduced")
             values[k] = frac
-        return cls(values, {k: "file" for k in values})
+        try:
+            return cls(values, {k: "file" for k in values})
+        except MomentIntegrityError as exc:
+            raise MomentIntegrityError(f"{path}: {exc}") from exc
 
 
 def moment_table(k_max: int,

@@ -12,8 +12,8 @@ The grid LP below, which `search` does not use, is an independent float
 oracle for tests and the benchmark tracer: on a finite grid the problem is
 an LP whose optimum is a lower bound on the constrained one, solved in dual
 form by a dense two-phase simplex with Bland's rule and rebuilt exactly by
-`_solve_exact`.  `extract_nodes` refines each active cluster to the tangency
-of the LP polynomial.  The certificate trusts nothing in this module.
+`_solve_exact`.  `extract_nodes` estimates each active cluster by its
+midpoint.  The certificate trusts nothing in this module.
 """
 
 from __future__ import annotations
@@ -76,28 +76,6 @@ class LpSolution:
     active_indices: list[int]
     coefficients_exact: tuple[Fraction, ...] = field(repr=False)  # u = 3x scale
     grid: np.ndarray = field(repr=False)
-
-    # Degree-26 coefficients reach ~1e22 in x-scale, so float evaluation there
-    # loses eight digits to cancellation; the rescaled u = 3x coefficients stay
-    # ~1e10 and Horner in u is accurate to ~1e-14.
-    def polynomial_gap(self, x: float) -> float:
-        """P(x) - x for the solution polynomial."""
-        u = 3.0 * x
-        t = u * u
-        s = 0.0
-        for c in self.coefficients_exact[::-1]:
-            s = s * t + float(c)
-        return s - x
-
-    def polynomial_slope_gap(self, x: float) -> float:
-        """P'(x) - 1."""
-        u = 3.0 * x
-        t = u * u
-        s = 0.0
-        n = len(self.coefficients_exact) - 1
-        for i in range(n, 0, -1):
-            s = s * t + i * float(self.coefficients_exact[i])
-        return 3.0 * 2.0 * u * s - 1.0
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -258,47 +236,19 @@ def _cluster_contiguous(indices: Sequence[int]) -> list[list[int]]:
 def extract_nodes(solution: LpSolution) -> list[float]:
     """One node estimate per active cluster, excluding x = 0.
 
-    Contiguous active grid indices are clustered; each cluster representative
-    is the tangency of the solution polynomial (the minimum of P(x) - x over
-    the cluster's neighborhood), which is where the touch point of the
-    continuous problem sits.  A cluster pinned at the right endpoint with no
-    interior minimum keeps the endpoint itself.
+    Contiguous active grid indices are clustered around each touch point of
+    the continuous problem.  A cluster is estimated by the midpoint of its
+    first and last grid points, or by the grid's right end, 1/3, when it
+    holds the last index; a lone cluster at index 0 is skipped.
     """
     g = solution.grid
     active = sorted(solution.active_indices)
-    clusters = _cluster_contiguous(active)
-    if not clusters:
+    if not active:
         raise LpError("no active clusters")
-    h = g[1] - g[0]
-    nodes = []
-    for cluster in clusters:
-        if cluster == [0]:
-            continue
-        lo = max(g[cluster[0]] - 2 * h, 0.0)
-        hi = min(g[cluster[-1]] + 2 * h, g[-1])
-        node = _gap_minimum(solution, lo, hi)
-        nodes.append(node)
-    return nodes
-
-
-def _gap_minimum(solution: LpSolution, lo: float, hi: float) -> float:
-    """Location of the minimum of P(x) - x on [lo, hi].
-
-    P' - 1 crosses zero at an interior tangency; otherwise the minimum sits at
-    an endpoint.
-    """
-    flo = solution.polynomial_slope_gap(lo)
-    fhi = solution.polynomial_slope_gap(hi)
-    if flo * fhi > 0:
-        return lo if solution.polynomial_gap(lo) <= solution.polynomial_gap(hi) else hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if solution.polynomial_slope_gap(mid) * flo <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = solution.polynomial_slope_gap(lo)
-    return 0.5 * (lo + hi)
+    last = len(g) - 1
+    return [float(g[last]) if cluster[-1] == last
+            else float(0.5 * (g[cluster[0]] + g[cluster[-1]]))
+            for cluster in _cluster_contiguous(active) if cluster != [0]]
 
 
 def gauss_nodes(n: int, moments: MomentTable) -> list[float]:

@@ -26,14 +26,16 @@ from tetravol.certificate import (
     verify_dominance,
 )
 from tetravol.majorant import EvenPoly, MomentOrderError, NodeSet, hermite_onesided
-from tetravol.moments import MomentTable
+from tetravol.moments import MomentTable, even_moment_fast
 from tetravol.rational import target_enclosure
 
 from oracles import poly_eval, poly_mul, verify_dominance_long_division
 
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 #: the reference certificate the benchmark gate compares with (read only)
-GOLDEN_REFERENCE_REPORT = (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-                           / "reference-certificate.txt")
+GOLDEN_REFERENCE_REPORT = GOLDEN_DIR / "reference-certificate.txt"
+#: the k <= 13 moment file that report was certified from (read only)
+GOLDEN_MOMENTS = GOLDEN_DIR / "moments13.tsv"
 
 #: the Gauss nodes of degrees 25 and 33 in t = x^2, rationalized with
 #: denominators at most 1000
@@ -471,6 +473,15 @@ def test_golden_reference_report_parses_to_the_reference_certificate(table13):
         dataclasses.replace(reference, metadata={})
     assert cert.metadata == {"moment-file": "moments.tsv", "moments": "file:1-13",
                              "tool": reference.metadata["tool"]}
+
+
+def test_report_names_each_run_of_the_file_orders(tmp_path):
+    # orders 1..13 and 15 from one file are two runs of the one source
+    path = tmp_path / "m.tsv"
+    v15 = even_moment_fast(15)
+    path.write_text(GOLDEN_MOMENTS.read_text() + f"15\t{v15.numerator}\t{v15.denominator}\n")
+    text = render_report(certify(NodeSet(REFERENCE_NODES), MomentTable.read(path)))
+    assert "\nmeta moments: file:1-13,15\n" in text
 
 
 def test_rendered_reports_parse_back_to_equal_certificates(seeded_node_sets, table13):

@@ -625,6 +625,28 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n 1\t1\t2000\n", ONE_NODE, "m.tsv:2: non-integer field",
                  id="certify-moment-padded-field"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n1\t1\n", ONE_NODE, "m.tsv:2: expected k<TAB>num<TAB>den",
+                 id="certify-moment-two-fields"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n1\t1\t0\n", ONE_NODE,
+                 "m.tsv:2: denominator must be positive", id="certify-moment-denominator-0"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n1\t1\t-5\n", ONE_NODE,
+                 "m.tsv:2: denominator must be positive",
+                 id="certify-moment-denominator-negative"),
+    # a table's own bounds are checked after the whole file is read, so the
+    # message names the file but no line
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n1\t0\t1\n", ONE_NODE,
+                 "m.tsv: moment k=1 is not positive: 0", id="certify-moment-zero"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n1\t-1\t2000\n", ONE_NODE,
+                 "m.tsv: moment k=1 is not positive: -1/2000", id="certify-moment-negative"),
+    # m_1 = 1/9 passes the cap check, but p_1(t) = t - 1/9 has its root at 1/9
+    pytest.param(["search", "--degree", "1", "--out", "n.txt"],
+                 "tetra-moments v1\n1\t1\t9\n", ONE_NODE, "no 1-point Gauss rule",
+                 id="search-moment-at-the-cap"),
     # the cap test must not build 3^(2k) for a huge order from the file
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1 + "100000000\t1\t7\n", ONE_NODE,

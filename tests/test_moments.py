@@ -221,6 +221,12 @@ def test_18_term_enumerator_matches_direct_slow():
         assert even_moment_18(k) == even_moment_direct(k)
 
 
+@pytest.mark.parametrize("route", [even_moment_fast, even_moment_direct])
+def test_order_below_1_is_refused(route):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        route(0)
+
+
 def test_direct_cap_names_composition_count(monkeypatch):
     cap = moments_mod.DIRECT_CAP
     with pytest.raises(ValueError, match=f"k={cap + 1} .* {comb(2 * cap + 7, 5)} "

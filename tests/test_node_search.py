@@ -83,11 +83,16 @@ def test_degree_13_objective_and_cluster_count(sol13):
     assert len(nodes) == 7
 
 
-def test_degree_13_nodes_near_reference(sol13):
+def test_degree_13_nodes_near_reference(sol13, table13):
     reference = [1 / 83, 1 / 22, 1 / 11, 2 / 15, 2 / 11, 5 / 22, 4 / 15]
     nodes = extract_nodes(sol13)
     for found, ref in zip(nodes, reference):
         assert abs(found - ref) < 5e-3
+    # each cluster midpoint lies within one grid step of its Gauss node
+    gauss = gauss_nodes(7, table13)
+    assert len(nodes) == len(gauss)
+    for found, exact in zip(nodes, gauss):
+        assert abs(found - exact) < 1 / 3000
 
 
 def test_polish_reduces_objective_gap(sol13, table13):
@@ -114,6 +119,21 @@ def test_endpoint_only_active_set():
     nodes = extract_nodes(sol)
     assert len(nodes) == 1
     assert abs(nodes[0] - 1 / 3) < 1e-12
+    sol.active_indices = []
+    with pytest.raises(LpError, match="no active clusters"):
+        extract_nodes(sol)
+
+
+def test_each_cluster_is_estimated_by_its_midpoint():
+    # a lone cluster at index 0 is skipped, one at the last index is 1/3
+    grid = np.linspace(0.0, 1 / 3, 101)
+    sol = LpSolution(objective=0.0, active_indices=[0, 3, 4, 5, 7, 99, 100],
+                     coefficients_exact=(Fraction(1, 6), Fraction(1, 6)), grid=grid)
+    nodes = extract_nodes(sol)
+    assert nodes == [(grid[3] + grid[5]) / 2, grid[7], 1 / 3]
+    assert all(type(x) is float for x in nodes)
+    sol.active_indices = [0, 1]
+    assert extract_nodes(sol) == [grid[1] / 2]
 
 
 def test_gauss_nodes_refuses_a_huge_n_at_once(table13):
