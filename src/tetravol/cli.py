@@ -62,9 +62,9 @@ def _check_search_args(degree: int, max_denominator: int) -> None:
 
 
 def _gauss_count(degree: int) -> int:
-    """How many Gauss nodes `--degree d` takes: n give degree 2n - 1 in
-    t = x^2.  Degree 0 takes none; `search` writes the single node 1/3."""
-    return (degree + 1) // 2
+    """How many Gauss nodes `--degree d` takes, and the only such rule: n =
+    max(1, ceil(d/2)), of degree 2n - 1 in t = x^2 (d - 1 at even d > 0)."""
+    return max(1, (degree + 1) // 2)
 
 
 def cmd_search(*, grid: int, **search_args) -> int:
@@ -83,25 +83,25 @@ def _search(*, degree: int, max_denominator: int, moments: Path, out: Path) -> i
     _check_output(out)
     table = MomentTable.read(moments)
     n = _gauss_count(degree)
-    nodes = node_search.gauss_nodes(n, table) if n else [1 / 3]
+    nodes = node_search.gauss_nodes(n, table)
     try:
         node_set = NodeSet.from_rationals(
             node_search.rationalize(x, max_denominator) for x in nodes)
     except ValueError as exc:  # a node rounded to 0, or onto the one before
         raise ValueError(f"--max-denominator {max_denominator} is too coarse: {exc}") from None
     exact = NodeSet.from_rationals(nodes)  # E P(V) at the unrounded nodes
-    optimum = float(expected_value(hermite_onesided(exact), table)) if n else 1 / 3
+    optimum = float(expected_value(hermite_onesided(exact), table))
     print(f"Gauss optimum for degree {degree}: {optimum:.8f}")
 
     target_lo = float(target_enclosure().lo)
     if optimum > target_lo:
-        # at odd degree (and 0) the optimum bounds every degree-d majorant;
-        # at even degree it is only that of the degree d - 1 nodes
-        if degree % 2 or not degree:
-            source, outcome = "", "certification at this degree will fail"
-        else:
-            source = f" of the degree {degree - 1} nodes"
+        # it bounds every majorant of degree <= 2n - 1; when 2n - 1 < d
+        # (even d > 0) it is only the optimum of the degree 2n - 1 nodes
+        if 2 * n - 1 < degree:
+            source = f" of the degree {2 * n - 1} nodes"
             outcome = "certification with these nodes will fail"
+        else:
+            source, outcome = "", "certification at this degree will fail"
         print(f"warning: Gauss optimum {optimum:.6f}{source} exceeds the "
               f"target {target_lo:.6f}; {outcome}", file=sys.stderr)
 
@@ -156,8 +156,8 @@ def cmd_all(*, degree: int, max_denominator: int, workdir: Path) -> int:
     for path in (nodes, report):
         _check_output(path)
 
-    # the orders 1..2n - 1 of the nodes `search` will write: one at degree 0
-    cmd_moments(k_max=2 * max(1, _gauss_count(degree)) - 1, out=moments)
+    # the orders 1..2n - 1 of the n nodes `search` will write
+    cmd_moments(k_max=2 * _gauss_count(degree) - 1, out=moments)
     _search(degree=degree, max_denominator=max_denominator, moments=moments, out=nodes)
     return cmd_certify(nodes=nodes, moments=moments, report=report)
 
@@ -194,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="Gauss nodes of the moments, rationalized")
     p.add_argument("--degree", type=int, default=13,
-                   help="highest even-power index d of the polynomial; its "
-                        "Gauss nodes need the orders 1..d, or 1..d-1 at even d")
+                   help="highest even-power index d; takes n = max(1, ceil(d/2)) "
+                        "Gauss nodes, which need the orders 1..2n-1")
     p.add_argument("--grid", type=int, default=1000,
                    help="accepted and checked (>= 1) for old scripts; no longer "
                         "affects the search")

@@ -75,7 +75,7 @@ class LpSolution:
     objective: float
     active_indices: list[int]
     coefficients_exact: tuple[Fraction, ...] = field(repr=False)  # u = 3x scale
-    grid: np.ndarray = field(repr=False)
+    grid: tuple[float, ...] = field(repr=False)
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -97,7 +97,7 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     return [aug[i][n] for i in range(n)]
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(tableau, basis: list[int], row: int, col: int) -> None:
     tableau[row, :] /= tableau[row, col]
     for r in range(tableau.shape[0]):
         if r != row and tableau[r, col] != 0.0:
@@ -105,7 +105,7 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex_min(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
+def _simplex_min(tableau, basis: list[int], ncols: int) -> None:
     """Run Bland's-rule simplex on a tableau in canonical form (min problem).
 
     Columns 0..ncols-1 are eligible to enter; the last column is the RHS and
@@ -216,7 +216,7 @@ def solve_onesided_lp(problem: LpProblem) -> LpSolution:
         objective=float(objective),
         active_indices=active,
         coefficients_exact=tuple(b_exact),
-        grid=np.asarray(problem.grid, dtype=float),
+        grid=problem.grid,
     )
 
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -19,8 +20,9 @@ from tetravol import moments as moments_mod
 from tetravol import node_search
 from tetravol.certificate import REFERENCE_NODES, VERDICT_TRUE, certify, parse_report
 from tetravol.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, MC_MODES, main
-from tetravol.majorant import MomentOrderError, NodeSet
+from tetravol.majorant import MomentOrderError, NodeSet, expected_value, hermite_onesided
 from tetravol.moments import MomentTable
+from tetravol.rational import target_enclosure
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 GOLDEN_FACTS = GOLDEN_DIR / "golden.json"
@@ -139,15 +141,38 @@ def test_certify_reports_numbers_past_the_int_digit_limit(tmp_path, monkeypatch,
 
 
 def test_search_degree_zero(tmp_path, capsys):
+    # degree 0 takes one node, as degree 1 does, and writes the same file
     moments = tmp_path / "m.tsv"
     main(["moments", "--k-max", "1", "--out", str(moments)])
-    nodes_path = tmp_path / "nodes.txt"
-    rc = main(["search", "--degree", "0", "--grid", "50",
-               "--moments", str(moments), "--out", str(nodes_path)])
-    assert rc == EXIT_OK
-    assert NodeSet.read(nodes_path).nodes == (Fraction(1, 3),)
-    err = capsys.readouterr().err
-    assert "certification at this degree will fail" in err
+    capsys.readouterr()
+    errs = []
+    for degree in ("0", "1"):
+        rc = main(["search", "--degree", degree, "--grid", "50",
+                   "--moments", str(moments), "--out", str(tmp_path / f"n{degree}.txt")])
+        assert rc == EXIT_OK
+        errs.append(capsys.readouterr().err)
+    assert NodeSet.read(tmp_path / "n0.txt").nodes == (Fraction(2, 89),)
+    assert (tmp_path / "n0.txt").read_bytes() == (tmp_path / "n1.txt").read_bytes()
+    assert errs[0] == errs[1] == ("warning: Gauss optimum 0.022361 exceeds the target "
+                                  "0.017398; certification at this degree will fail\n")
+
+
+@pytest.mark.parametrize("degree", range(15))
+def test_search_takes_one_node_count_per_degree(tmp_path, capsys, degree):
+    # n = max(1, ceil(d/2)) Gauss nodes; their optimum is only that of the
+    # degree 2n - 1 nodes when 2n - 1 < d
+    n = max(1, math.ceil(degree / 2))
+    table = MomentTable.read(GOLDEN_MOMENTS)
+    gauss = node_search.gauss_nodes(n, table)
+    out = tmp_path / "n.txt"
+    assert main(["search", "--degree", str(degree), "--moments", str(GOLDEN_MOMENTS),
+                 "--out", str(out)]) == EXIT_OK
+    assert NodeSet.read(out).nodes == tuple(node_search.rationalize(x, 100) for x in gauss)
+    optimum = float(expected_value(hermite_onesided(NodeSet.from_rationals(gauss)), table))
+    stdout, err = capsys.readouterr()
+    assert f"Gauss optimum for degree {degree}: {optimum:.8f}\n" in stdout
+    assert bool(err) == (optimum > float(target_enclosure().lo))
+    assert (f" of the degree {2 * n - 1} nodes " in err) == (bool(err) and 2 * n - 1 < degree)
 
 
 def test_search_warning_names_what_the_optimum_is(tmp_path, capsys):
@@ -429,12 +454,24 @@ def test_all_at_even_degree_certifies_with_the_orders_of_its_nodes(tmp_path, cap
 
 
 @pytest.mark.parametrize("degree, top, code", [
-    ("0", 1, EXIT_NOT_CERTIFIED),  # the one node 1/3 needs order 1
+    ("0", 1, EXIT_NOT_CERTIFIED),  # one node, as at degree 1, needs order 1
     ("25", 25, EXIT_OK),  # 13 nodes: more orders than the k <= 13 file holds
 ])
 def test_all_computes_the_orders_its_degree_needs(tmp_path, degree, top, code):
     assert main(["all", "--degree", degree, "--workdir", str(tmp_path)]) == code
     assert MomentTable.read(tmp_path / "moments.tsv").orders() == list(range(1, top + 1))
+
+
+def test_all_at_degree_zero_writes_what_degree_one_writes(tmp_path):
+    for degree in ("0", "1"):
+        assert main(["all", "--degree", degree,
+                     "--workdir", str(tmp_path / degree)]) == EXIT_NOT_CERTIFIED
+    for name in ("moments.tsv", "nodes.txt"):
+        assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    reports = [(tmp_path / d / "certificate.txt").read_text().splitlines() for d in "01"]
+    differ = [(a, b) for a, b in zip(*reports) if a != b]
+    assert len(reports[0]) == len(reports[1])
+    assert differ == [tuple(f"meta moment-file: {tmp_path / d / 'moments.tsv'}" for d in "01")]
 
 
 def test_a_long_all_run_reports_each_order_at_once(tmp_path):
@@ -582,6 +619,10 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
                  ORDER_1, ONE_NODE, "--max-denominator", id="search-max-denominator-0"),
     pytest.param(["search", "--degree", "-2", "--grid", "10", "--out", "n.txt"],
                  ORDER_1, ONE_NODE, "--degree", id="search-degree-negative"),
+    # degree 0 takes one node, which needs order 1, as degree 1 does
+    pytest.param(["search", "--degree", "0", "--out", "n.txt"],
+                 "tetra-moments v1\n", ONE_NODE,
+                 "moment table lacks orders [1] needed for 1 node", id="search-degree-0-no-orders"),
     # refused before anything is printed or written: node 1 rounds to 0/1
     pytest.param(["search", "--degree", "13", "--max-denominator", "5", "--out", "n.txt"],
                  GOLDEN_MOMENTS.read_text(), ONE_NODE,

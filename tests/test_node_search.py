@@ -8,7 +8,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from tetravol import certificate, node_search
@@ -109,7 +108,7 @@ def test_polish_reduces_objective_gap(sol13, table13):
 def test_endpoint_only_active_set():
     # constant-free synthetic solution: P built on the single node 1/3 touches
     # only at the endpoint of the grid
-    grid = np.linspace(0.0, 1 / 3, 101)
+    grid = tuple(i / 300 for i in range(101))  # LpProblem.equispaced's 100 intervals
     sol = LpSolution(
         objective=0.0,
         active_indices=[100],
@@ -126,7 +125,7 @@ def test_endpoint_only_active_set():
 
 def test_each_cluster_is_estimated_by_its_midpoint():
     # a lone cluster at index 0 is skipped, one at the last index is 1/3
-    grid = np.linspace(0.0, 1 / 3, 101)
+    grid = tuple(i / 300 for i in range(101))  # LpProblem.equispaced's 100 intervals
     sol = LpSolution(objective=0.0, active_indices=[0, 3, 4, 5, 7, 99, 100],
                      coefficients_exact=(Fraction(1, 6), Fraction(1, 6)), grid=grid)
     nodes = extract_nodes(sol)

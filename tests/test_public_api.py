@@ -1,7 +1,10 @@
 import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,34 @@ assert [n for n in tetravol.__all__ if names.get(n) is not getattr(tetravol, n)]
     run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def _annotated_objects():
+    """(qualified name, object) for every class, method and function that a
+    tetravol module defines."""
+    for info in pkgutil.iter_modules(tetravol.__path__, "tetravol."):
+        mod = importlib.import_module(info.name)
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{mod.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{mod.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # class/static methods
+                    member = getattr(member, "fget", member)  # properties
+                    if inspect.isfunction(member):
+                        yield f"{mod.__name__}.{name}.{attr}", member
+
+
+def test_every_annotation_resolves():
+    # the annotations are strings (`from __future__ import annotations`), so a
+    # name that the module never imports fails only when they are evaluated
+    unresolved = []
+    for name, obj in _annotated_objects():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
