@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 #: the module that defines each public name, in `__all__` order
 _MODULE_OF = {
-    **dict.fromkeys(("Certificate", "DominanceProof", "REFERENCE_NODES", "certify",
+    **dict.fromkeys(("Certificate", "DominanceProof", "certify",
                      "parse_report", "render_report", "verify_dominance"), "certificate"),
     **dict.fromkeys(("EvenPoly", "NodeSet", "expected_value", "hermite_onesided"),
                     "majorant"),

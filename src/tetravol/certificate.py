@@ -51,13 +51,6 @@ from .rational import RationalInterval, fraction_to_decimal, target_enclosure
 #: every bit: only a quotient that no rounded rung proves is counted exactly.
 _ROUNDED_BITS = (32, 64)
 
-#: the published seven-node set whose certificate reproduces the bound
-#: 0.0173791...; kept as the reference input for reproduction tests
-REFERENCE_NODES = (
-    Fraction(1, 83), Fraction(1, 22), Fraction(1, 11), Fraction(2, 15),
-    Fraction(2, 11), Fraction(5, 22), Fraction(4, 15),
-)
-
 VERDICT_TRUE = "COUNTEREXAMPLE CERTIFIED"
 VERDICT_FALSE = "NOT CERTIFIED"
 
@@ -316,15 +309,20 @@ def certify(nodes: NodeSet, moments: MomentTable,
             metadata: dict | None = None) -> Certificate:
     """Build the majorant on `nodes` and verify the full chain exactly.
 
-    Missing moment orders raise before the majorant is built (no verdict is
-    rendered from incomplete data); a failed dominance proof or a non-strict
-    comparison yields a verdict-false certificate with full diagnostics.
+    A metadata line break, which would split its `meta` line, and missing
+    moment orders raise before the majorant is built (every report reads
+    back, and no verdict is rendered from incomplete data); a failed
+    dominance proof or a non-strict comparison yields a verdict-false
+    certificate with full diagnostics.
     """
-    _require_orders(moments, nodes=len(nodes))
-    p_cert = hermite_onesided(nodes)
     meta = {"tool": f"tetravol {__version__}",
             "moments": moments.provenance_summary()}
     meta.update(metadata or {})
+    for key, value in meta.items():
+        if (line := f"{key}: {value}").splitlines() != [line]:
+            raise ValueError(f"metadata {key!r}: {value!r} holds a line break")
+    _require_orders(moments, nodes=len(nodes))
+    p_cert = hermite_onesided(nodes)
     return Certificate(tuple(nodes), p_cert, expected_value(p_cert, moments),
                        verify_dominance(p_cert, nodes), meta)
 

@@ -35,6 +35,8 @@ def _check_output(path: Path) -> None:
     before any input is read or anything computed."""
     if path.is_dir():
         raise IsADirectoryError(f"{path}: is a directory")
+    if path.parent.exists() and not path.parent.is_dir():
+        raise NotADirectoryError(f"{path}: {path.parent} is not a directory")
     if not path.parent.is_dir():
         raise FileNotFoundError(f"{path}: directory {path.parent} does not exist")
 

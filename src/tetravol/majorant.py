@@ -64,7 +64,7 @@ class NodeSet:
             raise ValueError(bad[1])
 
     @classmethod
-    def from_rationals(cls, xs: Iterable[Fraction | str | int]) -> "NodeSet":
+    def from_rationals(cls, xs: Iterable[Fraction | float | str | int]) -> "NodeSet":
         return cls(tuple(Fraction(x) for x in xs))
 
     def __len__(self) -> int:
@@ -80,7 +80,9 @@ class NodeSet:
     @classmethod
     def read(cls, path: str | Path) -> "NodeSet":
         nodes, lines = [], []
-        for ln, line in enumerate(Path(path).read_text().split("\n"), start=1):
+        # a byte that is not UTF-8 reads as U+FFFD, which no node line holds
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        for ln, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

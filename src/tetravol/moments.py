@@ -40,17 +40,17 @@ for k <= VERIFY_ORDER_MAX are pinned in PINNED_MOMENTS, and the test suite
 re-derives every pin by both routes.  `moment_table` computes every order
 with the fast route and requires it to equal the pin for k <=
 VERIFY_ORDER_MAX before it returns; it reads and writes no file.
-`MomentTable.write` is the one writer of the moment file format, and writes
-atomically.
+`_cache_text` is the one definition of the moment file format:
+`MomentTable.write` writes it, atomically, and `MomentTable.read` accepts a
+file only if it is that text for the values read from it.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import comb, factorial
 from operator import add, mul, sub
 from pathlib import Path
@@ -248,8 +248,6 @@ def even_moment_fast(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 CACHE_HEADER = "tetra-moments v1"
-#: each field of a cache line, as `MomentTable.write` writes it
-_CACHE_FIELD = re.compile(r"-?[0-9]+")
 
 #: E V^(2k) for k = 1, 2, ... as exact (numerator, denominator) pairs: the
 #: values on which `even_moment_direct` and `even_moment_fast` agree
@@ -336,17 +334,13 @@ class MomentTable:
         return " ".join(parts)
 
     def write(self, path: str | Path) -> None:
-        """Write the table to a temporary file beside `path` and rename it over
-        `path`, atomically: a failed or interrupted write leaves whatever was
-        at `path` whole and no temporary file behind."""
-        lines = [CACHE_HEADER]
-        for k in sorted(self.values):
-            v = self.values[k]
-            lines.append(f"{k}\t{v.numerator}\t{v.denominator}")
+        """Write `_cache_text` of the table to a temporary file beside `path`
+        and rename it over `path`, atomically: a failed or interrupted write
+        leaves whatever was at `path` whole and no temporary file behind."""
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         try:
-            tmp.write_text("\n".join(lines) + "\n", newline="\n")
+            tmp.write_text(_cache_text(self.values), newline="\n")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -354,35 +348,37 @@ class MomentTable:
 
     @classmethod
     def read(cls, path: str | Path) -> "MomentTable":
-        text = Path(path).read_text()
-        lines = text.split("\n")
-        if not lines or lines[0] != CACHE_HEADER:
+        """The table in `path` if the file is exactly `_cache_text` of the
+        values on its lines that read as three integers k, num, den (E V^(2k)
+        = num/den); else the first line that differs is refused as
+        `path:line`.  A byte that is not UTF-8 reads as U+FFFD."""
+        text = Path(path).read_bytes().decode("utf-8", "replace")
+        if text.split("\n", 1)[0] != CACHE_HEADER:
             raise MomentCacheError(f"{path}: missing header {CACHE_HEADER!r}")
+        lines = text.splitlines(keepends=True)
         values: dict[int, Fraction] = {}
-        for ln, line in enumerate(lines[1:], start=2):
-            if not line:
+        for line in lines[1:]:
+            try:
+                k, num, den = map(int, line.split("\t"))
+                values[k] = Fraction(num, den)
+            except (ValueError, ZeroDivisionError):
                 continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MomentCacheError(f"{path}:{ln}: expected k<TAB>num<TAB>den")
-            try:  # only what `write` writes: no `_`, padding or non-ASCII digit
-                if not all(map(_CACHE_FIELD.fullmatch, fields)):
-                    raise ValueError
-                k, num, den = map(int, fields)
-            except ValueError as exc:
-                raise MomentCacheError(f"{path}:{ln}: non-integer field") from exc
-            if k in values:
-                raise MomentCacheError(f"{path}:{ln}: duplicate order {k}")
-            if den <= 0:
-                raise MomentCacheError(f"{path}:{ln}: denominator must be positive")
-            frac = Fraction(num, den)
-            if frac.numerator != num or frac.denominator != den:
-                raise MomentCacheError(f"{path}:{ln}: fraction {num}/{den} not reduced")
-            values[k] = frac
+        written = _cache_text(values).splitlines(keepends=True)
+        for n, (got, want) in enumerate(zip_longest(lines, written), start=1):
+            if got != want:
+                shown = "the end of the file" if want is None else repr(want)[:60]
+                raise MomentCacheError(f"{path}:{n}: {repr(got)[:60]}, where the file "
+                                       f"written from the orders read has {shown}")
         try:
             return cls(values, {k: "file" for k in values})
         except MomentIntegrityError as exc:
             raise MomentIntegrityError(f"{path}: {exc}") from exc
+
+
+def _cache_text(values: dict[int, Fraction]) -> str:
+    """The moment file of `values`, and the one definition of its format."""
+    return CACHE_HEADER + "\n" + "".join(
+        f"{k}\t{values[k].numerator}\t{values[k].denominator}\n" for k in sorted(values))
 
 
 def moment_table(k_max: int,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from tetravol.certificate import REFERENCE_NODES, certify, verify_dominance
+from tetravol.certificate import certify, verify_dominance
 from tetravol.majorant import NodeSet, expected_value, hermite_onesided
 from tetravol.moments import (
     MomentTable,
@@ -24,7 +24,7 @@ from tetravol.montecarlo import MODE_ALL_RANDOM, MODE_CENTROID, estimate
 from tetravol.node_search import extract_nodes, polish_nodes, rationalize
 from tetravol.rational import fraction_to_decimal, target_enclosure
 
-from oracles import poly_derivative, poly_eval, x_coefficients
+from oracles import REFERENCE_NODES, poly_derivative, poly_eval, x_coefficients
 
 GOLDEN_MOMENTS = {
     1: Fraction(1, 2000),

@@ -13,7 +13,6 @@ import pytest
 import tetravol
 from tetravol import certificate
 from tetravol.certificate import (
-    REFERENCE_NODES,
     VERDICT_FALSE,
     VERDICT_TRUE,
     Certificate,
@@ -29,7 +28,7 @@ from tetravol.majorant import EvenPoly, MomentOrderError, NodeSet, hermite_onesi
 from tetravol.moments import MomentTable, even_moment_fast
 from tetravol.rational import target_enclosure
 
-from oracles import poly_eval, poly_mul, verify_dominance_long_division
+from oracles import REFERENCE_NODES, poly_eval, poly_mul, verify_dominance_long_division
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 #: the reference certificate the benchmark gate compares with (read only)

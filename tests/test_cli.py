@@ -18,11 +18,13 @@ import pytest
 from tetravol import cli
 from tetravol import moments as moments_mod
 from tetravol import node_search
-from tetravol.certificate import REFERENCE_NODES, VERDICT_TRUE, certify, parse_report
+from tetravol.certificate import VERDICT_TRUE, certify, parse_report
 from tetravol.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, MC_MODES, main
 from tetravol.majorant import MomentOrderError, NodeSet, expected_value, hermite_onesided
 from tetravol.moments import MomentTable
 from tetravol.rational import target_enclosure
+
+from oracles import REFERENCE_NODES
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 GOLDEN_FACTS = GOLDEN_DIR / "golden.json"
@@ -607,6 +609,15 @@ ONE_NODE = "1/3\n"
 #: into directories before it runs
 DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
                           "all-report-is-a-directory": ["run/certificate.txt"]}
+#: the name of the moment file of a case, where it is not m.tsv
+MOMENT_FILE_NAMES = {"certify-moment-file-name-line-break": "a\nb.tsv"}
+
+
+def write_file(name: str, content: str | bytes) -> None:
+    if isinstance(content, bytes):
+        Path(name).write_bytes(content)
+    else:
+        Path(name).write_text(content)
 
 
 @pytest.mark.parametrize("argv, moments, nodes, names", [
@@ -645,6 +656,9 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "missing/r.txt"],
                  ORDER_1, ONE_NODE, "missing/r.txt: directory missing does not exist",
                  id="certify-report-in-missing-directory"),
+    pytest.param(["search", "--degree", "1", "--out", "nodes.txt/n.txt"],
+                 ORDER_1, ONE_NODE, "nodes.txt/n.txt: nodes.txt is not a directory",
+                 id="search-out-under-a-file"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "."],
                  ORDER_1, ONE_NODE, ".: is a directory", id="certify-report-is-a-directory"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
@@ -656,26 +670,61 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n0\t1\t2\n1\t1\t2000\n", ONE_NODE, "order",
                  id="certify-order-0"),
-    # a field is read only in the form `MomentTable.write` writes it
+    # a moment file is read only as `MomentTable.write` writes it: the first
+    # line that differs from the file written from the orders read is named
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 "tetra-moments v1\n1\t1\t2_000\n", ONE_NODE, "m.tsv:2: non-integer field",
-                 id="certify-moment-underscore"),
+                 "tetra-moments v1\n1\t1\t2_000\n", ONE_NODE,
+                 r"m.tsv:2: '1\t1\t2_000\n', where the file written from the orders read "
+                 r"has '1\t1\t2000\n'", id="certify-moment-underscore"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n1\t1\t\u0662\u0660\u0660\u0660\n", ONE_NODE,
-                 "m.tsv:2: non-integer field", id="certify-moment-arabic-indic-digits"),
+                 "m.tsv:2: '1\\t1\\t\u0662\u0660\u0660\u0660\\n', where the file written from "
+                 r"the orders read has '1\t1\t2000\n'",
+                 id="certify-moment-arabic-indic-digits"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 "tetra-moments v1\n 1\t1\t2000\n", ONE_NODE, "m.tsv:2: non-integer field",
-                 id="certify-moment-padded-field"),
+                 "tetra-moments v1\n 1\t1\t2000\n", ONE_NODE,
+                 r"m.tsv:2: ' 1\t1\t2000\n', where the file written from the orders read "
+                 r"has '1\t1\t2000\n'", id="certify-moment-padded-field"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 "tetra-moments v1\n1\t1\n", ONE_NODE, "m.tsv:2: expected k<TAB>num<TAB>den",
-                 id="certify-moment-two-fields"),
+                 "tetra-moments v1\n1\t1\n", ONE_NODE,
+                 r"m.tsv:2: '1\t1\n', where the file written from the orders read "
+                 "has the end of the file", id="certify-moment-two-fields"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n1\t1\t0\n", ONE_NODE,
-                 "m.tsv:2: denominator must be positive", id="certify-moment-denominator-0"),
+                 r"m.tsv:2: '1\t1\t0\n', where the file written from the orders read "
+                 "has the end of the file", id="certify-moment-denominator-0"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n1\t1\t-5\n", ONE_NODE,
-                 "m.tsv:2: denominator must be positive",
-                 id="certify-moment-denominator-negative"),
+                 r"m.tsv:2: '1\t1\t-5\n', where the file written from the orders read "
+                 r"has '1\t-1\t5\n'", id="certify-moment-denominator-negative"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1 + "\n2\t43\t27783000\n", ONE_NODE,
+                 r"m.tsv:3: '\n', where the file written from the orders read "
+                 r"has '2\t43\t27783000\n'", id="certify-moment-blank-line"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 "tetra-moments v1\n2\t43\t27783000\n1\t1\t2000\n", ONE_NODE,
+                 r"m.tsv:2: '2\t43\t27783000\n', where the file written from the orders "
+                 r"read has '1\t1\t2000\n'", id="certify-moment-orders-out-of-sequence"),
+    pytest.param(["search", "--degree", "1", "--out", "n.txt"],
+                 "tetra-moments v1\n01\t1\t2000\n", ONE_NODE,
+                 r"m.tsv:2: '01\t1\t2000\n', where the file written from the orders read "
+                 r"has '1\t1\t2000\n'", id="search-moment-zero-padded-field"),
+    pytest.param(["search", "--degree", "1", "--out", "n.txt"],
+                 ORDER_1.rstrip("\n"), ONE_NODE,
+                 r"m.tsv:2: '1\t1\t2000', where the file written from the orders read "
+                 r"has '1\t1\t2000\n'", id="search-moment-no-final-newline"),
+    # each format is ASCII, so a byte that is not UTF-8 lands on its line
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 b"tetra-moments v1\n1\t1\t2000\xd0\n", ONE_NODE, "m.tsv:2: ",
+                 id="certify-moment-not-utf-8"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, b"1/5\n\x7fELF\x02\x01\xd0\n", "nodes.txt:2: ",
+                 id="certify-node-not-utf-8"),
+    # the moment file's name goes into a `meta` line of the report, which a
+    # line break would split into two
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, ONE_NODE, r"metadata 'moment-file': 'a\nb.tsv' holds a line break",
+                 id="certify-moment-file-name-line-break"),
     # a table's own bounds are checked after the whole file is read, so the
     # message names the file but no line
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
@@ -770,12 +819,13 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
 def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, request,
                                            argv, moments, nodes, names):
     monkeypatch.chdir(tmp_path)
-    Path("nodes.txt").write_text(nodes)
+    write_file("nodes.txt", nodes)
     for directory in DIRECTORIES_MADE_FIRST.get(request.node.callspec.id, ()):
         Path(directory).mkdir(parents=True)
     if moments is not None:
-        Path("m.tsv").write_text(moments)
-        argv = argv + ["--moments", "m.tsv"]
+        name = MOMENT_FILE_NAMES.get(request.node.callspec.id, "m.tsv")
+        write_file(name, moments)
+        argv = argv + ["--moments", name]
     try:
         code = main(argv)
         out, err = capsys.readouterr()

@@ -12,10 +12,11 @@ from tetravol.majorant import (
     hermite_coefficients,
     hermite_onesided,
 )
-from tetravol.certificate import REFERENCE_NODES, verify_dominance
+from tetravol.certificate import verify_dominance
 from tetravol.moments import MomentTable
 
 from oracles import (
+    REFERENCE_NODES,
     expected_value_fraction,
     hermite_coefficients_newton,
     poly_derivative,

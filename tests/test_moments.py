@@ -29,6 +29,9 @@ from oracles import (
     triple_integral,
 )
 
+#: the moment cache the benchmark stages (read only)
+GOLDEN_MOMENTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "moments13.tsv"
+
 PAPER_MOMENTS = {
     1: Fraction(1, 2000),
     2: Fraction(43, 27783000),
@@ -341,6 +344,23 @@ def test_cache_round_trip(tmp_path, table13):
     assert again.values == table13.values
     again.write(tmp_path / "second.tsv")
     assert (tmp_path / "second.tsv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("orders", [None, range(1, 21), [*range(1, 14), 15]],
+                         ids=["golden", "1-20", "1-13,15"])
+def test_read_gives_back_the_table_write_wrote(tmp_path, orders):
+    # the golden file, the orders past the pins and a gap in the orders
+    if orders is None:
+        table = MomentTable.read(GOLDEN_MOMENTS)
+    else:
+        table = MomentTable({k: even_moment_fast(k) for k in orders})
+    path = tmp_path / "m.tsv"
+    table.write(path)
+    again = MomentTable.read(path)
+    assert again.values == table.values
+    assert again.orders() == (list(orders) if orders else list(range(1, 14)))
+    if orders is None:
+        assert path.read_bytes() == GOLDEN_MOMENTS.read_bytes()
 
 
 def test_cache_format_is_exact(tmp_path):

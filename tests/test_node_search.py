@@ -27,7 +27,7 @@ from tetravol.node_search import (
     solve_onesided_lp,
 )
 
-from oracles import poly_mul, roots_bisection
+from oracles import REFERENCE_NODES, poly_mul, roots_bisection
 
 
 def test_problem_validation(table13):
@@ -308,7 +308,7 @@ def test_rationalize_rejects_bad_bound():
 
 
 def test_degree_12_exceeds_certified_13_bound(sol12, table13):
-    from tetravol.certificate import REFERENCE_NODES, certify
+    from tetravol.certificate import certify
     from tetravol.majorant import NodeSet
     cert = certify(NodeSet(REFERENCE_NODES), table13)
     assert sol12.objective - float(cert.bound) >= 5e-5
