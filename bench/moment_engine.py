@@ -23,8 +23,9 @@ the z-degree splits evaluated, the size of the centred-integral table, the
 largest bit lengths of its entries and of the split sums, and the entries
 of the kernel `_split_sum` takes, summed over the order's splits and the
 most in one split.  Its timings are not used.  The values of orders 1..13,
-and of every order run, are hashed in the moment cache format, so a side
-whose moments differ shows a different hash.
+and of every order run, are hashed as the moment file the side's own
+`moments._cache_text` renders, so a side whose moments differ shows a
+different hash.
 Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
 
@@ -55,9 +56,9 @@ STAGE_FIGURES = ("wall_s", "self_maxrss_mb")
 IMPORT_RUNS = 15
 
 
-def lines_sha256(lines: list[str]) -> str:
-    """sha256 of lines as a moment file holds them, one per line."""
-    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+def cache_sha256(moments, values: dict) -> str:
+    """sha256 of the moment file of `values`, as the side writes it."""
+    return hashlib.sha256(moments._cache_text(values).encode()).hexdigest()
 
 
 def child(src: str, k_max: int, direct_k_max: int, count: bool) -> dict:
@@ -93,28 +94,27 @@ def child(src: str, k_max: int, direct_k_max: int, count: bool) -> dict:
         moments._centred_integrals = counted_integrals
         moments._split_sum = counted_split
     orders = []
-    values = []
-    lines = ["tetra-moments v1"]
+    values = {}
     for k in range(1, k_max + 1):
         t0 = time.perf_counter()
         v = moments.even_moment_fast(k)
         seconds = time.perf_counter() - t0
-        values.append(v)
+        values[k] = v
         orders.append({"k": k, "s": round(seconds, 4),
                        "value_bits": max(v.numerator.bit_length(),
                                          v.denominator.bit_length()),
                        **stats.get(k, {})})
-        lines.append(f"{k}\t{v.numerator}\t{v.denominator}")
     direct = []
     for k in range(1, direct_k_max + 1):
         t0 = time.perf_counter()
         v = moments.even_moment_direct(k)
         direct.append({"k": k, "s": round(time.perf_counter() - t0, 4),
-                       "equals_fast": k > k_max or v == values[k - 1]})
+                       "equals_fast": k > k_max or v == values[k]})
     return {"orders": orders, "direct": direct,
             "verify_order_max": moments.VERIFY_ORDER_MAX, "direct_cap": moments.DIRECT_CAP,
-            "values_sha256": lines_sha256(lines[:HASHED_ORDERS + 1]),
-            "values_sha256_all": lines_sha256(lines),
+            "values_sha256": cache_sha256(moments, {k: v for k, v in values.items()
+                                                    if k <= HASHED_ORDERS}),
+            "values_sha256_all": cache_sha256(moments, values),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 

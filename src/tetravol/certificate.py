@@ -305,6 +305,14 @@ class Certificate:
         return self.dominance.valid and self.bound < self.target.lo
 
 
+def check_metadata(meta: dict) -> None:
+    """Refuse a metadata key or value that holds a line break (any
+    `str.splitlines` boundary), which would split its `meta` line."""
+    for key, value in meta.items():
+        if (line := f"{key}: {value}").splitlines() != [line]:
+            raise ValueError(f"metadata {key!r}: {value!r} holds a line break")
+
+
 def certify(nodes: NodeSet, moments: MomentTable,
             metadata: dict | None = None) -> Certificate:
     """Build the majorant on `nodes` and verify the full chain exactly.
@@ -318,9 +326,7 @@ def certify(nodes: NodeSet, moments: MomentTable,
     meta = {"tool": f"tetravol {__version__}",
             "moments": moments.provenance_summary()}
     meta.update(metadata or {})
-    for key, value in meta.items():
-        if (line := f"{key}: {value}").splitlines() != [line]:
-            raise ValueError(f"metadata {key!r}: {value!r} holds a line break")
+    check_metadata(meta)
     _require_orders(moments, nodes=len(nodes))
     p_cert = hermite_onesided(nodes)
     return Certificate(tuple(nodes), p_cert, expected_value(p_cert, moments),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -113,6 +114,11 @@ def _search(*, degree: int, max_denominator: int, moments: Path, out: Path) -> i
     return EXIT_OK
 
 
+def _metadata(moments: Path) -> dict[str, str]:
+    """The metadata `certify` writes into its report beside its own."""
+    return {"moment-file": str(moments)}
+
+
 def cmd_certify(*, nodes: Path, moments: Path, report: Path) -> int:
     from . import certificate as cert_mod
     from .majorant import NodeSet
@@ -122,7 +128,7 @@ def cmd_certify(*, nodes: Path, moments: Path, report: Path) -> int:
     _check_output(report)
     node_set = NodeSet.read(nodes)
     table = MomentTable.read(moments)
-    cert = cert_mod.certify(node_set, table, metadata={"moment-file": str(moments)})
+    cert = cert_mod.certify(node_set, table, metadata=_metadata(moments))
     text = cert_mod.render_report(cert)
     Path(report).write_text(text, newline="\n")
     print(f"bound    = {fraction_to_decimal(cert.bound, 20)}")
@@ -137,6 +143,11 @@ def cmd_mc(*, mode: str, power: int, samples: int, seed: int,
            ref: float | None) -> int:
     if ref is not None and not math.isfinite(ref):
         raise ValueError(f"--ref must be a finite number, got {ref}")
+    # no Monte Carlo kernel calls BLAS: without this, importing numpy starts
+    # OpenBLAS server threads that run beside the sample threads.  Set here,
+    # not in montecarlo, so that importing the library leaves a caller's
+    # environment alone; a value already set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import montecarlo
     result = montecarlo.estimate(mode, power, samples, seed)
     print(f"mode={mode} power={power} N={result.n_samples} seed={result.seed}")
@@ -148,10 +159,14 @@ def cmd_mc(*, mode: str, power: int, samples: int, seed: int,
 
 
 def cmd_all(*, degree: int, max_denominator: int, workdir: Path) -> int:
-    # reject what `search` would reject before the moments are computed
+    from .certificate import check_metadata
+
+    # reject what `search` and `certify` would reject before the work
+    # directory is made or the moments are computed
     _check_search_args(degree, max_denominator)
-    workdir.mkdir(parents=True, exist_ok=True)
     moments = workdir / "moments.tsv"
+    check_metadata(_metadata(moments))
+    workdir.mkdir(parents=True, exist_ok=True)
     nodes = workdir / "nodes.txt"
     report = workdir / "certificate.txt"
     # refuse the later stages' outputs before any stage runs

@@ -7,11 +7,15 @@ representative body is 6^(1/3) T_o so volumes need no rescaling.
 Sampling is Dirichlet(1,1,1,1) barycentric: four unit exponentials normalized
 to sum one are uniform over a simplex.  Streams are counter-based (Philox
 keyed by the seed, one disjoint counter block per fixed-size sample block),
-so the blocks are independent: they run on a thread pool with one worker per
-usable CPU (numpy's generator and ufuncs release the interpreter lock), each
-worker taking the next block index when it finishes a block, and their sums
-are reduced in block-index order.  A given (seed, N, mode, power) yields
-bit-identical results for any worker count.
+so the blocks are independent: they run on one plain thread per usable CPU
+(numpy's generator and ufuncs release the interpreter lock), each thread
+taking the next block index when it finishes a block, and their sums are
+reduced in block-index order.  A given (seed, N, mode, power) yields
+bit-identical results for any worker count.  `estimate` starts and joins
+the threads itself: a `concurrent.futures` pool would load that package,
+`logging` and `queue` for nothing.  No kernel here calls BLAS, so the
+`tetravol mc` command, not this module, sets OpenBLAS to one thread before
+numpy loads, and no OpenBLAS server thread runs beside the sample threads.
 
 A block is computed in chunks of _CHUNK_SIZE samples, in buffers allocated
 once per block: each chunk is drawn into one buffer, its row sums and points
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,28 +168,39 @@ def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResul
         raise ValueError(f"seed {seed} is outside [0, 2**128)")
 
     n_blocks = -(-n_samples // BLOCK_SIZE)
-    # sums[:, i]: the two sums of block i, stored by whichever worker ran it.
-    # One task per worker takes the next block index from a shared iterator,
-    # so the pool holds as many tasks as workers, not one per block.
+    # sums[:, i]: the two sums of block i, stored by whichever thread ran it.
+    # Each thread takes the next block index from a shared iterator, so the
+    # bookkeeping grows with the threads, not with the blocks.
     sums = np.empty((2, n_blocks))
     blocks = iter(range(n_blocks))
     next_block = threading.Lock()
+    errors: list[BaseException] = []
 
     def work() -> None:
-        while True:
-            with next_block:
-                index = next(blocks, None)
-            if index is None:
-                return
-            count = min(BLOCK_SIZE, n_samples - index * BLOCK_SIZE)
-            sums[:, index] = _block_sums(seed, index, count, mode, power)
+        try:
+            while True:
+                with next_block:  # after a failure, no thread starts a block
+                    index = None if errors else next(blocks, None)
+                if index is None:
+                    return
+                count = min(BLOCK_SIZE, n_samples - index * BLOCK_SIZE)
+                sums[:, index] = _block_sums(seed, index, count, mode, power)
+        except BaseException as exc:  # re-raised by estimate, once all are joined
+            errors.append(exc)
 
-    workers = min(_usable_cpus(), n_blocks)
-    # the pool is joined before estimate returns, so no thread outlives it
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = [pool.submit(work) for _ in range(workers)]
-        for task in tasks:
-            task.result()
+    threads = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), n_blocks))]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:  # no thread outlives estimate
+            thread.join()
+    except BaseException as exc:  # an interrupt: the threads take no more blocks
+        errors.append(exc)
+        for thread in threads:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
 
     s1 = float(np.sum(sums[0]))
     s2 = float(np.sum(sums[1]))

@@ -34,6 +34,11 @@ rationals (`roots_bisection`), with a `Fraction` midpoint at every step
 and its own signs of the Sturm sequence: the reference for the library's
 bisection on integer cells.
 
+For the bound machinery as a whole it keeps laws of t = x^2 on [0, 1/9]
+whose moments E t^k and mean E sqrt(t) are exact rationals (`Law`): three
+continuous ones (`CONTINUOUS_LAWS`) and seeded laws of n rational atoms in
+(0, 1/3) (`atom_law`), on which the n-point Gauss rule is exact.
+
 For the Monte Carlo cross-check it keeps the whole-block sample kernel
 (`block_sums_slice`), the reference for the library's chunked one, and the
 vertices of the unit-volume body (`UNIT_TETRA_VERTICES`) and the volume of
@@ -46,10 +51,11 @@ The paper's published seven nodes (`REFERENCE_NODES`) are read from the
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -516,6 +522,37 @@ def roots_bisection(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction,
             left = _variations(ascending, lo) - _variations(ascending, mid)
         todo += [(mid, hi, count - left), (lo, mid, left)]
     return roots
+
+
+class Law(NamedTuple):
+    """A law of x on [0, 1/3], standing for V, with t = x^2: `moment(k)` is
+    E x^(2k) = E t^k and `mean` is E x = E sqrt(t), both exact; `atoms` holds
+    the support of a discrete law, in increasing order."""
+    moment: Callable[[int], Fraction]
+    mean: Fraction
+    atoms: tuple[Fraction, ...] = ()
+
+
+#: three laws of t on [0, 1/9] whose E sqrt(t) is known.  x uniform on
+#: [0, 1/3]: E x^m = 3^-m / (m + 1).  t uniform on [0, 1/9]: E t^k = 9^-k /
+#: (k + 1), so E sqrt(t) = 2/9.  x of density proportional to x^(-1/2) on
+#: [0, 1/3]: E x^m = 3^-m / (2m + 1).
+CONTINUOUS_LAWS = {
+    "x-uniform": Law(lambda k: Fraction(1, 9**k * (2 * k + 1)), Fraction(1, 6)),
+    "t-uniform": Law(lambda k: Fraction(1, 9**k * (k + 1)), Fraction(2, 9)),
+    "x-density-inverse-sqrt": Law(lambda k: Fraction(1, 9**k * (4 * k + 1)), Fraction(1, 9)),
+}
+
+
+def atom_law(n: int, seed: int) -> Law:
+    """A seeded law of n distinct atoms j/90 in (0, 1/3), with positive
+    rational weights that sum to 1."""
+    rng = random.Random(seed)
+    atoms = tuple(sorted(Fraction(j, 90) for j in rng.sample(range(1, 30), n)))
+    raw = [rng.randint(1, 9) for _ in atoms]
+    weights = [Fraction(w, sum(raw)) for w in raw]
+    return Law(lambda k: sum(w * x ** (2 * k) for x, w in zip(atoms, weights)),
+               sum(w * x for x, w in zip(atoms, weights)), atoms)
 
 
 #: the unit-volume body 6^(1/3) T_o whose points `tetravol.montecarlo` samples

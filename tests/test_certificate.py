@@ -25,10 +25,18 @@ from tetravol.certificate import (
     verify_dominance,
 )
 from tetravol.majorant import EvenPoly, MomentOrderError, NodeSet, hermite_onesided
-from tetravol.moments import MomentTable, even_moment_fast
+from tetravol.moments import MomentIntegrityError, MomentTable, even_moment_fast
+from tetravol.node_search import gauss_nodes, rationalize
 from tetravol.rational import target_enclosure
 
-from oracles import REFERENCE_NODES, poly_eval, poly_mul, verify_dominance_long_division
+from oracles import (
+    CONTINUOUS_LAWS,
+    REFERENCE_NODES,
+    atom_law,
+    poly_eval,
+    poly_mul,
+    verify_dominance_long_division,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 #: the reference certificate the benchmark gate compares with (read only)
@@ -563,3 +571,34 @@ def test_report_numbers_of_any_size_round_trip():
     assert certificate._frac_str(x) == "-1/3" + "0" * (limit + 9) + "1"
     assert certificate._read_fraction(certificate._frac_str(x), 1) == x
     assert sys.get_int_max_str_digits() == limit
+
+
+#: the n-atom law of the exact-law test
+ATOMS = 5
+
+
+@pytest.mark.parametrize("name", [*CONTINUOUS_LAWS, f"{ATOMS}-atoms"])
+def test_bound_is_above_the_exact_mean_of_known_laws(name):
+    """The whole chain the verdict rests on, `gauss_nodes`, `rationalize`, the
+    Hermite majorant, `expected_value` and the dominance ladder, run on laws
+    of t on [0, 1/9] whose E sqrt(t) is exact.  Each proof is valid, and the
+    gap B - E sqrt(t) is positive and falls with the node count.  On a law of
+    n atoms the n-point Gauss rule is exact: its nodes are the atoms, B
+    equals E x, and n + 1 nodes find the Hankel matrix singular."""
+    law = CONTINUOUS_LAWS.get(name) or atom_law(ATOMS, seed=37)
+    counts = range(1, ATOMS + 1) if law.atoms else (1, 3, 7, 13)
+    table = MomentTable({k: law.moment(k) for k in range(1, 2 * max(counts) + 2)})
+    gaps = []
+    for n in counts:
+        nodes = NodeSet.from_rationals(rationalize(x, 10**6) for x in gauss_nodes(n, table))
+        cert = certify(nodes, table)
+        assert cert.dominance.valid, (n, cert.dominance)
+        gaps.append(cert.bound - law.mean)
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+    if law.atoms:
+        assert nodes.nodes == law.atoms
+        assert gaps[-1] == 0
+        with pytest.raises(MomentIntegrityError, match="beta_"):
+            gauss_nodes(ATOMS + 1, table)
+    else:
+        assert gaps[-1] > 0

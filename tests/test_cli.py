@@ -358,6 +358,37 @@ for name in ("fractions", "dataclasses", "numpy"):
     assert name not in sys.modules, "import tetravol.cli loaded " + name
 assert tetravol.cli.main({argv!r}) == 0
 assert loaded() == {{"tetravol", "tetravol.cli", {loads!r}}}, loaded()
+assert "concurrent.futures" not in sys.modules, "the command loaded concurrent.futures"
+"""
+    run_fresh(code)
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset-2"])
+def test_mc_runs_openblas_on_one_thread_unless_told_otherwise(preset):
+    """`tetravol mc` sets OPENBLAS_NUM_THREADS to 1 before numpy loads, so no
+    BLAS server thread runs beside the sample threads; a value already set
+    is kept.  Importing the library alone leaves the environment as it is."""
+    setup = f"""
+import os, sys
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+if {preset!r} is not None:
+    os.environ["OPENBLAS_NUM_THREADS"] = {preset!r}
+"""
+    run_fresh(setup + f"""
+import tetravol.montecarlo
+assert os.environ.get("OPENBLAS_NUM_THREADS") == {preset!r}
+""")
+    code = setup + f"""
+import tetravol.cli
+assert tetravol.cli.main(["mc", "--mode", "four", "--samples", "70000", "--seed", "2"]) == 0
+assert os.environ["OPENBLAS_NUM_THREADS"] == ({preset!r} or "1")
+if {preset!r} is None and sys.platform == "linux":
+    # a joined thread's kernel task ends a moment after join returns
+    import time
+    deadline = time.monotonic() + 5
+    while len(threads := os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert len(threads) == 1, threads
 """
     run_fresh(code)
 
@@ -784,6 +815,11 @@ def write_file(name: str, content: str | bytes) -> None:
     pytest.param(["all", "--degree", "3", "--workdir", "run"],
                  None, ONE_NODE, "run/certificate.txt: is a directory",
                  id="all-report-is-a-directory"),
+    # certify's metadata rule, before the work directory is made or any
+    # stage runs
+    pytest.param(["all", "--degree", "3", "--workdir", "a\nb"],
+                 None, ONE_NODE, "metadata 'moment-file': 'a\\nb/moments.tsv' holds a line break",
+                 id="all-workdir-line-break"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", "-1"],
                  None, ONE_NODE, "seed -1 ", id="mc-seed-negative"),
     pytest.param(["mc", "--mode", "centroid", "--samples", "10", "--seed", str(1 << 128)],
@@ -826,6 +862,7 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, reques
         name = MOMENT_FILE_NAMES.get(request.node.callspec.id, "m.tsv")
         write_file(name, moments)
         argv = argv + ["--moments", name]
+    made_first = set(tmp_path.rglob("*"))
     try:
         code = main(argv)
         out, err = capsys.readouterr()
@@ -841,5 +878,4 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, reques
     assert names in err
     assert "Fraction(" not in err
     assert "wrote" not in out and "Gauss optimum" not in out
-    assert not any(Path(name).exists()
-                   for name in ("n.txt", "new.tsv", "r.txt", "run/moments.tsv", "missing"))
+    assert set(tmp_path.rglob("*")) == made_first  # no file or directory made

@@ -1,7 +1,12 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,8 +87,8 @@ def test_estimate_bits_are_pinned(mode, power, n, seed, mean, stderr):
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_estimate_same_bits_for_any_worker_count(monkeypatch, cpus):
-    """One worker or three: the same results, and every pool thread is gone
-    when estimate returns."""
+    """One worker or three: the same results, and every sample thread is
+    gone when estimate returns."""
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     threads = threading.active_count()
     for case in PINNED:
@@ -94,7 +99,8 @@ def test_estimate_same_bits_for_any_worker_count(monkeypatch, cpus):
 def test_estimate_memory_grows_with_the_workers_not_the_blocks(monkeypatch):
     """10**9 samples are 30,518 blocks.  With the kernel stubbed out, what
     estimate allocates is its own bookkeeping: two sums per block (0.5 MB)
-    and a task per worker.  One Future per block peaked at 52 MB."""
+    and one thread per worker.  Submitting each block to a pool as its own
+    task, with a future to keep per block, peaked at 52 MB."""
     n = 10**9
     calls = [0]
     lock = threading.Lock()
@@ -115,6 +121,85 @@ def test_estimate_memory_grows_with_the_workers_not_the_blocks(monkeypatch):
     assert calls == [-(-n // BLOCK_SIZE)]
     assert result.mean == 1.0  # every sample counted once
     assert peak < 2_000_000
+
+
+class BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_estimate_raises_a_blocks_exception_after_joining_every_thread(monkeypatch, cpus):
+    """A block that raises in a sample thread raises from estimate, and
+    every sample thread has ended by then."""
+    def stub(seed, index, count, mode, power):
+        if index == 5:
+            raise BlockFailed(f"block {index}")
+        return float(count), 1.0
+
+    monkeypatch.setattr(montecarlo, "_block_sums", stub)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    before = threading.enumerate()
+    with pytest.raises(BlockFailed, match="^block 5$"):
+        estimate(MODE_CENTROID, 1, 20 * BLOCK_SIZE, seed=1)
+    assert threading.enumerate() == before
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+def test_an_interrupt_stops_estimate_after_the_blocks_in_hand():
+    """Ctrl-C while estimate waits for its threads: they finish the blocks
+    in hand and take no more, and the interrupt reaches the caller.  Before,
+    the threads ran every remaining block first, here 10**6 blocks of 10 ms.
+    (An interrupted join can mark a thread as stopped while it finishes its
+    block, so the test counts blocks, not threads.)"""
+    code = """
+import signal, sys, threading, time
+from tetravol import montecarlo
+
+taken = []
+
+def block(seed, index, count, mode, power):
+    taken.append(index)
+    if index == 3:
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+    time.sleep(0.01)
+    return 1.0, 1.0
+
+montecarlo._block_sums = block
+montecarlo._usable_cpus = lambda: 3
+try:
+    montecarlo.estimate(montecarlo.MODE_CENTROID, 1, 10**6 * montecarlo.BLOCK_SIZE, seed=1)
+except KeyboardInterrupt:
+    blocks = len(taken)
+    time.sleep(0.1)
+    assert len(taken) == blocks < 100, (blocks, len(taken))
+else:
+    sys.exit("estimate returned")
+"""
+    src = Path(montecarlo.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
+def test_estimate_runs_every_block_once_under_contention(monkeypatch):
+    """Three threads switching every microsecond: each block index is
+    taken once, and every sample is counted once."""
+    taken = []
+
+    def stub(seed, index, count, mode, power):
+        taken.append(index)
+        return float(count), 1.0
+
+    monkeypatch.setattr(montecarlo, "_block_sums", stub)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = estimate(MODE_CENTROID, 1, 2000 * BLOCK_SIZE, seed=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == list(range(2000))
+    assert result.mean == 1.0
 
 
 @pytest.mark.parametrize("chunk_size", [1000, 4096, BLOCK_SIZE])
