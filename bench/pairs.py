@@ -6,8 +6,11 @@
 Each TREE is the root of a checkout.  Pair i (i = 0, 1, ...) runs
 `python3 perfbench/run.py --workload W --seed S+i --seconds 10 --trace 0`
 once in each tree, the sides in the given order in even pairs and reversed
-in odd ones, as `bench/sides.py` alternates them.  Before each run every
-`__pycache__` under its tree is removed and the run gets
+in odd ones, as `bench/sides.py` alternates them.  Before pair 0 the first
+side runs seed S once as a warm-up: the first run of a series reads a
+higher `peak_rss_mb` than the later ones, and pair 0 runs the first side
+first.  The warm-up is recorded apart and enters no summary.  Before each
+run every `__pycache__` under its tree is removed and the run gets
 PYTHONDONTWRITEBYTECODE=1, so each run compiles its side's source afresh.
 
 A run records the three end-to-end metrics, the operations attempted and
@@ -17,10 +20,11 @@ over the operations attempted.  That figure includes the CPU of the
 benchmark's own harness and gate, so a change to either moves it on one
 side only; it is recorded beside the metrics, not gated.
 
-The JSON holds every run; per side and metric the median and outer
-quartiles; per later side and metric, against the first side, the pairs in
-which it is lower, the difference of the medians and the first side's
-interquartile range; each tree's `src/tetravol` sha256 and the machine.
+The JSON holds every run, the warm-up under `warmup`; per side and metric
+the median and outer quartiles; per later side and metric, against the
+first side, the pairs in which it is lower, the difference of the medians
+and the first side's interquartile range; each tree's `src/tetravol`
+sha256 and the machine.
 Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
 
@@ -107,6 +111,21 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def collect(sides: list[tuple[str, str]], workload: str, pairs: int,
+            seed: int) -> tuple[dict, dict[str, list[dict]]]:
+    """The warm-up run of the first side, then each side's runs in pair order."""
+    label, tree = sides[0]
+    warmup = {"side": label, **run(tree, workload, seed)}
+    runs: dict[str, list[dict]] = {label: [] for label, _ in sides}
+    for i, label, tree in harness.alternate(sides, pairs):
+        runs[label].append(run(tree, workload, seed + i))
+        r = runs[label][-1]
+        print(f"pair {i + 1} {label}: total_s {r['total_s']:.4f} peak_rss_mb "
+              f"{r['peak_rss_mb']:.2f} cpu_per_op_s {r['cpu_per_op_s']:.4f}",
+              file=sys.stderr)
+    return warmup, runs
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--side", action="append", required=True, type=harness.side,
@@ -120,16 +139,11 @@ def main() -> None:
     args = parser.parse_args()
     if len(args.side) < 2:
         parser.error("give at least two --side")
-    runs: dict[str, list[dict]] = {label: [] for label, _ in args.side}
-    for i, label, tree in harness.alternate(args.side, args.pairs):
-        runs[label].append(run(tree, args.workload, args.seed + i))
-        r = runs[label][-1]
-        print(f"pair {i + 1} {label}: total_s {r['total_s']:.4f} peak_rss_mb "
-              f"{r['peak_rss_mb']:.2f} cpu_per_op_s {r['cpu_per_op_s']:.4f}",
-              file=sys.stderr)
+    warmup, runs = collect(args.side, args.workload, args.pairs, args.seed)
     result = {"benchmark": f"perfbench/run.py --workload {args.workload} --seed "
                            f"{args.seed}+i --seconds {SECONDS} --trace 0, one run per "
-                           f"side in each of {args.pairs} alternating pairs, from trees "
+                           f"side in each of {args.pairs} alternating pairs after one "
+                           "warm-up run of the first side, from trees "
                            "without __pycache__ and with PYTHONDONTWRITEBYTECODE=1",
               "cpu_note": CPU_NOTE,
               "machine": harness.machine(),
@@ -137,6 +151,7 @@ def main() -> None:
               "trees": {label: {"src_sha256": harness.tree_sha256(Path(tree) / "src")}
                         for label, tree in args.side},
               "summary": summarize(runs),
+              "warmup": warmup,
               "runs": runs}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

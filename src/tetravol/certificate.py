@@ -11,13 +11,13 @@ expected volume with all four points random.  Since V never exceeds 1/3, the
 majorant property is only needed on [0, 1/3].
 
 Dominance of P over |x| is not taken on faith from the interpolation
-construction: P(x) - x is deflated, on Python integers, by the known double
-roots at the nodes, and the quotient R is proven positive on [0, 1/3] by
+construction: P(x) - x is divided exactly, on Python integers, by the
+squared node polynomial, and the quotient R is proven positive on [0, 1/3] by
 boundary signs and one ladder of Sturm root counts: on rounded-down copies
 of R that lie exactly below it, then on R itself (the rounded-polynomial
 certificate of Chevillard, Harrison, Joldes & Lauter, Theor. Comput. Sci.
 412, 2011; see `verify_dominance`).  A corrupted node file or a buggy interpolation breaks
-the deflation or the root count, never the verdict's soundness.
+the division or the root count, never the verdict's soundness.
 
 Only B depends on the moments: the nodes fix P and its proof, and the target
 is a constant, so a `Certificate` derives its target, margin and verdict, and
@@ -31,14 +31,15 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from . import __version__
 from .majorant import (EvenPoly, NodeSet, _require_orders, expected_value,
                        hermite_onesided)
 from .moments import MomentTable
-from .rational import RationalInterval, fraction_to_decimal, target_enclosure
+from .rational import (RationalInterval, _integer_numerators, fraction_to_decimal,
+                       target_enclosure)
 
 #: bits kept of the largest coefficient of the rounded quotient in
 #: `verify_dominance`, one rung after another until one proves it.  On the
@@ -95,8 +96,7 @@ def sturm_chain(p: Sequence[Fraction | int]) -> list[list[int]]:
     and every count, is the classical one; no rational is ever normalised.
     Raises ValueError for the zero polynomial.
     """
-    den = lcm(*(c.denominator for c in p))
-    chain = [_primitive([int(c * den) for c in reversed(p)])]
+    chain = [_primitive(_integer_numerators(p)[0][::-1])]
     if chain[0] == [0]:
         raise ValueError("zero polynomial")
     if len(chain[0]) > 1:
@@ -161,8 +161,8 @@ def sturm_root_count(p: Sequence[Fraction | int], a: Fraction | int,
 class DominanceProof:
     """Machine check that P(x) - x = prod_j (x - x_j)^2 * R(x) >= 0 on [0, 1/3].
 
-    Valid iff the deflation remainder vanishes, R has no root in (0, 1/3),
-    and R is positive at both endpoints.
+    `quotient` is R, ascending in x, even when the remainder is not zero;
+    valid iff it is, R has no root in (0, 1/3), and R > 0 at both ends.
     """
 
     quotient: tuple[Fraction, ...]
@@ -177,27 +177,29 @@ class DominanceProof:
                 and self.sign_at_zero > 0 and self.sign_at_end > 0)
 
 
-def _deflate(nums: Sequence[int], p: int, q: int) -> tuple[list[int], int, bool]:
-    """Divide the integer polynomial nums (highest degree first) by q x - p.
+def _deflate(nums: Sequence[int], divisor: Sequence[int]) -> tuple[list[int], int, bool]:
+    """Divide nums by divisor, integer polynomials highest degree first.
 
-    Returns (quot, g, exact) with g * nums = (q x - p) * quot + r, integer
-    quot, positive integer g and exact = (r == 0).  Synthetic division from
-    the top; a partial sum that q does not divide raises g by the least
-    factor that makes it divisible and rescales the quotient so far.  When
-    q x - p divides nums over the rationals, g stays 1 (Gauss's lemma).
+    Returns (quot, g, exact) with g * nums = divisor * quot + r, integer
+    quot, positive integer g, deg r < deg divisor and exact = (r == 0).
+    Long division from the top; a leading term that divisor[0] > 0 does not
+    divide raises g by the least factor that makes it divisible and
+    rescales the quotient and remainder so far.  When a primitive divisor
+    divides nums over the rationals, g stays 1 (Gauss's lemma).
     """
-    *head, last = nums or [0]
-    quot, g, carry = [], 1, 0
-    for c in head:
-        t = c * g + carry
-        if t % q:
-            f = q // gcd(t, q)
+    lead, tail = divisor[0], divisor[1:]
+    rem, quot, g = list(nums), [], 1
+    for i in range(len(rem) - len(tail)):
+        t = rem[i]
+        if t % lead:
+            f = lead // gcd(t, lead)
             quot = [v * f for v in quot]
+            rem[i:] = [v * f for v in rem[i:]]
             g *= f
             t *= f
-        quot.append(t // q)
-        carry = p * quot[-1]
-    return quot, g, last * g + carry == 0
+        quot.append(c := t // lead)
+        rem[i + 1:i + len(divisor)] = [v - c * d for v, d in zip(rem[i + 1:], tail)]
+    return quot, g, not any(rem[len(quot):])
 
 
 def _interior_root_count(nums: Sequence[int]) -> int:
@@ -213,10 +215,7 @@ def _interior_root_count(nums: Sequence[int]) -> int:
     rung that counts roots says nothing about N.  The last rung keeps every
     bit, so its copy is T and its count is exact.
     """
-    t, power = [], 1
-    for c in nums:
-        t.append(c * power)
-        power *= 3
+    t = [c * 3 ** i for i, c in enumerate(nums)]
     top = max(abs(c) for c in t).bit_length()
     for bits in (*_ROUNDED_BITS, top):
         shift = max(0, top - bits)
@@ -228,50 +227,43 @@ def _interior_root_count(nums: Sequence[int]) -> int:
 
 
 def verify_dominance(poly: EvenPoly, nodes: NodeSet) -> DominanceProof:
-    """Deflate P(x) - x by the squared node factors and certify positivity.
+    """Divide P(x) - x by the squared node polynomial and certify positivity.
 
     A nonzero remainder means the polynomial was not built from these nodes;
     a root of the quotient inside (0, 1/3) or a nonpositive boundary value
-    means dominance fails.  P(x) - x is scaled once to integers and divided
-    twice by each q x - p (x_j = p/q); division being unique, this gives the
-    quotient and zero test of the long division by prod_j (x - x_j)^2.  The
-    quotient is nums times one positive scale, so its signs and Sturm count
-    are those of the integers nums.
+    means dominance fails.  P(x) - x, over the lcm den of P's denominators,
+    is divided once by D(x) = prod_j (q_j x - p_j)^2 (x_j = p_j/q_j), which
+    is primitive and alone holds the nodes' multiplicities.  D[0] / (den g)
+    scales quot to the long division's quotient by prod_j (x - x_j)^2, so
+    the quotient's signs and Sturm count are those of the integers quot.
 
     With both boundary signs nonzero, `_interior_root_count` walks one
-    ladder of Sturm counts on nums in u = 3x: copies rounded down to 32,
-    then 64 bits (_ROUNDED_BITS), then nums itself.  Floor shifts only lower
+    ladder of Sturm counts on quot in u = 3x: copies rounded down to 32,
+    then 64 bits (_ROUNDED_BITS), then quot itself.  Floor shifts only lower
     coefficients and u^i >= 0 on [0, 1], so when a rounded copy is positive
     at both ends and has no root in (0, 1), the quotient has none in
     (0, 1/3), and the root count is exactly 0; otherwise the last rung
     counts the roots exactly.  Either way the proof is the one exact Sturm
     alone would give.
     """
-    diff = [Fraction(0)] * max(poly.degree + 1, 2)
-    for i, a in enumerate(poly.coeffs):
-        diff[2 * i] = a
-    diff[1] -= 1
-
-    den = lcm(*(c.denominator for c in diff))
-    nums = [c.numerator * (den // c.denominator) for c in reversed(diff)]
-    scale = Fraction(1, den)
-    remainder_is_zero = True
-    for x in nodes:
-        for _ in range(2):
-            # the quotient by x - p/q is q times the one by q x - p
-            nums, g, exact = _deflate(nums, x.numerator, x.denominator)
-            scale *= Fraction(x.denominator, g)
-            remainder_is_zero = remainder_is_zero and exact
-    quotient = tuple(Fraction(c * scale.numerator, scale.denominator)
-                     for c in reversed(nums)) or (Fraction(0),)
-    if not remainder_is_zero:
+    a, den = _integer_numerators(poly.coeffs)
+    diff = [0] * max(poly.degree + 1, 2)  # den (P(x) - x), ascending in x
+    diff[::2] = a
+    diff[1] -= den
+    divisor = [1]
+    for x in [x for x in nodes for _ in (0, 1)]:  # a double root at each node
+        divisor = [x.denominator * u - x.numerator * v
+                   for u, v in zip(divisor + [0], [0] + divisor)]
+    quot, g, exact = _deflate(diff[::-1], divisor)
+    scale = Fraction(divisor[0], den * g)
+    quotient = tuple(c * scale for c in reversed(quot)) or (Fraction(0),)
+    if not exact:
         return DominanceProof(quotient, False, -1, 0, 0)
 
-    end = _horner(nums, 1, 3)  # 3^deg nums(1/3), of the quotient's sign at 1/3
-    sign0, sign1 = (nums[-1] > 0) - (nums[-1] < 0), (end > 0) - (end < 0)
-    if sign0 == 0 or sign1 == 0:
-        return DominanceProof(quotient, True, -1, sign0, sign1)
-    return DominanceProof(quotient, True, _interior_root_count(nums), sign0, sign1)
+    end = _horner(quot, 1, 3)  # 3^deg quot(1/3), of the quotient's sign at 1/3
+    sign0, sign1 = (quot[-1] > 0) - (quot[-1] < 0), (end > 0) - (end < 0)
+    count = _interior_root_count(quot) if sign0 and sign1 else -1
+    return DominanceProof(quotient, True, count, sign0, sign1)
 
 
 # ---------------------------------------------------------------------------

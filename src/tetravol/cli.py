@@ -144,11 +144,14 @@ def cmd_mc(*, mode: str, power: int, samples: int, seed: int,
     if ref is not None and not math.isfinite(ref):
         raise ValueError(f"--ref must be a finite number, got {ref}")
     # no Monte Carlo kernel calls BLAS: without this, importing numpy starts
-    # OpenBLAS server threads that run beside the sample threads.  Set here,
-    # not in montecarlo, so that importing the library leaves a caller's
-    # environment alone; a value already set is kept.
+    # OpenBLAS server threads that run beside the sample threads.  OpenBLAS
+    # reads the variable as numpy loads, so it is set (unless already set)
+    # only for the import, and a caller's environment is left as it was.
+    unset = "OPENBLAS_NUM_THREADS" not in os.environ
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import montecarlo
+    if unset:
+        del os.environ["OPENBLAS_NUM_THREADS"]
     result = montecarlo.estimate(mode, power, samples, seed)
     print(f"mode={mode} power={power} N={result.n_samples} seed={result.seed}")
     print(f"mean = {result.mean:.9e}")

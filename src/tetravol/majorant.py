@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .moments import MomentTable
+from .rational import _integer_numerators
 
 #: the forms a node file line may take: an integer or p/q, at most
 #: NODE_LINE_MAX characters, so no line can stand for a huge rational (as
@@ -208,13 +209,7 @@ def expected_value(poly: EvenPoly, moments: MomentTable) -> Fraction:
     short.
     """
     _require_orders(moments, poly.degree)
-    coeffs = poly.coeffs
-    values = [moments[i] for i in range(1, len(coeffs))]
-    coeff_den = lcm(*(a.denominator for a in coeffs))
-    moment_den = lcm(*(v.denominator for v in values))
-    a0 = coeffs[0]
-    total = a0.numerator * (coeff_den // a0.denominator) * moment_den
-    for a, v in zip(coeffs[1:], values):
-        total += (a.numerator * (coeff_den // a.denominator)
-                  * v.numerator * (moment_den // v.denominator))
+    a, coeff_den = _integer_numerators(poly.coeffs)
+    v, moment_den = _integer_numerators([moments[i] for i in range(1, len(a))])
+    total = a[0] * moment_den + sum(x * y for x, y in zip(a[1:], v))
     return Fraction(total, coeff_den * moment_den)

@@ -26,6 +26,7 @@ from typing import Sequence
 from .certificate import _horner, _primitive, sign_variations
 from .majorant import _require_orders
 from .moments import MomentIntegrityError, MomentTable
+from .rational import _integer_numerators
 
 #: constraints with relative residual below this are reported active
 ACTIVE_TOLERANCE = 1e-9
@@ -281,8 +282,7 @@ def gauss_nodes(n: int, moments: MomentTable) -> list[float]:
         old, p = p, [a - alpha * b - beta * c for a, b, c in zip([0] + p, p + [0], old + [0, 0])]
         prev, norm, sigma = sigma, sigma[k], [
             a - alpha * b - beta * c for a, b, c in zip(sigma[1:], sigma, prev)]
-        den = math.lcm(*(c.denominator for c in p))
-        chain.insert(0, _primitive([c.numerator * (den // c.denominator) for c in reversed(p)]))
+        chain.insert(0, _primitive(_integer_numerators(p)[0][::-1]))
     try:
         low, high = sign_variations(chain, 0, 9), sign_variations(chain, 1, 9)
     except ValueError:  # a root at 0 or 1/9, so not n roots inside

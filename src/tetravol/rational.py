@@ -4,7 +4,7 @@ Big integers are Python ints, rationals are `fractions.Fraction` (always
 reduced, positive denominator).  On top of those this module provides a
 rigorous rational enclosure of the comparison constant 13/720 - pi^2/15015,
 the expected volume of a fully random simplex in a unit-volume tetrahedron
-(Klee's problem), and an exact decimal rendering of rationals.
+(Klee's problem), exact decimals, and rationals as integers over one lcm.
 """
 
 from __future__ import annotations
@@ -12,12 +12,21 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 #: expected volume of the simplex of four uniform points in a unit-volume
 #: tetrahedron equals 13/720 - pi^2/15015; the rational part is exact, the
 #: pi^2 part is enclosed by `pi_squared_enclosure`.
 TARGET_RATIONAL_PART = Fraction(13, 720)
 TARGET_PI2_DIVISOR = 15015
+
+
+def _integer_numerators(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(nums, den) with x_i = nums[i] / den for every x_i of xs, den the lcm
+    of their denominators: a rational polynomial or sum on integers."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 @dataclass(frozen=True)

@@ -51,3 +51,27 @@ def test_every_later_side_is_compared_with_the_first(pairs):
     assert summary["c"]["against_a"]["total_s"]["lower_pairs"] == 2
     assert summary["c"]["against_a"]["peak_rss_mb"]["median_change"] == 1.0
     assert "against_b" not in summary["c"]
+
+
+def test_the_warm_up_run_is_recorded_apart_from_the_pairs(pairs, monkeypatch):
+    # the stub's call n reads total_s n, except the first, which reads 90
+    calls = []
+
+    def run(tree, workload, seed):
+        calls.append((tree, seed))
+        t = 90.0 if len(calls) == 1 else float(len(calls))
+        return runs_of([t], [40.0])[0] | {"seed": seed}
+
+    monkeypatch.setattr(pairs, "run", run)
+    warmup, runs = pairs.collect([("parent", "/a"), ("change", "/b")], "w", 3, 50)
+
+    # the warm-up is the first side's, on pair 1's seed, before every pair
+    assert calls == [("/a", 50), ("/a", 50), ("/b", 50), ("/b", 51), ("/a", 51),
+                     ("/a", 52), ("/b", 52)]
+    assert warmup["side"] == "parent" and warmup["total_s"] == 90.0
+    assert [r["total_s"] for r in runs["parent"]] == [2, 5, 6]
+    assert [r["total_s"] for r in runs["change"]] == [3, 4, 7]
+    assert [r["seed"] for r in runs["parent"]] == [50, 51, 52]
+    summary = pairs.summarize(runs)
+    assert summary["parent"]["total_s"]["median"] == 5
+    assert summary["parent"]["attempted"] == 90

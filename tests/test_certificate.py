@@ -33,6 +33,7 @@ from oracles import (
     CONTINUOUS_LAWS,
     REFERENCE_NODES,
     atom_law,
+    poly_divmod,
     poly_eval,
     poly_mul,
     verify_dominance_long_division,
@@ -264,6 +265,59 @@ def test_dominance_of_any_even_polynomial_equals_the_long_division(seeded_node_s
             assert proof == verify_dominance_long_division(poly, nodes), (poly, nodes)
             seen.add(proof.quotient == (Fraction(0),))
     assert seen == {True, False}
+
+
+def _ascending(nums):
+    return [Fraction(c) for c in reversed(nums)]
+
+
+def test_deflate_by_a_divisor_that_does_not_divide_scales_to_the_long_division():
+    # 6x^2 - 5x + 1 = (2x - 1)(3x - 1) leads with 6, which does not divide the
+    # leading 1 of x^4 - 2x^3 + 3x^2 + 4x + 5, so g must rise above 1
+    nums, divisor = [1, -2, 3, 4, 5], [6, -5, 1]
+    quot, g, exact = certificate._deflate(nums, divisor)
+    quotient, remainder = poly_divmod(_ascending(nums), _ascending(divisor))
+    assert g > 1 and not exact and any(remainder)
+    assert [Fraction(c, g) for c in reversed(quot)] == quotient
+
+
+def test_deflate_equals_the_long_division_on_seeded_integer_polynomials():
+    rng = random.Random(38)
+    outcomes = set()
+    for _ in range(300):
+        divisor = [rng.randint(1, 12)] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+        nums = [rng.choice((-1, 1)) * rng.randint(1, 99)] + [
+            rng.randint(-99, 99) for _ in range(rng.randint(0, 7))]
+        if rng.random() < 0.3:  # a multiple of divisor by an integer polynomial
+            nums = _mul(divisor, nums)
+        quot, g, exact = certificate._deflate(nums, divisor)
+        quotient, remainder = poly_divmod(_ascending(nums), _ascending(divisor))
+        assert ([Fraction(c, g) for c in reversed(quot)] or [Fraction(0)]) == quotient
+        assert exact == (not any(remainder)), (nums, divisor)
+        outcomes.add((exact, g > 1))
+    assert outcomes >= {(True, False), (False, False), (False, True)}
+
+
+def test_dominance_of_a_polynomial_shorter_than_the_divisor():
+    # P(x) - x has degree 2, prod_j (x - x_j)^2 degree 4: nothing to divide
+    nodes = NodeSet((Fraction(1, 5), Fraction(1, 4)))
+    poly = EvenPoly((Fraction(1, 2), Fraction(3, 7)))
+    proof = verify_dominance(poly, nodes)
+    assert proof.quotient == (Fraction(0),) and not proof.remainder_is_zero
+    assert proof == verify_dominance_long_division(poly, nodes)
+
+
+def test_one_exact_division_proves_every_warm_plan_set(monkeypatch):
+    # one division per proof, by a primitive divisor that divides: g stays 1
+    calls, real = [], certificate._deflate
+    monkeypatch.setattr(certificate, "_deflate",
+                        lambda nums, divisor: calls.append(real(nums, divisor)) or calls[-1])
+    sets = _warm_plan_sets(901)
+    for nodes in sets:
+        proof = verify_dominance(hermite_onesided(nodes), nodes)
+        assert proof.valid, nodes
+    assert len(calls) == len(sets) == 97
+    assert all(g == 1 and exact for _, g, exact in calls)
 
 
 def _through_one_node(a, e):

@@ -39,6 +39,23 @@ assert [n for n in tetravol.__all__ if names.get(n) is not getattr(tetravol, n)]
     assert run.returncode == 0, run.stderr
 
 
+def test_the_trusted_modules_load_no_float_module():
+    # the verdict rests on these four modules alone: in a fresh interpreter
+    # they load neither numpy nor the node search nor the Monte Carlo check
+    code = """
+import sys
+import tetravol.certificate, tetravol.majorant, tetravol.moments, tetravol.rational
+loaded = [m for m in ("numpy", "tetravol.node_search", "tetravol.montecarlo")
+          if m in sys.modules]
+assert loaded == [], loaded
+"""
+    src = Path(tetravol.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def _annotated_objects():
     """(qualified name, object) for every class, method and function that a
     tetravol module defines."""
