@@ -22,9 +22,14 @@ side only; it is recorded beside the metrics, not gated.
 
 The JSON holds every run, the warm-up under `warmup`; per side and metric
 the median and outer quartiles; per later side and metric, against the
-first side, the pairs in which it is lower, the difference of the medians
-and the first side's interquartile range; each tree's `src/tetravol`
-sha256 and the machine.
+first side, the pairs in which it is lower, the difference of the medians,
+the first side's interquartile range and two verdicts: `claim_rule_met`,
+lower in at least 9 of 10 pairs and in the median by more than that range,
+with no more failed operations than the first side and every run correct,
+and `within_bound`, a median worse than the first side's by no more than
+the metric's relative bound in BENCHMARK.json (null for `cpu_per_op_s`,
+which has none); each tree's `src/tetravol` sha256 and the machine.  The
+bounds are read from the BENCHMARK.json beside `bench/`, never written.
 Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
 
@@ -45,6 +50,7 @@ import sides as harness
 #: the benchmark's end-to-end metrics, then the CPU figure this script adds
 METRICS = ("setup_s", "total_s", "peak_rss_mb", "cpu_per_op_s")
 DIGITS = 4
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 SECONDS = 10
 CPU_NOTE = ("cpu_per_op_s is the user + system CPU of the whole benchmark run "
             "(perfbench/run.py and every process it waited for, read as "
@@ -77,23 +83,38 @@ def run(tree: str, workload: str, seed: int) -> dict:
             "cpu_per_op_s": round(cpu / max(result["attempted"], 1), 6)}
 
 
-def compare(base: list[float], other: list[float]) -> dict:
-    """`other` against `base`, pair by pair: in how many pairs it is lower,
-    the difference of the medians (other - base), and base's interquartile
-    range, which that difference must pass to stand out of base's spread."""
+def end_to_end_bounds() -> dict[str, float]:
+    """The relative bound of each end-to-end metric in BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
+def compare(base: list[float], other: list[float], bound: float | None) -> dict:
+    """`other` against `base`, pair by pair, for a metric where lower is
+    better: in how many pairs it is lower, the difference of the medians
+    (other - base), and base's interquartile range, which that difference
+    must pass to stand out of base's spread.  `claim_rule_met`: lower in at
+    least 9/10 of the pairs and in the median by more than that range.
+    `within_bound`: the median is worse by no more than `bound` times
+    base's, or None without a bound."""
     q1, _, q3 = harness.quartiles(base, DIGITS)
-    change = statistics.median(other) - statistics.median(base)
-    return {"lower_pairs": sum(o < b for b, o in zip(base, other)), "pairs": len(base),
+    median = statistics.median(base)
+    change = statistics.median(other) - median
+    lower = sum(o < b for b, o in zip(base, other))
+    return {"lower_pairs": lower, "pairs": len(base),
             "median_change": round(change, DIGITS),
-            "median_change_pct": round(100 * change / statistics.median(base), 2),
+            "median_change_pct": round(100 * change / median, 2),
             "base_iqr": round(q3 - q1, DIGITS),
-            "beyond_base_iqr": abs(change) > q3 - q1}
+            "beyond_base_iqr": abs(change) > q3 - q1,
+            "claim_rule_met": 10 * lower >= 9 * len(base) and -change > q3 - q1,
+            "within_bound": None if bound is None else change <= bound * median}
 
 
-def summarize(runs: dict[str, list[dict]]) -> dict:
+def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
     """Per side and metric, the median and outer quartiles over its runs,
-    and the comparison of every later side with the first; `runs` lists
-    each side's runs in pair order."""
+    and the comparison of every later side with the first under the
+    metrics' `bounds`, where no claim holds for a side that fails more
+    operations than the first or is not all correct; `runs` lists each
+    side's runs in pair order."""
     labels = list(runs)
     first = labels[0]
     out = {}
@@ -105,8 +126,13 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
         entry["all_correct"] = all(r["correct"] for r in runs[label])
         if label != first:
             entry[f"against_{first}"] = {
-                name: compare([r[name] for r in runs[first]], [r[name] for r in runs[label]])
+                name: compare([r[name] for r in runs[first]], [r[name] for r in runs[label]],
+                              bounds.get(name))
                 for name in METRICS}
+            # a side that fails more operations, or answers wrong, gains nothing
+            if entry["failed"] > out[first]["failed"] or not entry["all_correct"]:
+                for verdict in entry[f"against_{first}"].values():
+                    verdict["claim_rule_met"] = False
         out[label] = entry
     return out
 
@@ -150,7 +176,7 @@ def main() -> None:
               "workload": args.workload, "seeds": [args.seed, args.seed + args.pairs - 1],
               "trees": {label: {"src_sha256": harness.tree_sha256(Path(tree) / "src")}
                         for label, tree in args.side},
-              "summary": summarize(runs),
+              "summary": summarize(runs, end_to_end_bounds()),
               "warmup": warmup,
               "runs": runs}
     args.out.write_text(json.dumps(result, indent=1) + "\n")

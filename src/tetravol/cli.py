@@ -31,15 +31,19 @@ EXIT_NOT_CERTIFIED = 2
 MC_MODES = ("four", "centroid")
 
 
-def _check_output(path: Path) -> None:
-    """Refuse an output path that cannot be written, naming it as given,
-    before any input is read or anything computed."""
+def _check_output(path: Path, **inputs: Path) -> None:
+    """Refuse an output path that cannot be written, or that is the same
+    file as one of the command's `inputs` (by option name), naming it as
+    given, before any input is read or anything computed."""
     if path.is_dir():
         raise IsADirectoryError(f"{path}: is a directory")
     if path.parent.exists() and not path.parent.is_dir():
         raise NotADirectoryError(f"{path}: {path.parent} is not a directory")
     if not path.parent.is_dir():
         raise FileNotFoundError(f"{path}: directory {path.parent} does not exist")
+    for option, source in inputs.items():
+        if path.exists() and source.exists() and os.path.samefile(path, source):
+            raise ValueError(f"{path}: is the --{option} file, which it would overwrite")
 
 
 def cmd_moments(*, k_max: int, out: Path) -> int:
@@ -83,7 +87,7 @@ def _search(*, degree: int, max_denominator: int, moments: Path, out: Path) -> i
     from .rational import target_enclosure
 
     _check_search_args(degree, max_denominator)
-    _check_output(out)
+    _check_output(out, moments=moments)
     table = MomentTable.read(moments)
     n = _gauss_count(degree)
     nodes = node_search.gauss_nodes(n, table)
@@ -125,7 +129,7 @@ def cmd_certify(*, nodes: Path, moments: Path, report: Path) -> int:
     from .moments import MomentTable
     from .rational import fraction_to_decimal
 
-    _check_output(report)
+    _check_output(report, nodes=nodes, moments=moments)
     node_set = NodeSet.read(nodes)
     table = MomentTable.read(moments)
     cert = cert_mod.certify(node_set, table, metadata=_metadata(moments))

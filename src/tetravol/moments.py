@@ -31,9 +31,10 @@ they share no helper, so a bug in one cannot hide in the other:
   D = z1*A1 - z2*A2 + z3*A3, with A1 = u2 v3 - u3 v2, A2 = u1 v3 - u3 v1 and
   A3 = u1 v2 - u2 v1.  For each z-degree split the binomial expansion of the
   three 2x2 minors is a double sum of products of three J, weighted by a
-  kernel of small integers that is updated from one split to the next
-  (Nyquist, Rice & Riordan, Quart. Appl. Math. 12, 1954; Graham, Knuth &
-  Patashnik, Concrete Mathematics, 5.1).  An order costs about k^4.
+  kernel of small integers: (1 - x)^2k for the split (2k, 0, 0), and for
+  every other split one exact, checked step from a neighbour's (Nyquist,
+  Rice & Riordan, Quart. Appl. Math. 12, 1954; Graham, Knuth & Patashnik,
+  Concrete Mathematics, 5.1).  An order costs about k^4.
 
 Both routes stay in integers until the final division.  Their common values
 for k <= VERIFY_ORDER_MAX are pinned in PINNED_MOMENTS, and the test suite
@@ -171,29 +172,16 @@ def _centred_integrals(k: int) -> list[list[int]]:
     return table
 
 
-def _kernel(n1: int, n2: int, n3: int) -> list[list[int]]:
-    """H[a][s] = [x^a y^s] (1 - x)^n1 (1 - y)^n2 (x - y)^n3."""
-    kernel = [[0] * (n2 + n3 + 1) for _ in range(n1 + n3 + 1)]
-    ys = [(-1) ** j * comb(n2, j) for j in range(n2 + 1)]
-    for l in range(n3 + 1):
-        for i in range(n1 + 1):
-            c, row = (-1) ** (i + l) * comb(n3, l) * comb(n1, i), kernel[i + n3 - l]
-            for j, y in enumerate(ys):
-                row[j + l] += c * y
-    return kernel
-
-
-def _next_kernel(kernel: list[list[int]]) -> list[list[int]]:
-    """The kernel of the split (n1 - 1, n2 + 1, n3) from that of (n1, n2, n3):
-    divide by (1 - x), H'(a) = H(a) + H'(a - 1), dropping the top row, which
-    must come out zero, and multiply by (1 - y)."""
-    out, prev = [], [0] * len(kernel[0])
-    for row in kernel[:-1]:
-        prev = list(map(add, row, prev))
-        out.append(list(map(sub, prev + [0], [0] + prev)))
-    if any(map(add, kernel[-1], prev)):
+def _next_kernel(kernel: list[list[int]], e: int) -> list[list[int]]:
+    """H[a][s] = [x^a y^s] (1 - x)^n1 (1 - y)^n2 (x - y)^n3 of the split
+    (n1 - 1, n2 + 1, n3) at e = 0, or (n1 - 1, n2, n3 + 1) at e = 1, from
+    that of (n1, n2, n3): divide by (1 - x), Q(a) = H(a) + Q(a - 1), whose
+    top row must come out zero and is dropped, and multiply by x^e - y."""
+    *quotient, top = accumulate(kernel, lambda q, row: list(map(add, q, row)))
+    if any(top):
         raise MomentIntegrityError("split kernel is not divisible by (1 - x)")
-    return out
+    pad = [[0] * len(top)] * e
+    return [list(map(sub, xs + [0], [0] + ys)) for xs, ys in zip(pad + quotient, quotient + pad)]
 
 
 def _split_sum(table: list[list[int]], kernel: list[list[int]],
@@ -233,10 +221,17 @@ def even_moment_fast(k: int) -> Fraction:
     table = _centred_integrals(k)
     fact = [factorial(i) for i in range(n2k + 4)]
     total = 0
+    # the kernel of (2k, 0, 0); every column with a successor has a second
+    # split, one step with e = 1 from the successor's first
+    head = [[(-1) ** a * comb(n2k, a)] for a in range(n2k + 1)]
     for n3 in range(n2k // 3 + 1):
+        kernel = head
         for n2 in range(n3, (n2k - n3) // 2 + 1):
             n1 = n2k - n2 - n3
-            kernel = _next_kernel(kernel) if n2 > n3 else _kernel(n1, n2, n3)
+            if n2 > n3:
+                kernel = _next_kernel(kernel, 0)
+            if n2 == n3 + 1:
+                head = _next_kernel(kernel, 1)
             orbit = 1 if n1 == n3 else 3 if n1 == n2 or n2 == n3 else 6
             weight = orbit * (fact[n2k] // (fact[n1] * fact[n2] * fact[n3]))
             total += weight * _split_sum(table, kernel, n1, n2, n3)

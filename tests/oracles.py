@@ -26,8 +26,9 @@ helpers that evaluate P and P' on their coefficients in x
 For the fast moment route it keeps the triple sum over each z-degree split
 (`even_moment_triple`, with `split_sum_triple`) and its centred-integral
 table summed over p and q (`centred_integrals_pq`), which cost about k^5
-and k^4 per order: the references for the library's double sum over an
-updated kernel and its O(k^3) table.
+and k^4 per order, and each split's kernel expanded from scratch
+(`product_kernel`): the references for the library's double sum over a
+stepped kernel and its O(k^3) table.
 
 For the Gauss-node search it keeps the bisection of each root over the
 rationals (`roots_bisection`), with a `Fraction` midpoint at every step
@@ -283,6 +284,19 @@ def centred_integrals_pq(k: int) -> list[list[int]]:
                                      for p, xp in enumerate(xs)))
         table.append(row)
     return table
+
+
+def product_kernel(n1: int, n2: int, n3: int) -> list[list[int]]:
+    """H[a][s] = [x^a y^s] (1 - x)^n1 (1 - y)^n2 (x - y)^n3, expanded from
+    scratch: the reference for the library's kernels built by steps."""
+    kernel = [[0] * (n2 + n3 + 1) for _ in range(n1 + n3 + 1)]
+    ys = [(-1) ** j * comb(n2, j) for j in range(n2 + 1)]
+    for l in range(n3 + 1):
+        for i in range(n1 + 1):
+            c, row = (-1) ** (i + l) * comb(n3, l) * comb(n1, i), kernel[i + n3 - l]
+            for j, y in enumerate(ys):
+                row[j + l] += c * y
+    return kernel
 
 
 def split_sum_triple(table: list[list[int]], n1: int, n2: int, n3: int) -> int:

@@ -14,6 +14,10 @@ def pairs(monkeypatch):
     return importlib.import_module("pairs")
 
 
+#: relative bounds of the end-to-end metrics, as BENCHMARK.json gives them
+BOUNDS = {"setup_s": 0.25, "total_s": 0.25, "peak_rss_mb": 0.1}
+
+
 def runs_of(total_s, peak_rss_mb, failed=0):
     return [{"seed": 100 + i, "correct": failed == 0, "attempted": 30, "failed": failed,
              "setup_s": 0.1, "total_s": t, "peak_rss_mb": m, "cpu_per_op_s": t / 3}
@@ -23,7 +27,7 @@ def runs_of(total_s, peak_rss_mb, failed=0):
 def test_summary_of_fixed_pairs(pairs):
     parent = runs_of([0.50, 0.70, 0.60, 0.80, 0.90], [38.9, 38.8, 39.0, 38.7, 38.9])
     change = runs_of([0.55, 0.60, 0.65, 0.70, 0.75], [38.1, 38.2, 38.1, 38.0, 39.1], failed=1)
-    summary = pairs.summarize({"parent": parent, "change": change})
+    summary = pairs.summarize({"parent": parent, "change": change}, BOUNDS)
 
     assert summary["parent"]["total_s"] == {"median": 0.7, "quartiles": [0.6, 0.8]}
     assert summary["change"]["peak_rss_mb"] == {"median": 38.1, "quartiles": [38.1, 38.2]}
@@ -36,17 +40,21 @@ def test_summary_of_fixed_pairs(pairs):
     total = summary["change"]["against_parent"]["total_s"]
     # lower in pairs 2, 4 and 5; medians 0.65 against 0.70; parent IQR 0.8 - 0.6
     assert total == {"lower_pairs": 3, "pairs": 5, "median_change": -0.05,
-                     "median_change_pct": -7.14, "base_iqr": 0.2, "beyond_base_iqr": False}
+                     "median_change_pct": -7.14, "base_iqr": 0.2, "beyond_base_iqr": False,
+                     "claim_rule_met": False, "within_bound": True}
     rss = summary["change"]["against_parent"]["peak_rss_mb"]
     # lower in all but pair 5; medians 38.1 against 38.9; parent IQR 38.9 - 38.8
     assert rss == {"lower_pairs": 4, "pairs": 5, "median_change": -0.8,
-                   "median_change_pct": -2.06, "base_iqr": 0.1, "beyond_base_iqr": True}
+                   "median_change_pct": -2.06, "base_iqr": 0.1, "beyond_base_iqr": True,
+                   "claim_rule_met": False, "within_bound": True}
+    # cpu_per_op_s has no bound
+    assert summary["change"]["against_parent"]["cpu_per_op_s"]["within_bound"] is None
 
 
 def test_every_later_side_is_compared_with_the_first(pairs):
     base = runs_of([1.0, 1.0], [40.0, 40.0])
     summary = pairs.summarize({"a": base, "b": runs_of([0.5, 2.0], [39.0, 39.0]),
-                               "c": runs_of([0.9, 0.9], [41.0, 41.0])})
+                               "c": runs_of([0.9, 0.9], [41.0, 41.0])}, BOUNDS)
     assert summary["b"]["against_a"]["total_s"]["lower_pairs"] == 1
     assert summary["c"]["against_a"]["total_s"]["lower_pairs"] == 2
     assert summary["c"]["against_a"]["peak_rss_mb"]["median_change"] == 1.0
@@ -72,6 +80,56 @@ def test_the_warm_up_run_is_recorded_apart_from_the_pairs(pairs, monkeypatch):
     assert [r["total_s"] for r in runs["parent"]] == [2, 5, 6]
     assert [r["total_s"] for r in runs["change"]] == [3, 4, 7]
     assert [r["seed"] for r in runs["parent"]] == [50, 51, 52]
-    summary = pairs.summarize(runs)
+    summary = pairs.summarize(runs, BOUNDS)
     assert summary["parent"]["total_s"]["median"] == 5
     assert summary["parent"]["attempted"] == 90
+
+
+def test_every_end_to_end_metric_has_a_bound_in_the_benchmark(pairs):
+    # the CPU figure is this script's own and has none
+    bounds = pairs.end_to_end_bounds()
+    assert set(bounds) == set(pairs.METRICS) - {"cpu_per_op_s"}
+    assert all(0 < bound < 1 for bound in bounds.values())
+
+
+@pytest.mark.parametrize("lower, claimed", [(9, True), (8, False)])
+def test_a_claim_needs_9_of_10_lower_pairs(pairs, lower, claimed):
+    # parent 1.00..1.09 (IQR 0.045); the change is 0.1 lower in `lower`
+    # pairs and 0.01 higher in the others, its median 0.1 lower either way
+    base = [1.0 + i / 100 for i in range(10)]
+    other = [b - 0.1 if i < lower else b + 0.01 for i, b in enumerate(base)]
+    verdict = pairs.compare(base, other, 0.25)
+    assert verdict["lower_pairs"] == lower
+    assert verdict["beyond_base_iqr"]
+    assert verdict["claim_rule_met"] is claimed
+
+
+def test_a_claim_needs_a_median_beyond_the_parents_spread(pairs):
+    # lower in 10/10 pairs, but by 0.001 against an IQR of 0.045
+    base = [1.0 + i / 100 for i in range(10)]
+    verdict = pairs.compare(base, [b - 0.001 for b in base], 0.25)
+    assert verdict["lower_pairs"] == 10 and not verdict["claim_rule_met"]
+
+
+@pytest.mark.parametrize("worse, within", [(0.249, True), (0.251, False)])
+def test_within_bound_is_the_relative_bound_on_the_median(pairs, worse, within):
+    # parent median 1.0; the change's median is 24.9% or 25.1% worse
+    base = [0.9, 1.0, 1.1]
+    verdict = pairs.compare(base, [b + worse for b in base], 0.25)
+    assert verdict["within_bound"] is within
+    assert pairs.compare(base, [b + worse for b in base], None)["within_bound"] is None
+
+
+@pytest.mark.parametrize("failed, correct, claimed", [(0, True, True), (1, True, False),
+                                                      (0, False, False)])
+def test_no_claim_for_a_side_that_fails_more_or_answers_wrong(pairs, failed, correct, claimed):
+    # the change is 0.1 lower in 10/10 pairs, against a parent IQR of 0.045
+    base = [1.0 + i / 100 for i in range(10)]
+    parent = runs_of(base, [38.0] * 10)
+    change = runs_of([t - 0.1 for t in base], [38.0] * 10, failed=failed)
+    for r in change:
+        r["correct"] = correct and not failed
+    total = pairs.summarize({"parent": parent, "change": change}, BOUNDS)["change"][
+        "against_parent"]["total_s"]
+    assert total["lower_pairs"] == 10 and total["beyond_base_iqr"]
+    assert total["claim_rule_met"] is claimed

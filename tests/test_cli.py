@@ -645,6 +645,11 @@ DIRECTORIES_MADE_FIRST = {"all-nodes-is-a-directory": ["run/nodes.txt"],
 MOMENT_FILE_NAMES = {"certify-moment-file-name-line-break": "a\nb.tsv"}
 
 
+def tree_bytes(root: Path) -> dict[Path, bytes | None]:
+    """Every path under `root`, with the bytes of each file (None for a directory)."""
+    return {path: None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
 def write_file(name: str, content: str | bytes) -> None:
     if isinstance(content, bytes):
         Path(name).write_bytes(content)
@@ -693,6 +698,16 @@ def write_file(name: str, content: str | bytes) -> None:
                  id="search-out-under-a-file"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "."],
                  ORDER_1, ONE_NODE, ".: is a directory", id="certify-report-is-a-directory"),
+    # no command writes over its own input, named by any path to it
+    pytest.param(["search", "--degree", "1", "--out", "./m.tsv"],
+                 ORDER_1, ONE_NODE, "m.tsv: is the --moments file, which it would overwrite",
+                 id="search-out-is-the-moment-file"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "nodes.txt"],
+                 ORDER_1, ONE_NODE, "nodes.txt: is the --nodes file, which it would overwrite",
+                 id="certify-report-is-the-node-file"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "m.tsv"],
+                 ORDER_1, ONE_NODE, "m.tsv: is the --moments file, which it would overwrite",
+                 id="certify-report-is-the-moment-file"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments 1\n1\t1\t2000\n", ONE_NODE,
                  "m.tsv: missing header 'tetra-moments v1'", id="certify-moment-header-bad"),
@@ -863,7 +878,7 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, reques
         name = MOMENT_FILE_NAMES.get(request.node.callspec.id, "m.tsv")
         write_file(name, moments)
         argv = argv + ["--moments", name]
-    made_first = set(tmp_path.rglob("*"))
+    made_first = tree_bytes(tmp_path)
     try:
         code = main(argv)
         out, err = capsys.readouterr()
@@ -879,4 +894,23 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, reques
     assert names in err
     assert "Fraction(" not in err
     assert "wrote" not in out and "Gauss optimum" not in out
-    assert set(tmp_path.rglob("*")) == made_first  # no file or directory made
+    assert tree_bytes(tmp_path) == made_first  # no file or directory made or changed
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard-link"])
+def test_an_output_linked_to_an_input_is_refused(tmp_path, monkeypatch, capsys, link):
+    # a link is the same file under another name: `search` must not write
+    # its nodes through it over the moment table it reads
+    monkeypatch.chdir(tmp_path)
+    write_file("m.tsv", ORDER_1)
+    try:
+        link("m.tsv", "link.tsv")
+    except (OSError, NotImplementedError) as exc:
+        pytest.skip(f"{link.__name__} unsupported here: {exc}")
+    made_first = tree_bytes(tmp_path)
+    code = main(["search", "--degree", "1", "--moments", "m.tsv", "--out", "link.tsv"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert err == "error: link.tsv: is the --moments file, which it would overwrite\n"
+    assert out == ""
+    assert tree_bytes(tmp_path) == made_first

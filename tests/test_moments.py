@@ -26,6 +26,7 @@ from oracles import (
     enumerate_compositions,
     even_moment_18,
     even_moment_triple,
+    product_kernel,
     triple_integral,
 )
 
@@ -290,37 +291,81 @@ def kernel_at(kernel, x, y):
     return sum(h * x ** a * y ** s for a, row in enumerate(kernel) for s, h in enumerate(row))
 
 
+def assert_is_product(kernel, n1, n2, n3):
+    # H[a][s] = [x^a y^s] (1 - x)^n1 (1 - y)^n2 (x - y)^n3, coefficient for
+    # coefficient as the oracle expands it from scratch; the oracle's shape
+    # and its values at integer points are the product's
+    expected = product_kernel(n1, n2, n3)
+    assert (len(expected), len(expected[0])) == (n1 + n3 + 1, n2 + n3 + 1)
+    for x, y in ((2, 3), (-1, 5), (7, -4)):
+        assert kernel_at(expected, x, y) == (1 - x) ** n1 * (1 - y) ** n2 * (x - y) ** n3
+    assert kernel == expected
+
+
+def kernel_by_steps(n1, n2, n3):
+    """The kernel of (n1, n2, n3) from (1 - x)^(n1 + n2 + n3), by n3 steps
+    with e = 1 and then n2 with e = 0."""
+    n = n1 + n2 + n3
+    kernel = [[(-1) ** a * comb(n, a)] for a in range(n + 1)]
+    for e in [1] * n3 + [0] * n2:
+        kernel = moments_mod._next_kernel(kernel, e)
+    return kernel
+
+
 @pytest.mark.parametrize("split", [(0, 0, 0), (2, 1, 1), (5, 0, 3), (4, 4, 4), (9, 3, 6),
                                    (20, 6, 14)])
 def test_kernel_is_the_product_and_updates_to_the_next_split(split):
-    # H[a][s] = [x^a y^s] (1 - x)^n1 (1 - y)^n2 (x - y)^n3, checked at
-    # integer points, and one update gives the kernel of (n1 - 1, n2 + 1, n3)
+    # one step with e = 0 gives the kernel of (n1 - 1, n2 + 1, n3), and one
+    # with e = 1 that of (n1 - 1, n2, n3 + 1)
     n1, n2, n3 = split
-    kernel = moments_mod._kernel(n1, n2, n3)
-    assert (len(kernel), len(kernel[0])) == (n1 + n3 + 1, n2 + n3 + 1)
-    for x, y in ((2, 3), (-1, 5), (7, -4)):
-        assert kernel_at(kernel, x, y) == (1 - x) ** n1 * (1 - y) ** n2 * (x - y) ** n3
+    kernel = kernel_by_steps(n1, n2, n3)
+    assert_is_product(kernel, n1, n2, n3)
     if n1:
-        assert moments_mod._next_kernel(kernel) == moments_mod._kernel(n1 - 1, n2 + 1, n3)
+        assert_is_product(moments_mod._next_kernel(kernel, 0), n1 - 1, n2 + 1, n3)
+        assert_is_product(moments_mod._next_kernel(kernel, 1), n1 - 1, n2, n3 + 1)
+
+
+def test_the_route_sums_the_product_kernel_of_every_split(monkeypatch):
+    # every kernel `even_moment_fast` passes to `_split_sum` is its split's,
+    # the first and last split of each column included, and each split
+    # n1 >= n2 >= n3 is summed once
+    split_sum, seen = moments_mod._split_sum, []
+
+    def checked(table, kernel, n1, n2, n3):
+        assert_is_product(kernel, n1, n2, n3)
+        seen.append((n1, n2, n3))
+        return split_sum(table, kernel, n1, n2, n3)
+
+    monkeypatch.setattr(moments_mod, "_split_sum", checked)
+    for k in range(1, 9):
+        seen.clear()
+        assert even_moment_fast(k) == Fraction(*moments_mod.PINNED_MOMENTS[k - 1])
+        assert sorted(seen) == sorted((2 * k - n2 - n3, n2, n3)
+                                      for n3 in range(2 * k + 1) for n2 in range(n3, 2 * k + 1)
+                                      if 2 * k - n2 - n3 >= n2), k
 
 
 def test_a_wrong_kernel_update_is_an_integrity_error(monkeypatch):
     # a kernel that (1 - x) does not divide leaves a nonzero top row, in the
-    # helper and in the route
-    kernel = moments_mod._kernel(4, 1, 1)
+    # helper and in the route, where a wrong column step is caught by the
+    # division that follows it
+    kernel = kernel_by_steps(4, 1, 1)
     kernel[2][1] += 1
     with pytest.raises(MomentIntegrityError, match=r"not divisible by \(1 - x\)"):
-        moments_mod._next_kernel(kernel)
-    start = moments_mod._kernel
+        moments_mod._next_kernel(kernel, 0)
+    step, bumped = moments_mod._next_kernel, []
 
-    def bumped(n1, n2, n3):
-        kernel = start(n1, n2, n3)
-        kernel[0][-1] += 1
-        return kernel
+    def bump_first_column_step(kernel, e):
+        out = step(kernel, e)
+        if e and not bumped:
+            out[0][-1] += 1
+            bumped.append(e)
+        return out
 
-    monkeypatch.setattr(moments_mod, "_kernel", bumped)
+    monkeypatch.setattr(moments_mod, "_next_kernel", bump_first_column_step)
     with pytest.raises(MomentIntegrityError, match=r"not divisible by \(1 - x\)"):
-        even_moment_fast(3)
+        even_moment_fast(4)
+    assert bumped
 
 
 def test_moment_decay_invariants(table13):
