@@ -27,8 +27,11 @@ the first side's interquartile range and two verdicts: `claim_rule_met`,
 lower in at least 9 of 10 pairs and in the median by more than that range,
 with no more failed operations than the first side and every run correct,
 and `within_bound`, a median worse than the first side's by no more than
-the metric's relative bound in BENCHMARK.json (null for `cpu_per_op_s`,
-which has none); each tree's `src/tetravol` sha256 and the machine.  The
+the metric's relative bound in BENCHMARK.json, and `resolved`, whether
+that bound can tell at all: the first side's interquartile range is at
+most the bound times its median, or every run of the later side is below
+every run of the first (both null for `cpu_per_op_s`, which has no
+bound); each tree's `src/tetravol` sha256 and the machine.  The
 bounds are read from the BENCHMARK.json beside `bench/`, never written.
 Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
@@ -95,7 +98,10 @@ def compare(base: list[float], other: list[float], bound: float | None) -> dict:
     must pass to stand out of base's spread.  `claim_rule_met`: lower in at
     least 9/10 of the pairs and in the median by more than that range.
     `within_bound`: the median is worse by no more than `bound` times
-    base's, or None without a bound."""
+    base's, or None without a bound.  `resolved`: the bound is no narrower
+    than base's own spread (its interquartile range is at most `bound`
+    times its median), or every run of `other` is below every run of base;
+    None without a bound."""
     q1, _, q3 = harness.quartiles(base, DIGITS)
     median = statistics.median(base)
     change = statistics.median(other) - median
@@ -106,7 +112,9 @@ def compare(base: list[float], other: list[float], bound: float | None) -> dict:
             "base_iqr": round(q3 - q1, DIGITS),
             "beyond_base_iqr": abs(change) > q3 - q1,
             "claim_rule_met": 10 * lower >= 9 * len(base) and -change > q3 - q1,
-            "within_bound": None if bound is None else change <= bound * median}
+            "within_bound": None if bound is None else change <= bound * median,
+            "resolved": None if bound is None else (q3 - q1 <= bound * median
+                                                    or max(other) < min(base))}
 
 
 def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:

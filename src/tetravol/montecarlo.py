@@ -7,15 +7,15 @@ representative body is 6^(1/3) T_o so volumes need no rescaling.
 Sampling is Dirichlet(1,1,1,1) barycentric: four unit exponentials normalized
 to sum one are uniform over a simplex.  Streams are counter-based (Philox
 keyed by the seed, one disjoint counter block per fixed-size sample block),
-so the blocks are independent: they run on one plain thread per usable CPU
-(numpy's generator and ufuncs release the interpreter lock), each thread
-taking the next block index when it finishes a block, and their sums are
-reduced in block-index order.  A given (seed, N, mode, power) yields
-bit-identical results for any worker count.  `estimate` starts and joins
-the threads itself: a `concurrent.futures` pool would load that package,
-`logging` and `queue` for nothing.  No kernel here calls BLAS, so the
-`tetravol mc` command, not this module, sets OpenBLAS to one thread before
-numpy loads, and no OpenBLAS server thread runs beside the sample threads.
+so the blocks are independent: the calling thread and one plain helper
+thread per further usable CPU run them (numpy's generator and ufuncs release
+the interpreter lock), each taking the next block index when it finishes a
+block, and their sums are reduced in block-index order.  A given (seed, N,
+mode, power) yields bit-identical results for any worker count.  A
+`concurrent.futures` pool would load that package, `logging` and `queue`
+for nothing.  No kernel here calls BLAS, so the `tetravol mc` command, not
+this module, sets OpenBLAS to one thread before numpy loads, and no
+OpenBLAS server thread runs beside the workers.
 
 A block is computed in chunks of _CHUNK_SIZE samples, in buffers allocated
 once per block: each chunk is drawn into one buffer, its row sums and points
@@ -168,9 +168,8 @@ def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResul
         raise ValueError(f"seed {seed} is outside [0, 2**128)")
 
     n_blocks = -(-n_samples // BLOCK_SIZE)
-    # sums[:, i]: the two sums of block i, stored by whichever thread ran it.
-    # Each thread takes the next block index from a shared iterator, so the
-    # bookkeeping grows with the threads, not with the blocks.
+    # sums[:, i]: block i's two sums.  The workers take indices from a shared
+    # iterator, so beyond sums the bookkeeping grows with the workers alone.
     sums = np.empty((2, n_blocks))
     blocks = iter(range(n_blocks))
     next_block = threading.Lock()
@@ -179,7 +178,7 @@ def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResul
     def work() -> None:
         try:
             while True:
-                with next_block:  # after a failure, no thread starts a block
+                with next_block:  # after a failure, no worker starts a block
                     index = None if errors else next(blocks, None)
                 if index is None:
                     return
@@ -188,17 +187,18 @@ def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResul
         except BaseException as exc:  # re-raised by estimate, once all are joined
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), n_blocks))]
-    for thread in threads:
-        thread.start()
-    try:
-        for thread in threads:  # no thread outlives estimate
-            thread.join()
-    except BaseException as exc:  # an interrupt: the threads take no more blocks
+    # the calling thread works too, beside one helper per further usable CPU
+    helpers = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), n_blocks) - 1)]
+    try:  # an interrupt while the helpers start stops the ones started
+        for helper in helpers:
+            helper.start()
+        work()
+    except BaseException as exc:  # an interrupt: the workers take no more blocks
         errors.append(exc)
-        for thread in threads:
-            thread.join()
         raise
+    finally:  # every helper that started ends before estimate does
+        for helper in filter(threading.Thread.is_alive, helpers):
+            helper.join()
     if errors:
         raise errors[0]
 

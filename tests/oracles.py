@@ -45,8 +45,12 @@ For the Monte Carlo cross-check it keeps the whole-block sample kernel
 vertices of the unit-volume body (`UNIT_TETRA_VERTICES`) and the volume of
 a tetrahedron (`tetra_volume`) for the statistical checks of the samples.
 
-The paper's published seven nodes (`REFERENCE_NODES`) are read from the
-`nodes:` line of the golden reference certificate, which defines them.
+The paper's published seven nodes (`REFERENCE_NODES`) and their exact
+bound (`REFERENCE_BOUND`) are read from the `nodes:` and `bound:` lines of
+the golden reference certificate, which defines them.  The target's own
+reference is an enclosure of pi^2 from the Basel series
+(`basel_pi_squared`), which shares nothing with the library's Machin
+formula.
 """
 
 from __future__ import annotations
@@ -64,11 +68,14 @@ Exponent3 = tuple[int, int, int]
 
 #: the published seven-node set whose certificate reproduces the bound
 #: 0.0173791..., as the golden reference certificate states it
-REFERENCE_NODES = next(
-    tuple(Fraction(token) for token in line.split()[1:])
-    for line in (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-                 / "reference-certificate.txt").read_text().splitlines()
-    if line.startswith("nodes: "))
+_REFERENCE_LINES = (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+                    / "reference-certificate.txt").read_text().splitlines()
+REFERENCE_NODES = next(tuple(Fraction(token) for token in line.split()[1:])
+                       for line in _REFERENCE_LINES if line.startswith("nodes: "))
+
+#: the exact bound E P(V) that the golden reference certificate states
+REFERENCE_BOUND = next(Fraction(line.split()[1])
+                       for line in _REFERENCE_LINES if line.startswith("bound: "))
 
 #: variable order of the exponent 9-tuple (l1, m1, n1, l2, m2, n2, l3, m3, n3)
 VAR_NAMES = ("x1", "y1", "z1", "x2", "y2", "z2", "x3", "y3", "z3")
@@ -567,6 +574,19 @@ def atom_law(n: int, seed: int) -> Law:
     weights = [Fraction(w, sum(raw)) for w in raw]
     return Law(lambda k: sum(w * x ** (2 * k) for x, w in zip(atoms, weights)),
                sum(w * x for x, w in zip(atoms, weights)), atoms)
+
+
+# ---------------------------------------------------------------------------
+# target reference: pi^2 from the Basel series
+# ---------------------------------------------------------------------------
+
+def basel_pi_squared(n: int) -> tuple[Fraction, Fraction]:
+    """An enclosure (lo, hi) of pi^2 from pi^2/6 = sum_k 1/k^2 alone.  With
+    S = sum_{k <= n} 1/k^2, the tail sum_{k > n} 1/k^2 lies strictly between
+    the telescoping sums of 1/(k (k + 1)) and of 1/((k - 1) k) over k > n,
+    which are 1/(n + 1) and 1/n, so S + 1/(n + 1) < pi^2/6 < S + 1/n."""
+    s = sum(Fraction(1, k * k) for k in range(1, n + 1))
+    return 6 * (s + Fraction(1, n + 1)), 6 * (s + Fraction(1, n))
 
 
 #: the unit-volume body 6^(1/3) T_o whose points `tetravol.montecarlo` samples

@@ -41,14 +41,15 @@ def test_summary_of_fixed_pairs(pairs):
     # lower in pairs 2, 4 and 5; medians 0.65 against 0.70; parent IQR 0.8 - 0.6
     assert total == {"lower_pairs": 3, "pairs": 5, "median_change": -0.05,
                      "median_change_pct": -7.14, "base_iqr": 0.2, "beyond_base_iqr": False,
-                     "claim_rule_met": False, "within_bound": True}
+                     "claim_rule_met": False, "within_bound": True, "resolved": False}
     rss = summary["change"]["against_parent"]["peak_rss_mb"]
     # lower in all but pair 5; medians 38.1 against 38.9; parent IQR 38.9 - 38.8
     assert rss == {"lower_pairs": 4, "pairs": 5, "median_change": -0.8,
                    "median_change_pct": -2.06, "base_iqr": 0.1, "beyond_base_iqr": True,
-                   "claim_rule_met": False, "within_bound": True}
+                   "claim_rule_met": False, "within_bound": True, "resolved": True}
     # cpu_per_op_s has no bound
-    assert summary["change"]["against_parent"]["cpu_per_op_s"]["within_bound"] is None
+    cpu = summary["change"]["against_parent"]["cpu_per_op_s"]
+    assert cpu["within_bound"] is None and cpu["resolved"] is None
 
 
 def test_every_later_side_is_compared_with_the_first(pairs):
@@ -118,6 +119,19 @@ def test_within_bound_is_the_relative_bound_on_the_median(pairs, worse, within):
     verdict = pairs.compare(base, [b + worse for b in base], 0.25)
     assert verdict["within_bound"] is within
     assert pairs.compare(base, [b + worse for b in base], None)["within_bound"] is None
+
+
+@pytest.mark.parametrize("base, other, resolved", [
+    # parent IQR 0.3 (0.85..1.15) against a bound of 0.25 x 1.0: too wide
+    ([0.7, 0.85, 1.0, 1.15, 1.3], [0.69, 0.84, 0.99, 1.14, 1.29], False),
+    # as wide, but every run of the change is below every run of the parent
+    ([0.7, 0.85, 1.0, 1.15, 1.3], [0.5, 0.55, 0.6, 0.65, 0.69], True),
+    # parent IQR 0.1 (0.95..1.05), within the bound
+    ([0.9, 0.95, 1.0, 1.05, 1.1], [1.2, 1.3, 1.4, 1.5, 1.6], True),
+])
+def test_a_spread_wider_than_the_bound_is_unresolved(pairs, base, other, resolved):
+    assert pairs.compare(base, other, 0.25)["resolved"] is resolved
+    assert pairs.compare(base, other, None)["resolved"] is None
 
 
 @pytest.mark.parametrize("failed, correct, claimed", [(0, True, True), (1, True, False),

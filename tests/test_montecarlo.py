@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -146,8 +147,8 @@ def test_estimate_raises_a_blocks_exception_after_joining_every_thread(monkeypat
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
 def test_an_interrupt_stops_estimate_after_the_blocks_in_hand():
-    """Ctrl-C while estimate waits for its threads: they finish the blocks
-    in hand and take no more, and the interrupt reaches the caller.  Before,
+    """Ctrl-C while the workers run blocks: they finish the blocks in hand
+    and take no more, and the interrupt reaches the caller.  Before,
     the threads ran every remaining block first, here 10**6 blocks of 10 ms.
     (An interrupted join can mark a thread as stopped while it finishes its
     block, so the test counts blocks, not threads.)"""
@@ -179,6 +180,52 @@ else:
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
+
+
+def test_an_interrupt_while_helpers_start_leaves_no_thread_running(monkeypatch):
+    """Ctrl-C as the second helper starts: the first, already taking
+    blocks, takes no more and is joined before the interrupt reaches the
+    caller.  Started outside the guard, it ran every block of 2 ms left."""
+    starts = [0]
+
+    class Thread(threading.Thread):
+        def start(self):
+            starts[0] += 1
+            if starts[0] == 2:
+                raise KeyboardInterrupt
+            super().start()
+
+    def stub(seed, index, count, mode, power):
+        time.sleep(0.002)
+        return float(count), 1.0
+
+    monkeypatch.setattr(montecarlo.threading, "Thread", Thread)
+    monkeypatch.setattr(montecarlo, "_block_sums", stub)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    before = threading.enumerate()
+    with pytest.raises(KeyboardInterrupt):
+        estimate(MODE_CENTROID, 1, 2000 * BLOCK_SIZE, seed=1)
+    assert threading.enumerate() == before
+
+
+def test_one_usable_cpu_runs_every_block_on_the_calling_thread(monkeypatch):
+    """The calling thread is a worker: with one usable CPU it runs every
+    block and no thread starts; with three, at most three threads run
+    blocks, the caller and two helpers."""
+    runners = set()
+
+    def stub(seed, index, count, mode, power):
+        runners.add(threading.current_thread())
+        return float(count), 1.0
+
+    monkeypatch.setattr(montecarlo, "_block_sums", stub)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    assert estimate(MODE_CENTROID, 1, 50 * BLOCK_SIZE, seed=1).mean == 1.0
+    assert runners == {threading.current_thread()}
+    runners.clear()
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    assert estimate(MODE_CENTROID, 1, 50 * BLOCK_SIZE, seed=1).mean == 1.0
+    assert len(runners) <= 3
 
 
 def test_estimate_runs_every_block_once_under_contention(monkeypatch):

@@ -11,6 +11,8 @@ from tetravol.rational import (
     target_enclosure,
 )
 
+from oracles import REFERENCE_BOUND, basel_pi_squared
+
 
 def test_pi_squared_enclosure():
     enc = pi_squared_enclosure()
@@ -60,3 +62,19 @@ def test_fraction_to_decimal():
 def test_pi_digits_against_math_pi():
     enc = pi_squared_enclosure()
     assert abs(float((enc.lo + enc.hi) / 2) - math.pi**2) < 1e-12
+
+
+def test_the_target_agrees_with_the_basel_enclosure():
+    """pi^2 by another series, in the oracle's own arithmetic: Machin's
+    enclosure lies inside Basel's at n = 300, the two enclosures of
+    13/720 - pi^2/15015 overlap, Basel's (4.4e-9 wide) is no tighter, and
+    the reference certificate's bound (1.91e-5 below) lies under its lo."""
+    basel_lo, basel_hi = basel_pi_squared(300)
+    pi2 = pi_squared_enclosure()
+    assert basel_lo <= pi2.lo <= pi2.hi <= basel_hi
+    basel = RationalInterval(Fraction(13, 720) - basel_hi / 15015,
+                             Fraction(13, 720) - basel_lo / 15015)
+    target = target_enclosure()
+    assert max(basel.lo, target.lo) <= min(basel.hi, target.hi)
+    assert basel.width >= target.width
+    assert REFERENCE_BOUND < basel.lo
