@@ -14,16 +14,20 @@ run every `__pycache__` under its tree is removed and the run gets
 PYTHONDONTWRITEBYTECODE=1, so each run compiles its side's source afresh.
 
 A run records the three end-to-end metrics, the operations attempted and
-failed, and its CPU per operation: the user and system time of the run and
+failed, the passes it fitted into its seconds (`passes=N` on the summary
+line of `perfbench/run.py`: `peak_rss_mb` on `cold-reproduce` and
+`warm-certify-sweep` reads the harness's memory, which grows with each
+pass), and its CPU per operation: the user and system time of the run and
 of every process it waited for (RUSAGE_CHILDREN, read around the run),
 over the operations attempted.  That figure includes the CPU of the
 benchmark's own harness and gate, so a change to either moves it on one
 side only; it is recorded beside the metrics, not gated.
 
 The JSON holds every run, the warm-up under `warmup`; per side and metric
-the median and outer quartiles; per later side and metric, against the
-first side, the pairs in which it is lower, the difference of the medians,
-the first side's interquartile range and two verdicts: `claim_rule_met`,
+the median and outer quartiles, and the median passes per run; per later
+side and metric, against the first side, the pairs in which it is lower,
+the difference of the medians, the first side's interquartile range and
+three verdicts: `claim_rule_met`,
 lower in at least 9 of 10 pairs and in the median by more than that range,
 with no more failed operations than the first side and every run correct,
 and `within_bound`, a median worse than the first side's by no more than
@@ -41,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import resource
 import shutil
 import statistics
@@ -79,7 +84,8 @@ def run(tree: str, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
-    return {"seed": seed, "correct": result["correct"],
+    passes = re.search(r"^\S+ seed=\S+ passes=(\d+) ", proc.stdout, re.MULTILINE)
+    return {"seed": seed, "correct": result["correct"], "passes": int(passes[1]),
             "attempted": result["attempted"], "failed": result["failed"],
             **{name: round(m["value"], 6) for name, m in result["metrics"].items()},
             "cpu_s": round(cpu, 4),
@@ -119,16 +125,17 @@ def compare(base: list[float], other: list[float], bound: float | None) -> dict:
 
 def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
     """Per side and metric, the median and outer quartiles over its runs,
-    and the comparison of every later side with the first under the
-    metrics' `bounds`, where no claim holds for a side that fails more
-    operations than the first or is not all correct; `runs` lists each
-    side's runs in pair order."""
+    the median passes per run, and the comparison of every later side with
+    the first under the metrics' `bounds`, where no claim holds for a side
+    that fails more operations than the first or is not all correct; `runs`
+    lists each side's runs in pair order."""
     labels = list(runs)
     first = labels[0]
     out = {}
     for label in labels:
         entry = {name: harness.summary([r[name] for r in runs[label]], DIGITS)
                  for name in METRICS}
+        entry["passes_median"] = statistics.median(r["passes"] for r in runs[label])
         entry["attempted"] = sum(r["attempted"] for r in runs[label])
         entry["failed"] = sum(r["failed"] for r in runs[label])
         entry["all_correct"] = all(r["correct"] for r in runs[label])
@@ -155,7 +162,8 @@ def collect(sides: list[tuple[str, str]], workload: str, pairs: int,
         runs[label].append(run(tree, workload, seed + i))
         r = runs[label][-1]
         print(f"pair {i + 1} {label}: total_s {r['total_s']:.4f} peak_rss_mb "
-              f"{r['peak_rss_mb']:.2f} cpu_per_op_s {r['cpu_per_op_s']:.4f}",
+              f"{r['peak_rss_mb']:.2f} passes {r['passes']} "
+              f"cpu_per_op_s {r['cpu_per_op_s']:.4f}",
               file=sys.stderr)
     return warmup, runs
 

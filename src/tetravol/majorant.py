@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise, takewhile
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -186,16 +185,16 @@ def _require_orders(moments: MomentTable, degree: int | None = None,
     """Raise MomentOrderError naming the orders that `moments` lacks and an
     even polynomial of degree `degree` in x needs, E V^(2i) for
     i <= degree/2, or the majorant on n `nodes`: orders 1..2n - 1, those its
-    n-point Gauss rule in t = x^2 is exact for.  The orders are walked once
-    and a run of three or more missing ones is written a..b, so time and
-    message grow with the table."""
+    n-point Gauss rule in t = x^2 is exact for.  A table holds the orders
+    1..K, so the missing ones are K + 1..top, written a..b when there are
+    three or more: one comparison, whatever the degree."""
     top = degree // 2 if nodes is None else 2 * nodes - 1
-    have = [0, *takewhile(lambda k: k <= top, moments.orders()), top + 1]
-    missing = [", ".join(map(str, range(a + 1, b))) if b - a <= 3 else f"{a + 1}..{b - 1}"
-               for a, b in pairwise(have) if b - a > 1]
-    if missing:
+    have = len(moments.values)
+    if top > have:
+        missing = (", ".join(map(str, range(have + 1, top + 1))) if top - have <= 2
+                   else f"{have + 1}..{top}")
         raise MomentOrderError(
-            f"moment table lacks orders [{', '.join(missing)}] needed for "
+            f"moment table lacks orders [{missing}] needed for "
             + (f"degree {degree}" if nodes is None else f"{nodes} node" + "s" * (nodes > 1)))
 
 

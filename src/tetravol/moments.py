@@ -43,7 +43,9 @@ with the fast route and requires it to equal the pin for k <=
 VERIFY_ORDER_MAX before it returns; it reads and writes no file.
 `_cache_text` is the one definition of the moment file format:
 `MomentTable.write` writes it, atomically, and `MomentTable.read` accepts a
-file only if it is that text for the values read from it.
+file only if it is that text for the values read from it.  A table holds
+the orders 1..K: the verdict needs a prefix of the moments, and a gap is
+refused where a table is built or read, naming the first missing order.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, groupby, zip_longest
 from math import comb, factorial
 from operator import add, mul, sub
 from pathlib import Path
@@ -72,7 +74,7 @@ class MomentCacheError(ValueError):
 
 class MomentIntegrityError(ValueError):
     """A moment disagrees with its pinned direct-enumerator value, or a table
-    breaks the bounds that the moments of V obey."""
+    skips an order or breaks the bounds that the moments of V obey."""
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +273,12 @@ VERIFY_ORDER_MAX = len(PINNED_MOMENTS)
 class MomentTable:
     """Map k -> E V^(2k) with a provenance tag per entry.
 
-    Orders must be at least 1 (E V^0 = 1 is implied, never stored).  Entries
-    must be strictly positive, decreasing, and bounded by (1/3)^(2k) (the
-    pinned simplex volume never exceeds 1/3).
+    The orders are exactly 1..K with K >= 0, as every producer writes them
+    (E V^0 = 1 is implied, never stored); the first order out of sequence is
+    refused before any other check on it, so the check of order k never
+    costs more than the k entries before it.  Entries must be strictly
+    positive, decreasing, and bounded by (1/3)^(2k) (the pinned simplex
+    volume never exceeds 1/3).
     """
 
     def __init__(self, values: dict[int, Fraction],
@@ -284,18 +289,14 @@ class MomentTable:
 
     def _validate(self) -> None:
         prev = None
-        for k in sorted(self.values):
+        for expected, k in enumerate(sorted(self.values), start=1):
+            if k != expected:
+                raise MomentIntegrityError(f"moment orders must run 1..K: the table "
+                                           f"has order {k} where order {expected} belongs")
             v = self.values[k]
-            if k < 1:
-                raise MomentIntegrityError(f"moment order {k} is below 1")
             if v <= 0:
                 raise MomentIntegrityError(f"moment k={k} is not positive: {v}")
-            # v > (1/3)^(2k) = 9^-k.  As 9^k >= 2^(3k), a denominator of at
-            # most bitlen(num) - 1 + 3k bits settles it without 9^k; past
-            # that, 9^k has at most about as many bits as den, so the exact
-            # test costs no more than the size of the input
-            num, den = v.numerator, v.denominator
-            if den.bit_length() <= num.bit_length() - 1 + 3 * k or num * 9 ** k > den:
+            if v.numerator * 9 ** k > v.denominator:
                 raise MomentIntegrityError(f"moment k={k} exceeds (1/3)^(2k): {v}")
             if prev is not None and v >= prev:
                 raise MomentIntegrityError(f"moments not decreasing at k={k}")
@@ -308,24 +309,11 @@ class MomentTable:
         return sorted(self.values)
 
     def provenance_summary(self) -> str:
-        """Compact per-source order ranges, e.g. 'direct:1-4 fast:5-13'."""
-        by_tag: dict[str, list[int]] = {}
-        for k in sorted(self.values):
-            by_tag.setdefault(self.provenance.get(k, "unknown"), []).append(k)
+        """One order range per run of equal tags, e.g. 'direct:1-13 fast:14-20'."""
         parts = []
-        for tag in sorted(by_tag):
-            ks = by_tag[tag]
-            runs = []
-            start = prev = ks[0]
-            for k in ks[1:]:
-                if k == prev + 1:
-                    prev = k
-                    continue
-                runs.append((start, prev))
-                start = prev = k
-            runs.append((start, prev))
-            spans = ",".join(f"{a}-{b}" if a != b else f"{a}" for a, b in runs)
-            parts.append(f"{tag}:{spans}")
+        for tag, run in groupby(self.orders(), lambda k: self.provenance.get(k, "unknown")):
+            first, *rest = run
+            parts.append(f"{tag}:{first}-{rest[-1]}" if rest else f"{tag}:{first}")
         return " ".join(parts)
 
     def write(self, path: str | Path) -> None:
@@ -346,7 +334,9 @@ class MomentTable:
         """The table in `path` if the file is exactly `_cache_text` of the
         values on its lines that read as three integers k, num, den (E V^(2k)
         = num/den); else the first line that differs is refused as
-        `path:line`.  A byte that is not UTF-8 reads as U+FFFD."""
+        `path:line`.  A byte that is not UTF-8 reads as U+FFFD.  A file whose
+        orders do not run 1..K is refused naming `path` and the first missing
+        order."""
         text = Path(path).read_bytes().decode("utf-8", "replace")
         if text.split("\n", 1)[0] != CACHE_HEADER:
             raise MomentCacheError(f"{path}: missing header {CACHE_HEADER!r}")

@@ -66,7 +66,6 @@ def _atan_inv_interval(x: int, eps: Fraction) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
-@functools.lru_cache(maxsize=1)
 def pi_squared_enclosure() -> RationalInterval:
     """Rational interval of width <= 10^-12 provably containing pi^2.
 

@@ -2,6 +2,7 @@
 
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,9 @@ BOUNDS = {"setup_s": 0.25, "total_s": 0.25, "peak_rss_mb": 0.1}
 
 
 def runs_of(total_s, peak_rss_mb, failed=0):
-    return [{"seed": 100 + i, "correct": failed == 0, "attempted": 30, "failed": failed,
+    # a run of total_s t fits about 10 / t passes into its 10 seconds
+    return [{"seed": 100 + i, "correct": failed == 0, "passes": round(10 / t),
+             "attempted": 30, "failed": failed,
              "setup_s": 0.1, "total_s": t, "peak_rss_mb": m, "cpu_per_op_s": t / 3}
             for i, (t, m) in enumerate(zip(total_s, peak_rss_mb))]
 
@@ -34,6 +37,9 @@ def test_summary_of_fixed_pairs(pairs):
     assert summary["parent"]["cpu_per_op_s"]["median"] == round(0.7 / 3, 4)
     assert (summary["parent"]["attempted"], summary["parent"]["failed"]) == (150, 0)
     assert (summary["change"]["attempted"], summary["change"]["failed"]) == (150, 5)
+    # passes 20, 14, 17, 12, 11 and 18, 17, 15, 14, 13
+    assert summary["parent"]["passes_median"] == 14
+    assert summary["change"]["passes_median"] == 15
     assert summary["parent"]["all_correct"] and not summary["change"]["all_correct"]
     assert "against_parent" not in summary["parent"]
 
@@ -147,3 +153,19 @@ def test_no_claim_for_a_side_that_fails_more_or_answers_wrong(pairs, failed, cor
         "against_parent"]["total_s"]
     assert total["lower_pairs"] == 10 and total["beyond_base_iqr"]
     assert total["claim_rule_met"] is claimed
+
+
+def test_a_run_records_the_passes_of_the_benchmarks_summary_line(pairs, monkeypatch,
+                                                                 tmp_path):
+    # the last lines `perfbench/run.py` prints, with the metrics cut to two
+    stdout = ("warm-certify-sweep seed=7 passes=31 ops=3255 failed=0 "
+              "result=/tmp/x/result.json\n"
+              "  setup_s                               0.05 s      n=6\n"
+              '{"correct": true, "attempted": 3255, "failed": 0, "metrics": '
+              '{"setup_s": {"value": 0.05, "unit": "s"}, '
+              '"peak_rss_mb": {"value": 38.5, "unit": "MB"}}}\n')
+    monkeypatch.setattr(pairs.subprocess, "run", lambda *args, **kwargs: SimpleNamespace(
+        returncode=0, stdout=stdout, stderr=""))
+    r = pairs.run(str(tmp_path), "warm-certify-sweep", 7)
+    assert (r["seed"], r["passes"], r["attempted"], r["failed"]) == (7, 31, 3255, 0)
+    assert (r["setup_s"], r["peak_rss_mb"]) == (0.05, 38.5)

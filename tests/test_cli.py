@@ -554,13 +554,17 @@ def moments_without_order_3(moments13_file, tmp_path):
     return path
 
 
+#: what `search` and `certify` print for the k <= 13 file without order 3
+GAP_AT_3 = "moment orders must run 1..K: the table has order 4 where order 3 belongs"
+
+
 def test_search_names_a_missing_order(moments_without_order_3, tmp_path, capsys):
     out = tmp_path / "n.txt"
     rc = main(["search", "--degree", "13", "--moments", str(moments_without_order_3),
                "--out", str(out)])
     assert rc == EXIT_ERROR
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: moment table lacks orders [3] ")
+    assert captured.err == f"error: {moments_without_order_3}: {GAP_AT_3}\n"
     assert "Gauss optimum" not in captured.out
     assert not out.exists()
 
@@ -574,7 +578,7 @@ def test_certify_names_a_missing_order_without_quotes(moments_without_order_3,
                str(moments_without_order_3), "--report", str(report)])
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err == "error: moment table lacks orders [3] needed for 7 nodes\n"
+    assert err == f"error: {moments_without_order_3}: {GAP_AT_3}\n"
     assert not report.exists()
 
 
@@ -784,13 +788,15 @@ def write_file(name: str, content: str | bytes) -> None:
     pytest.param(["search", "--degree", "1", "--out", "n.txt"],
                  "tetra-moments v1\n1\t1\t9\n", ONE_NODE, "no 1-point Gauss rule",
                  id="search-moment-at-the-cap"),
-    # the cap test must not build 3^(2k) for a huge order from the file
+    # a gap is refused before 9^k is built for the huge order after it
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1 + "100000000\t1\t7\n", ONE_NODE,
-                 "k=100000000 exceeds (1/3)^(2k)", id="certify-order-huge"),
+                 "m.tsv: moment orders must run 1..K: the table has order 100000000 "
+                 "where order 2 belongs", id="certify-order-huge"),
     pytest.param(["search", "--degree", "1", "--out", "n.txt"],
                  ORDER_1 + "100000000\t1\t7\n", ONE_NODE,
-                 "k=100000000 exceeds (1/3)^(2k)", id="search-order-huge"),
+                 "m.tsv: moment orders must run 1..K: the table has order 100000000 "
+                 "where order 2 belongs", id="search-order-huge"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "1/5\n1/0\n", "nodes.txt:2", id="certify-node-1-over-0"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
@@ -879,6 +885,7 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, reques
         write_file(name, moments)
         argv = argv + ["--moments", name]
     made_first = tree_bytes(tmp_path)
+    start = time.perf_counter()
     try:
         code = main(argv)
         out, err = capsys.readouterr()
@@ -889,6 +896,7 @@ def test_bad_input_exits_1_with_error_line(tmp_path, monkeypatch, capsys, reques
         # the command's own usage, unrecognized arguments included
         assert usage.startswith(f"usage: tetravol {argv[0]} ")
         err = err.split(": ", 1)[1]  # drop the "tetravol CMD" prefix
+    assert time.perf_counter() - start < 1  # every refusal comes at once
     assert code == EXIT_ERROR
     assert err.startswith("error: ")
     assert names in err

@@ -117,17 +117,19 @@ def test_expected_value_missing_order_lists_it():
         expected_value(p, table)
 
 
-@pytest.mark.parametrize("orders, need, message", [
-    pytest.param((1, 2, 5), {"nodes": 5}, "[3, 4, 6..9] needed for 5 nodes", id="5-nodes"),
-    pytest.param((1, 2, 5), {"degree": 12}, "[3, 4, 6] needed for degree 12", id="degree-12"),
-    pytest.param((2, 3), {"nodes": 1}, "[1] needed for 1 node", id="1-node-no-order-1"),
-    pytest.param((1, 2, 5), {"nodes": 1}, None, id="1-node-covered"),
-    pytest.param(range(1, 13), {"nodes": 7}, "[13] needed for 7 nodes", id="k-max-12"),
+@pytest.mark.parametrize("top, need, message", [
+    pytest.param(2, {"nodes": 5}, "[3..9] needed for 5 nodes", id="5-nodes"),
+    pytest.param(2, {"degree": 12}, "[3..6] needed for degree 12", id="degree-12"),
+    pytest.param(0, {"nodes": 1}, "[1] needed for 1 node", id="1-node-no-order-1"),
+    pytest.param(2, {"nodes": 1}, None, id="1-node-covered"),
+    pytest.param(12, {"nodes": 7}, "[13] needed for 7 nodes", id="k-max-12"),
+    pytest.param(11, {"nodes": 7}, "[12, 13] needed for 7 nodes", id="k-max-11"),
 ])
-def test_require_orders_names_the_missing_runs(table13, orders, need, message):
+def test_require_orders_names_the_missing_runs(table13, top, need, message):
     # one rule for a polynomial's degree and for a node count: n nodes need
-    # orders 1..2n - 1; runs of three or more missing orders read a..b
-    moments = MomentTable({k: table13[k] for k in orders})
+    # orders 1..2n - 1; a table of orders 1..top lacks top + 1 onwards, and
+    # three or more missing orders read a..b
+    moments = MomentTable({k: table13[k] for k in range(1, top + 1)})
     if message is None:
         _require_orders(moments, **need)
         return

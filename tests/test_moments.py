@@ -281,10 +281,9 @@ def test_fast_equals_the_triple_sum_slow():
 ORDERS_14_20_SHA256 = "f56bee0ddfe8062f7289d1bafda3f28afb303db99495b94377b4a656abf09ba2"
 
 
-def test_fast_orders_14_to_20_match_the_triple_sum(tmp_path):
-    path = tmp_path / "m.tsv"
-    MomentTable({k: even_moment_fast(k) for k in range(14, 21)}).write(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == ORDERS_14_20_SHA256
+def test_fast_orders_14_to_20_match_the_triple_sum():
+    text = moments_mod._cache_text({k: even_moment_fast(k) for k in range(14, 21)})
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDERS_14_20_SHA256
 
 
 def kernel_at(kernel, x, y):
@@ -391,10 +390,10 @@ def test_cache_round_trip(tmp_path, table13):
     assert (tmp_path / "second.tsv").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("orders", [None, range(1, 21), [*range(1, 14), 15]],
-                         ids=["golden", "1-20", "1-13,15"])
+@pytest.mark.parametrize("orders", [None, range(1, 21), range(1, 16)],
+                         ids=["golden", "1-20", "1-15"])
 def test_read_gives_back_the_table_write_wrote(tmp_path, orders):
-    # the golden file, the orders past the pins and a gap in the orders
+    # the golden file and two runs of orders past the pins
     if orders is None:
         table = MomentTable.read(GOLDEN_MOMENTS)
     else:
@@ -440,13 +439,32 @@ def test_table_invariant_rejects_nondecreasing():
         MomentTable({1: Fraction(1, 2000), 2: Fraction(1, 2000)})
 
 
+def test_a_table_with_a_gap_names_the_missing_order():
+    with pytest.raises(MomentIntegrityError,
+                       match=r"^moment orders must run 1\.\.K: the table has order 3 "
+                             r"where order 2 belongs$"):
+        MomentTable({1: Fraction(1, 2000), 3: PAPER_MOMENTS[3]})
+
+
+def test_read_names_the_file_and_the_order_its_gap_lacks(tmp_path):
+    # the file is the text `write` writes for its orders, so only the gap
+    # refuses it
+    path = tmp_path / "m.tsv"
+    path.write_text(moments_mod._cache_text(
+        {k: v for k, v in MomentTable.read(GOLDEN_MOMENTS).values.items() if k != 3}))
+    with pytest.raises(MomentIntegrityError) as info:
+        MomentTable.read(path)
+    assert str(info.value) == (f"{path}: moment orders must run 1..K: "
+                               f"the table has order 4 where order 3 belongs")
+
+
 def test_table_cap_check_is_exact_at_the_boundary():
-    # the check compares bit lengths before it builds 9^k; on values within a
-    # few units of 9^-k, and across the bit-length edge, it must agree with
-    # the exact comparison
+    # on values within a few units of 9^-k, each after the valid prefix
+    # 1/(2 9^j), j < k, the check must agree with the exact comparison
     rng = random.Random(41)
     cases = 0
     for k in (1, 2, 3, 7, 20, 64):
+        prefix = {j: Fraction(1, 2 * 9 ** j) for j in range(1, k)}
         for num in (1, 2, 3, 5, rng.getrandbits(40) | 1, rng.getrandbits(200) | 1):
             for delta in range(-3, 4):
                 v = Fraction(num, max(num * 9 ** k + delta, 1))
@@ -455,9 +473,9 @@ def test_table_cap_check_is_exact_at_the_boundary():
                 cases += 1
                 if v > Fraction(1, 9 ** k):
                     with pytest.raises(MomentIntegrityError, match=r"exceeds \(1/3\)\^\(2k\)"):
-                        MomentTable({k: v})
+                        MomentTable({**prefix, k: v})
                 else:
-                    assert MomentTable({k: v}).values == {k: v}
+                    assert MomentTable({**prefix, k: v})[k] == v
     assert cases > 150
 
 
