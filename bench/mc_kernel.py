@@ -1,5 +1,5 @@
-"""Wall time of the three `mc-crosscheck` Monte Carlo estimates, and of the
-steps of one sample block, for two or more source trees.
+"""Wall time of the three `mc-crosscheck` Monte Carlo estimates, and of one
+sample block and of its draw alone, for two or more source trees.
 
     python3 bench/mc_kernel.py --side parent=/path/to/old/src \
         --side change=src --seed 31 --repeats 10 --out BENCH_mc_kernel.json
@@ -13,23 +13,12 @@ after them and the number of workers the side's `estimate` runs (its
 usable-CPU count capped at the block count).
 
 After the estimates the same process times, on the calling thread, the
-steps of the library's block kernel (the `chunked` one) over STEP_BLOCKS
-blocks of each command line's stream: the block in chunks of the side's
-`_CHUNK_SIZE` samples, each drawn into, and worked on in, buffers allocated
-once per block, with the side's own `_determinant`.  The steps, summed over
-a block's chunks, are
-
-  draw       the unit exponentials
-  normalize  to points of the representative body: each row summed, the last
-             three columns divided by the sum and scaled
-  volume     the absolute determinant over 6 of the points
-  reduce     V^power and its two sums, once over the block and in place,
-             as the library reduces
-
-and the run checks that the timed kernel's two sums equal the side's own
-`_block_sums` bit for bit.  Runs alternate between the sides, starting with
-a different side on each repeat.  Stdlib only; the side-by-side harness is
-`bench/sides.py`.
+library's own block kernel: `montecarlo._block_sums` on each of the first
+STEP_BLOCKS blocks of each command line's stream (`block_s`), and then the
+Philox draw of those blocks alone, chunk by chunk into one buffer of the
+side's `_CHUNK_SIZE` samples (`draw_s`), each as seconds per block.  Runs
+alternate between the sides, starting with a different side on each
+repeat.  Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
 
 from __future__ import annotations
@@ -43,64 +32,8 @@ from pathlib import Path
 import sides as harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-#: blocks per command line whose steps are timed
+#: blocks per command line whose kernel and draw are timed
 STEP_BLOCKS = 8
-STEPS = ("draw", "normalize", "volume", "reduce")
-
-
-class _Laps:
-    """Seconds per step, each lap charged to the step it names."""
-
-    def __init__(self):
-        self.seconds = dict.fromkeys(STEPS, 0.0)
-        self.last = time.perf_counter()
-
-    def __call__(self, step: str) -> None:
-        now = time.perf_counter()
-        self.seconds[step] += now - self.last
-        self.last = now
-
-
-def _timed_block(mc, np, seed: int, index: int, mode: str, power: int
-                 ) -> tuple[dict, tuple[float, float]]:
-    """The steps of `mc._block_sums` for one full block, with a lap after
-    each: its step times, and its two sums."""
-    lap = _Laps()
-    chunk = mc._CHUNK_SIZE
-    n_random = 4 if mode == mc.MODE_ALL_RANDOM else 3
-    gen = mc._block_generator(seed, index)
-    draw = np.empty((chunk, n_random, 4))
-    totals = np.empty((n_random, chunk))
-    planes = np.empty((n_random, 3, chunk))
-    scratch = np.empty((2, chunk))
-    vol = np.empty(mc.BLOCK_SIZE)
-    for start in range(0, mc.BLOCK_SIZE, chunk):
-        m = min(chunk, mc.BLOCK_SIZE - start)
-        e = gen.standard_exponential(out=draw[:m]).transpose(1, 2, 0)
-        lap("draw")
-        total = np.add(e[:, 0], e[:, 1], out=totals[:, :m])
-        total += e[:, 2]
-        total += e[:, 3]
-        pts = np.divide(e[:, 1:], total[:, None], out=planes[:, :, :m])
-        pts *= mc._SCALE
-        lap("normalize")
-        if n_random == 4:
-            edges = pts[:3]
-            edges -= pts[3]
-        else:
-            edges = pts
-            edges -= mc.FACET_CENTROID[:, None]
-        v = mc._determinant(*edges.reshape(9, m), out=vol[start:start + m],
-                            a=scratch[0, :m], b=scratch[1, :m])
-        np.abs(v, out=v)
-        v /= 6.0
-        lap("volume")
-    vol **= power
-    s1 = float(np.sum(vol))
-    vol *= vol
-    sums = s1, float(np.sum(vol))
-    lap("reduce")
-    return lap.seconds, sums
 
 
 def child(src: str, seed: int) -> dict:
@@ -122,20 +55,24 @@ def child(src: str, seed: int) -> dict:
         results.append([r.mean.hex(), r.stderr.hex()])
     peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
-    steps = dict.fromkeys(STEPS, 0.0)
-    bits_match = True
+    block_s = draw_s = 0.0
     for mode, power, _, line_seed in lines:
+        t0 = time.perf_counter()
         for index in range(STEP_BLOCKS):
-            expected = mc._block_sums(line_seed, index, mc.BLOCK_SIZE, mode, power)
-            times, sums = _timed_block(mc, np, line_seed, index, mode, power)
-            for step, seconds in times.items():
-                steps[step] += seconds / (STEP_BLOCKS * len(lines))
-            bits_match &= sums == expected
+            mc._block_sums(line_seed, index, mc.BLOCK_SIZE, mode, power)
+        t1 = time.perf_counter()
+        draw = np.empty((mc._CHUNK_SIZE, 4 if mode == mc.MODE_ALL_RANDOM else 3, 4))
+        for index in range(STEP_BLOCKS):
+            gen = mc._block_generator(line_seed, index)
+            for _ in range(0, mc.BLOCK_SIZE, mc._CHUNK_SIZE):
+                gen.standard_exponential(out=draw)
+        block_s += (t1 - t0) / (STEP_BLOCKS * len(lines))
+        draw_s += (time.perf_counter() - t1) / (STEP_BLOCKS * len(lines))
 
     blocks = -(-lines[0][2] // mc.BLOCK_SIZE)
     return {"estimate_s": estimate_s, "results": results,
             "workers": min(mc._usable_cpus(), blocks),
-            "block_step_s": steps, "bits_match": bits_match, "peak_rss_mb": peak_rss_mb}
+            "block_s": block_s, "draw_s": draw_s, "peak_rss_mb": peak_rss_mb}
 
 
 def main() -> None:
@@ -159,9 +96,9 @@ def main() -> None:
     results = {label: sorted({json.dumps(run["results"]) for run in side_runs})
                for label, side_runs in runs.items()}
     result = {"benchmark": "the three mc-crosscheck estimates, one montecarlo.estimate "
-                           "call each, and the steps of one sample block under the "
-                           "library's chunked kernel on one thread, in one fresh "
-                           "process per run",
+                           "call each, then the library's _block_sums per block and "
+                           "its Philox draw alone on one thread, in one fresh process "
+                           "per run",
               "machine": harness.machine(),
               "seed": args.seed, "repeats": args.repeats, "step_blocks": STEP_BLOCKS,
               "results_identical_across_sides": len({json.dumps(v) for v in results.values()}) == 1
@@ -179,11 +116,8 @@ def main() -> None:
             "estimates_total_s_summary": harness.summary(totals),
             "estimate_s": [harness.summary([run["estimate_s"][i] for run in side_runs])
                            for i in range(len(side_runs[0]["estimate_s"]))],
-            "block_step_s": {"chunked": {
-                step: harness.summary([run["block_step_s"][step] for run in side_runs],
-                                      digits=7)
-                for step in STEPS}},
-            "bits_match_block_sums": {"chunked": all(run["bits_match"] for run in side_runs)},
+            **{key: harness.summary([run[key] for run in side_runs], digits=7)
+               for key in ("block_s", "draw_s")},
         }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

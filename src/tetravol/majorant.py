@@ -16,7 +16,6 @@ of V, and it is a rational affine combination of the even moments.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,10 +25,7 @@ from typing import Iterable, Sequence
 from .moments import MomentTable
 from .rational import _integer_numerators
 
-#: the forms a node file line may take: an integer or p/q, at most
-#: NODE_LINE_MAX characters, so no line can stand for a huge rational (as
-#: `1e-3000000` would through `Fraction(str)`)
-_NODE_LINE = re.compile(r"[+-]?[0-9]+|[0-9]+/[0-9]+")
+#: the longest node line, newline aside; none is parsed further, so none is a huge rational
 NODE_LINE_MAX = 1000
 
 
@@ -37,31 +33,27 @@ class MomentOrderError(ValueError):
     """The moment table lacks an order required by the polynomial."""
 
 
-def _ordering_error(nodes: Sequence[Fraction]) -> tuple[int, str] | None:
-    """The index of the first node that is not positive or not above the one
-    before it, with the message that names it; None when there is none."""
-    prev = Fraction(0)
-    for i, x in enumerate(nodes):
-        if x <= prev:
-            after = f" after {prev.numerator}/{prev.denominator}" if i else ""
-            return i, (f"nodes must be positive and strictly increasing: "
-                       f"node {i + 1} is {x.numerator}/{x.denominator}{after}")
-        prev = x
-    return None
+def _node_line(x: Fraction) -> str:
+    """The line of node `x` in a node file, and the one definition of the format."""
+    return f"{x.numerator}/{x.denominator}\n"
 
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Strictly increasing positive rational interpolation nodes."""
+    """Strictly increasing positive rational nodes; the first that is not is named."""
 
     nodes: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("empty node set")
-        bad = _ordering_error(self.nodes)
-        if bad:
-            raise ValueError(bad[1])
+        prev = Fraction(0)
+        for i, x in enumerate(self.nodes, start=1):
+            if x <= prev:
+                after = f" after {prev.numerator}/{prev.denominator}" if i > 1 else ""
+                raise ValueError(f"nodes must be positive and strictly increasing: "
+                                 f"node {i} is {x.numerator}/{x.denominator}{after}")
+            prev = x
 
     @classmethod
     def from_rationals(cls, xs: Iterable[Fraction | float | str | int]) -> "NodeSet":
@@ -74,33 +66,30 @@ class NodeSet:
         return iter(self.nodes)
 
     def write(self, path: str | Path) -> None:
-        lines = [f"{x.numerator}/{x.denominator}" for x in self.nodes]
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        Path(path).write_text("".join(map(_node_line, self.nodes)), newline="\n")
 
     @classmethod
     def read(cls, path: str | Path) -> "NodeSet":
-        nodes, lines = [], []
-        # a byte that is not UTF-8 reads as U+FFFD, which no node line holds
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
-        for ln, line in enumerate(text.split("\n"), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        """The nodes in `path` if each line is `_node_line` of the node it reads
+        as, so the file is what `write` writes; else the first line that is not
+        is refused as `path:line`.  A byte that is not UTF-8 reads as U+FFFD.
+        An empty file or nodes out of order are refused naming `path`."""
+        nodes = []
+        text = Path(path).read_bytes().decode("utf-8", "replace")
+        for n, line in enumerate(text.splitlines(keepends=True), start=1):
             try:
-                if len(line) > NODE_LINE_MAX or not _NODE_LINE.fullmatch(line):
-                    raise ValueError
-                nodes.append(Fraction(line))
-                lines.append(ln)
+                p, q = map(int, line[:NODE_LINE_MAX].split("/"))
+                x = Fraction(p, q)
             except (ValueError, ZeroDivisionError):
-                shown = line if len(line) <= 40 else line[:40] + "..."
-                raise ValueError(f"{path}:{ln}: {shown!r} is not a rational node p/q "
-                                 f"of at most {NODE_LINE_MAX} characters") from None
-        if not nodes:
-            raise ValueError(f"{path}: empty node set")
-        bad = _ordering_error(nodes)
-        if bad:
-            raise ValueError(f"{path}:{lines[bad[0]]}: {bad[1]}")
-        return cls(tuple(nodes))
+                x = None
+            if x is None or line != _node_line(x):
+                raise ValueError(f"{path}:{n}: {repr(line)[:60]} is not a node line: p/q in "
+                                 f"lowest terms, at most {NODE_LINE_MAX} characters, newline")
+            nodes.append(x)
+        try:
+            return cls(tuple(nodes))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -333,16 +333,13 @@ class MomentTable:
     def read(cls, path: str | Path) -> "MomentTable":
         """The table in `path` if the file is exactly `_cache_text` of the
         values on its lines that read as three integers k, num, den (E V^(2k)
-        = num/den); else the first line that differs is refused as
-        `path:line`.  A byte that is not UTF-8 reads as U+FFFD.  A file whose
-        orders do not run 1..K is refused naming `path` and the first missing
-        order."""
-        text = Path(path).read_bytes().decode("utf-8", "replace")
-        if text.split("\n", 1)[0] != CACHE_HEADER:
-            raise MomentCacheError(f"{path}: missing header {CACHE_HEADER!r}")
-        lines = text.splitlines(keepends=True)
+        = num/den), header included; else the first line that differs is
+        refused as `path:line`, a missing or wrong header as `path:1`.  A
+        byte that is not UTF-8 reads as U+FFFD.  A file whose orders do not
+        run 1..K is refused naming `path` and the first missing order."""
+        lines = Path(path).read_bytes().decode("utf-8", "replace").splitlines(keepends=True)
         values: dict[int, Fraction] = {}
-        for line in lines[1:]:
+        for line in lines:
             try:
                 k, num, den = map(int, line.split("\t"))
                 values[k] = Fraction(num, den)
@@ -351,9 +348,10 @@ class MomentTable:
         written = _cache_text(values).splitlines(keepends=True)
         for n, (got, want) in enumerate(zip_longest(lines, written), start=1):
             if got != want:
-                shown = "the end of the file" if want is None else repr(want)[:60]
-                raise MomentCacheError(f"{path}:{n}: {repr(got)[:60]}, where the file "
-                                       f"written from the orders read has {shown}")
+                got, want = ("the end of the file" if s is None else repr(s)[:60]
+                             for s in (got, want))
+                raise MomentCacheError(f"{path}:{n}: {got}, where the file "
+                                       f"written from the orders read has {want}")
         try:
             return cls(values, {k: "file" for k in values})
         except MomentIntegrityError as exc:

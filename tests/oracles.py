@@ -15,13 +15,22 @@ T_o = {x, y, z >= 0, x + y + z <= 1}, which has volume 1/6:
 The module also keeps the `Fraction` forms of the certificate's exact
 layers as references for the library's integer ones: the Newton-basis
 expansion of the Hermite majorant (`hermite_coefficients_newton`), the
-bound E P(V) as a term-by-term sum (`expected_value_fraction`) and the
+bound E P(V) as a term-by-term sum (`expected_value_sum`) and the
 dominance proof by long division of P(x) - x by prod_j (x - x_j)^2
-(`verify_dominance_long_division`), whose quotient's roots it counts on its
+(`dominance_long_division`), whose quotient's roots it counts on its
 own classical Sturm sequence over the rationals
 (`sturm_root_count_fraction`), not on the library's integer chain, and the
 helpers that evaluate P and P' on their coefficients in x
-(`x_coefficients`, `poly_derivative`).
+(`x_coefficients`, `poly_derivative`).  The bound and the proof work on
+plain `Fraction` lists; `expected_value_fraction` and
+`verify_dominance_long_division` wrap them for the library's `EvenPoly`,
+`MomentTable` and `DominanceProof`.
+
+For the verdict as a whole it keeps `verdict(nodes)`: the bound, root
+count and verdict of the certificate on a node set, from those plain-list
+pieces, the triple-sum moments and the Basel target below, with no
+`tetravol` import on its path (the de Bruijn criterion: a small, separate
+checker re-derives the result).
 
 For the fast moment route it keeps the triple sum over each z-degree split
 (`even_moment_triple`, with `split_sum_triple`) and its centred-integral
@@ -327,6 +336,7 @@ def split_sum_triple(table: list[list[int]], n1: int, n2: int, n3: int) -> int:
     return -total if n2 % 2 else total
 
 
+@functools.cache
 def even_moment_triple(k: int) -> Fraction:
     """E V^(2k) by Laplace expansion along z and the binomial theorem.
 
@@ -394,14 +404,20 @@ def hermite_coefficients_newton(xs: Sequence[Fraction]) -> list[Fraction]:
     return coeffs
 
 
+def expected_value_sum(coeffs: Sequence[Fraction], moments) -> Fraction:
+    """E P(V) = a_0 + sum_{i>=1} a_i * E V^(2i) for P = sum_i a_i x^(2i),
+    one `Fraction` multiply-add per term; moments[i] is E V^(2i) for every
+    i >= 1 that the sum reaches."""
+    total = coeffs[0]
+    for i in range(1, len(coeffs)):
+        total += coeffs[i] * moments[i]
+    return total
+
 
 def expected_value_fraction(poly, moments) -> Fraction:
-    """E P(V) = a_0 + sum_{i>=1} a_i * E V^(2i), one `Fraction` multiply-add
-    per term; the table must hold every order the polynomial needs."""
-    total = poly.coeffs[0]
-    for i in range(1, len(poly.coeffs)):
-        total += poly.coeffs[i] * moments[i]
-    return total
+    """`expected_value_sum` of an `EvenPoly` over a `MomentTable`."""
+    return expected_value_sum(poly.coeffs, moments)
+
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
     while len(p) > 1 and p[-1] == 0:
@@ -487,19 +503,19 @@ def sturm_root_count_fraction(p: Sequence[Fraction], a: Fraction, b: Fraction) -
     return _variations(seq, a) - _variations(seq, b)
 
 
-def verify_dominance_long_division(poly, nodes):
-    """The dominance proof of P on nodes with Fraction long division.
+def dominance_long_division(coeffs: Sequence[Fraction], nodes: Sequence[Fraction]
+                            ) -> tuple[list[Fraction], bool, int, int, int]:
+    """The dominance proof of P = sum_i coeffs[i] x^(2i) on nodes with
+    Fraction long division, as (quotient, remainder zero, root count, sign
+    at 0, sign at 1/3).
 
     P(x) - x is divided by prod_j (x - x_j)^2; a nonzero remainder gives
     (quotient, False, -1, 0, 0), a zero boundary value a root count of -1,
     and otherwise `sturm_root_count_fraction`, which shares no code with
     the library's Sturm chain, counts the quotient's roots in (0, 1/3).
-    Returns a `tetravol.certificate.DominanceProof`.
     """
-    from tetravol.certificate import DominanceProof
-
-    diff = [Fraction(0)] * max(poly.degree + 1, 2)
-    for i, a in enumerate(poly.coeffs):
+    diff = [Fraction(0)] * max(2 * len(coeffs) - 1, 2)
+    for i, a in enumerate(coeffs):
         diff[2 * i] = a
     diff[1] -= 1
     divisor = [Fraction(1)]
@@ -507,13 +523,49 @@ def verify_dominance_long_division(poly, nodes):
         divisor = poly_mul(divisor, [x * x, -2 * x, Fraction(1)])
     quotient, remainder = poly_divmod(_trim(diff), divisor)
     if any(remainder):
-        return DominanceProof(tuple(quotient), False, -1, 0, 0)
+        return quotient, False, -1, 0, 0
     end = Fraction(1, 3)  # V never exceeds 1/3
     sign0, sign1 = _sign(quotient, Fraction(0)), _sign(quotient, end)
     if sign0 == 0 or sign1 == 0:
-        return DominanceProof(tuple(quotient), True, -1, sign0, sign1)
-    count = sturm_root_count_fraction(quotient, Fraction(0), end)
-    return DominanceProof(tuple(quotient), True, count, sign0, sign1)
+        return quotient, True, -1, sign0, sign1
+    return quotient, True, sturm_root_count_fraction(quotient, Fraction(0), end), sign0, sign1
+
+
+def verify_dominance_long_division(poly, nodes):
+    """`dominance_long_division` of an `EvenPoly`, as a
+    `tetravol.certificate.DominanceProof`."""
+    from tetravol.certificate import DominanceProof
+
+    quotient, *rest = dominance_long_division(poly.coeffs, nodes)
+    return DominanceProof(tuple(quotient), *rest)
+
+
+#: the Basel partial sum that encloses the target: pi^2 to 6.6e-5, so the
+#: target 13/720 - pi^2/15015 to 4.4e-9
+BASEL_TERMS = 300
+
+
+def verdict(nodes: Sequence[Fraction]) -> tuple[Fraction, int, bool]:
+    """The certificate's exact bound E P(V), dominance root count and verdict
+    on `nodes`, re-derived from plain `Fraction` lists with no `tetravol`
+    import on the way: the moments by `even_moment_triple`, the majorant by
+    `hermite_coefficients_newton`, the bound by `expected_value_sum`,
+    dominance by `dominance_long_division` and the target by
+    `basel_pi_squared`.  The verdict is true when P dominates |x| on
+    [0, 1/3] and the bound lies below the target's Basel lower end; a bound
+    inside the Basel enclosure, which that enclosure cannot decide, raises
+    ValueError.
+    """
+    coeffs = hermite_coefficients_newton(nodes)
+    bound = expected_value_sum(coeffs, [Fraction(1)] + [
+        even_moment_triple(k) for k in range(1, len(coeffs))])
+    _, remainder_zero, count, sign0, sign1 = dominance_long_division(coeffs, nodes)
+    pi2_lo, pi2_hi = basel_pi_squared(BASEL_TERMS)
+    target_lo, target_hi = (Fraction(13, 720) - pi2 / 15015 for pi2 in (pi2_hi, pi2_lo))
+    if target_lo <= bound < target_hi:
+        raise ValueError(f"bound {float(bound)} lies inside the Basel enclosure of the target")
+    valid = remainder_zero and count == 0 and sign0 > 0 and sign1 > 0
+    return bound, count, valid and bound < target_lo
 
 
 def roots_bisection(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction,
@@ -580,6 +632,7 @@ def atom_law(n: int, seed: int) -> Law:
 # target reference: pi^2 from the Basel series
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def basel_pi_squared(n: int) -> tuple[Fraction, Fraction]:
     """An enclosure (lo, hi) of pi^2 from pi^2/6 = sum_k 1/k^2 alone.  With
     S = sum_{k <= n} 1/k^2, the tail sum_{k > n} 1/k^2 lies strictly between

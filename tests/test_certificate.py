@@ -24,6 +24,7 @@ from tetravol.certificate import (
     sturm_root_count,
     verify_dominance,
 )
+from tetravol.cli import EXIT_NOT_CERTIFIED, EXIT_OK, main
 from tetravol.majorant import EvenPoly, MomentOrderError, NodeSet, hermite_onesided
 from tetravol.moments import MomentIntegrityError, MomentTable, even_moment_fast
 from tetravol.node_search import gauss_nodes, rationalize
@@ -36,6 +37,7 @@ from oracles import (
     poly_divmod,
     poly_eval,
     poly_mul,
+    verdict,
     verify_dominance_long_division,
 )
 
@@ -433,6 +435,32 @@ def test_the_32_bit_rung_alone_proves_the_warm_plan(monkeypatch):
         proof = verify_dominance(hermite_onesided(nodes), nodes)
         assert proof.valid and proof.interior_root_count == 0, nodes
     assert len(counts) == 97 and all(bits <= 32 for bits, _ in counts)
+
+
+def test_certify_reports_the_verdict_the_oracle_derives(tmp_path, capsys, monkeypatch):
+    # end to end, from the node file to the report: the oracle re-derives
+    # the bound, root count and verdict from the nodes alone, with moments,
+    # majorant, dominance proof and target that share no code with `src/`
+    sets = _warm_plan_sets(901)[::10]
+    assert sets[0] == NodeSet(REFERENCE_NODES)
+    with monkeypatch.context() as blocked:  # any import of the library fails
+        for name in [name for name in sys.modules if name.split(".")[0] == "tetravol"]:
+            blocked.setitem(sys.modules, name, None)
+        derived = [verdict(nodes.nodes) for nodes in sets]
+    verdicts = set()
+    for i, (nodes, (bound, count, certified)) in enumerate(zip(sets, derived)):
+        path, report = tmp_path / f"nodes-{i}.txt", tmp_path / f"report-{i}.txt"
+        path.write_text("".join(f"{x.numerator}/{x.denominator}\n" for x in nodes))
+        code = main(["certify", "--nodes", str(path), "--moments", str(GOLDEN_MOMENTS),
+                     "--report", str(report)])
+        fields = dict(line.partition(": ")[::2] for line in report.read_text().splitlines())
+        assert (Fraction(fields["bound"]), int(fields["dominance-root-count"]),
+                fields["verdict"]) == (bound, count, VERDICT_TRUE if certified
+                                       else VERDICT_FALSE), nodes
+        assert code == (EXIT_OK if certified else EXIT_NOT_CERTIFIED)
+        verdicts.add(certified)
+    capsys.readouterr()
+    assert verdicts == {True, False}
 
 
 def test_high_degree_gauss_sets_skip_the_32_bit_rung_at_its_ends(monkeypatch):

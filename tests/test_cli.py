@@ -714,7 +714,8 @@ def write_file(name: str, content: str | bytes) -> None:
                  id="certify-report-is-the-moment-file"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments 1\n1\t1\t2000\n", ONE_NODE,
-                 "m.tsv: missing header 'tetra-moments v1'", id="certify-moment-header-bad"),
+                 r"m.tsv:1: 'tetra-moments 1\n', where the file written from the orders read "
+                 r"has 'tetra-moments v1\n'", id="certify-moment-header-bad"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  "tetra-moments v1\n-1\t1\t2\n1\t1\t2000\n", ONE_NODE, "order",
                  id="certify-order-negative"),
@@ -799,8 +800,10 @@ def write_file(name: str, content: str | bytes) -> None:
                  "where order 2 belongs", id="search-order-huge"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "1/5\n1/0\n", "nodes.txt:2", id="certify-node-1-over-0"),
+    # a node file is read only as `NodeSet.write` writes it: each line is
+    # `_node_line` of the node it reads as, so a comment is refused
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 ORDER_1, "1/3\n# comment\n\nthird\n", "nodes.txt:4",
+                 ORDER_1, "1/3\n# comment\n\nthird\n", "nodes.txt:2: '# comment\\n' is not",
                  id="certify-node-not-a-number"),
     # decimal exponents would make a huge rational (1e-3000000 ran past 40 s)
     # or trip Python's int digit limit without naming the line (1e-4000)
@@ -811,23 +814,43 @@ def write_file(name: str, content: str | bytes) -> None:
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "1/5\n1/" + "7" * 1000 + "\n", "nodes.txt:2",
                  id="certify-node-line-too-long"),
+    # node i is line i, so an ordering error names the file and the node
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "1/5\n1/5\n",
-                 "nodes.txt:2: nodes must be positive and strictly increasing: "
+                 "nodes.txt: nodes must be positive and strictly increasing: "
                  "node 2 is 1/5 after 1/5", id="certify-node-repeated"),
-    # the line counts comments and blank lines, as for a malformed line
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 ORDER_1, "1/5\n# comment\n\n2/7\n1/4\n",
-                 "nodes.txt:5: nodes must be positive and strictly increasing: "
+                 ORDER_1, "1/5\n2/7\n1/4\n",
+                 "nodes.txt: nodes must be positive and strictly increasing: "
                  "node 3 is 1/4 after 2/7", id="certify-node-decreasing"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 ORDER_1, "0\n1/5\n",
-                 "nodes.txt:1: nodes must be positive and strictly increasing: node 1 is 0/1",
+                 ORDER_1, "0/1\n1/5\n",
+                 "nodes.txt: nodes must be positive and strictly increasing: node 1 is 0/1",
+                 id="certify-node-0-over-1"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "0\n1/5\n", "nodes.txt:1: '0\\n' is not a node line: p/q",
                  id="certify-node-zero"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1\n", "nodes.txt:1: '1\\n' is not", id="certify-node-integer"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, b"1/5\r\n1/3\r\n", "nodes.txt:1: '1/5\\r\\n' is not",
+                 id="certify-node-crlf"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1/5\n1/3", "nodes.txt:2: '1/3' is not",
+                 id="certify-node-no-final-newline"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1/5\n+1/3\n", "nodes.txt:2: '+1/3\\n' is not",
+                 id="certify-node-plus-sign"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "2/10\n", "nodes.txt:1: '2/10\\n' is not",
+                 id="certify-node-not-in-lowest-terms"),
+    pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
+                 ORDER_1, "1/5\n 1/3\n", "nodes.txt:2: ' 1/3\\n' is not",
+                 id="certify-node-leading-space"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
                  ORDER_1, "", "nodes.txt: empty node set", id="certify-node-file-empty"),
     pytest.param(["certify", "--nodes", "nodes.txt", "--report", "r.txt"],
-                 ORDER_1, "# no nodes\n\n  # none here either\n", "nodes.txt: empty node set",
+                 ORDER_1, "# no nodes\n\n  # none here either\n", "nodes.txt:1: '# no nodes",
                  id="certify-node-file-only-comments"),
     # refused before the moment stage, which would otherwise print every
     # order and write run/moments.tsv first

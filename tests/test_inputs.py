@@ -4,9 +4,10 @@ Each edit is a one-character substitution, insertion or deletion over a
 fixed alphabet, a swap of two lines or a duplicated line.  An edited node
 file goes through `tetravol certify`, an edited report through
 `parse_report`, and each must end in one of two ways: a clean refusal, or
-the result of the input as read (the report `certify` writes for the nodes
-`NodeSet.read` returns; the unedited certificate, outside its `meta`
-lines).  Any other exception fails the test.  The moment file is not edited
+the result of the input as read (a node file byte for byte what
+`NodeSet.write` writes for the nodes `NodeSet.read` returns, and the
+report `certify` writes for them; the unedited certificate, outside its
+`meta` lines).  Any other exception fails the test.  The moment file is not edited
 here: `certify` still trusts it beyond its own checks (ROADMAP item 1).
 """
 
@@ -71,6 +72,8 @@ def test_an_edited_node_file_is_refused_or_certified_as_read(run13, tmp_path, ca
             continue
         assert err == ""
         NodeSet.read(nodes).write(read_as)
+        # the one node format: a file that reads is the file `write` writes
+        assert nodes.read_bytes() == read_as.read_bytes()
         assert main(["certify", "--nodes", str(read_as), "--moments", moments,
                      "--report", str(again)]) == code
         capsys.readouterr()

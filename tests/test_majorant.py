@@ -164,10 +164,12 @@ def test_node_file_round_trip(tmp_path):
     assert NodeSet.read(path) == nodes
 
 
-def test_node_file_skips_comments(tmp_path):
+def test_node_file_with_a_comment_is_refused(tmp_path):
+    # a node file is read only as `write` writes it: no comment, no blank line
     path = tmp_path / "nodes.txt"
     path.write_text("# reference set\n1/4\n\n1/3\n")
-    assert NodeSet.read(path).nodes == (Fraction(1, 4), Fraction(1, 3))
+    with pytest.raises(ValueError, match=r"nodes.txt:1: '# reference set\\n' is not a node"):
+        NodeSet.read(path)
 
 
 def test_hermite_coefficients_equal_the_newton_expansion(seeded_node_sets):
