@@ -9,14 +9,18 @@ directory and calls `montecarlo.estimate` once for each command line of the
 `mc-crosscheck` plan of `perfbench/inputs.py` at the seed (the same modes,
 powers, sample count and per-line seeds), timing each call.  It records the
 mean and standard error of each as `float.hex`, the peak RSS of the process
-after them and the number of workers the side's `estimate` runs (its
-usable-CPU count capped at the block count).
+after them, the voluntary context switches and minor page faults the
+process took during them (`ru_nvcsw` and `ru_minflt` deltas of
+`resource.getrusage`) and the number of workers the side's `estimate` runs
+(its usable-CPU count capped at the block count).
 
-After the estimates the same process times, on the calling thread, the
-library's own block kernel: `montecarlo._block_sums` on each of the first
-STEP_BLOCKS blocks of each command line's stream (`block_s`), and then the
-Philox draw of those blocks alone, chunk by chunk into one buffer of the
-side's `_CHUNK_SIZE` samples (`draw_s`), each as seconds per block.  Runs
+After the estimates the same process times, on the calling thread, what a
+worker does: `montecarlo._block_sums` on each of the first STEP_BLOCKS
+blocks of each command line's stream, all in one `_workspace` per command
+line (`block_s`; a side without `_workspace` allocates per block, and its
+kernel takes no workspace), and then the Philox draw of those blocks alone,
+chunk by chunk into one buffer of the side's `_CHUNK_SIZE` samples
+(`draw_s`), each as seconds per block.  Runs
 alternate between the sides, starting with a different side on each
 repeat.  Stdlib only; the side-by-side harness is `bench/sides.py`.
 """
@@ -48,18 +52,21 @@ def child(src: str, seed: int) -> dict:
     lines = [(op["mode"], op["power"], op["samples"], int(op["argv"][op["argv"].index("--seed") + 1]))
              for op in inputs.make_plan("mc-crosscheck", seed)["ops"]]
     estimate_s, results = [], []
+    before = resource.getrusage(resource.RUSAGE_SELF)
     for mode, power, n, line_seed in lines:
         t0 = time.perf_counter()
         r = mc.estimate(mode, power, n, line_seed)
         estimate_s.append(time.perf_counter() - t0)
         results.append([r.mean.hex(), r.stderr.hex()])
-    peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    peak_rss_mb = round(after.ru_maxrss / 1024, 1)
 
     block_s = draw_s = 0.0
     for mode, power, _, line_seed in lines:
+        workspace = (mc._workspace(mode, mc.BLOCK_SIZE),) if hasattr(mc, "_workspace") else ()
         t0 = time.perf_counter()
         for index in range(STEP_BLOCKS):
-            mc._block_sums(line_seed, index, mc.BLOCK_SIZE, mode, power)
+            mc._block_sums(line_seed, index, mc.BLOCK_SIZE, mode, power, *workspace)
         t1 = time.perf_counter()
         draw = np.empty((mc._CHUNK_SIZE, 4 if mode == mc.MODE_ALL_RANDOM else 3, 4))
         for index in range(STEP_BLOCKS):
@@ -72,7 +79,9 @@ def child(src: str, seed: int) -> dict:
     blocks = -(-lines[0][2] // mc.BLOCK_SIZE)
     return {"estimate_s": estimate_s, "results": results,
             "workers": min(mc._usable_cpus(), blocks),
-            "block_s": block_s, "draw_s": draw_s, "peak_rss_mb": peak_rss_mb}
+            "block_s": block_s, "draw_s": draw_s, "peak_rss_mb": peak_rss_mb,
+            "nvcsw": after.ru_nvcsw - before.ru_nvcsw,
+            "minflt": after.ru_minflt - before.ru_minflt}
 
 
 def main() -> None:
@@ -96,9 +105,9 @@ def main() -> None:
     results = {label: sorted({json.dumps(run["results"]) for run in side_runs})
                for label, side_runs in runs.items()}
     result = {"benchmark": "the three mc-crosscheck estimates, one montecarlo.estimate "
-                           "call each, then the library's _block_sums per block and "
-                           "its Philox draw alone on one thread, in one fresh process "
-                           "per run",
+                           "call each, then the library's _block_sums per block in one "
+                           "workspace and its Philox draw alone on one thread, in one "
+                           "fresh process per run",
               "machine": harness.machine(),
               "seed": args.seed, "repeats": args.repeats, "step_blocks": STEP_BLOCKS,
               "results_identical_across_sides": len({json.dumps(v) for v in results.values()}) == 1
@@ -112,6 +121,8 @@ def main() -> None:
             "workers": sorted({run["workers"] for run in side_runs}),
             "results_hex": [json.loads(v) for v in results[label]],
             "peak_rss_mb": [run["peak_rss_mb"] for run in side_runs],
+            "estimates_nvcsw": [run["nvcsw"] for run in side_runs],
+            "estimates_minflt": [run["minflt"] for run in side_runs],
             "estimates_total_s": totals,
             "estimates_total_s_summary": harness.summary(totals),
             "estimate_s": [harness.summary([run["estimate_s"][i] for run in side_runs])

@@ -18,10 +18,12 @@ this module, sets OpenBLAS to one thread before numpy loads, and no
 OpenBLAS server thread runs beside the workers.
 
 A block is computed in chunks of _CHUNK_SIZE samples, in buffers allocated
-once per block: each chunk is drawn into one buffer, its row sums and points
-are formed from a transposed view of that draw into contiguous coordinate
-planes, and its volumes are written into the block's volume array, so that
-a chunk's draws and temporaries stay in a core's cache and no chunk
+once per worker, not once per block (`_workspace`): each chunk is drawn into
+one buffer, its row sums are formed in place of each point's first
+exponential, its points are formed from a transposed view of that draw into
+contiguous coordinate planes, the spent draw serves as the determinant's
+scratch, and its volumes are written into the block's volume array, so that
+a chunk's draws and temporaries stay in a core's cache and no block
 allocates.  Chunking leaves every bit of every result as one pass over the
 whole block gives it, for three reasons: consecutive draws from one
 generator continue its Philox stream, so the chunks hold the very variates
@@ -44,13 +46,14 @@ import numpy as np
 #: samples per substream block; fixed, part of the reproducibility contract
 BLOCK_SIZE = 1 << 15
 
-#: samples per chunk of a block.  A chunk of four random points draws 512 KiB
-#: into a buffer that, with the chunk's row sums, points and scratch rows,
-#: takes 1.1 MiB and stays within a 2 MiB L2 cache.  On one thread of such a
-#: core, 16 blocks (median of 9 runs) took 0.179, 0.168 and 0.211 s of four
-#: random points, and 0.082, 0.073 and 0.071 s with the centroid, at 2048,
-#: 4096 and 8192 samples.  Any value gives the same bits.
-_CHUNK_SIZE = 1 << 12
+#: samples per chunk of a block.  A chunk of four random points draws 1 MiB
+#: into a buffer that, with the chunk's points, takes 1.75 MiB and stays
+#: within a 2 MiB L2 cache.  On two threads of such cores, each in its own
+#: workspace, 16 blocks (median of 31 runs) took 0.089, 0.073, 0.072 and
+#: 0.079 s of four random points, and 0.081, 0.065, 0.059 and 0.061 s with
+#: the centroid, at 2048, 4096, 8192 and 16384 samples.  Any value gives the
+#: same bits.
+_CHUNK_SIZE = 1 << 13
 
 #: counter stride between blocks (draw consumption per block is far smaller)
 _BLOCK_STRIDE = 1 << 64
@@ -103,28 +106,37 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _block_sums(seed: int, block_index: int, count: int, mode: str, power: int
-                ) -> tuple[float, float]:
-    gen = _block_generator(seed, block_index)
+def _workspace(mode: str, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers one worker runs its blocks of up to `size` samples in:
+    a chunk's draw, its points as one contiguous plane per coordinate, and a
+    block's volumes."""
     n_random = 4 if mode == MODE_ALL_RANDOM else 3
-    chunk = min(_CHUNK_SIZE, count)
-    # every chunk works in these buffers: its draw, its row sums, its points
-    # as one contiguous plane per coordinate, and the determinant's scratch
-    draw = np.empty((chunk, n_random, 4))
-    totals = np.empty((n_random, chunk))
-    planes = np.empty((n_random, 3, chunk))
-    scratch = np.empty((2, chunk))
-    vol = np.empty(count)
-    for start in range(0, count, _CHUNK_SIZE):
-        m = min(_CHUNK_SIZE, count - start)
+    chunk = min(_CHUNK_SIZE, size)
+    return (np.empty((chunk, n_random, 4)), np.empty((n_random, 3, chunk)),
+            np.empty(size))
+
+
+def _block_sums(seed: int, block_index: int, count: int, mode: str, power: int,
+                workspace: tuple[np.ndarray, np.ndarray, np.ndarray]
+                ) -> tuple[float, float]:
+    """The sums of V^power and V^(2 power) over the block's `count` samples,
+    computed in a `_workspace(mode, size)` with size >= count."""
+    gen = _block_generator(seed, block_index)
+    draw, planes, vol = workspace
+    chunk = len(draw)
+    vol = vol[:count]
+    for start in range(0, count, chunk):
+        m = min(chunk, count - start)
         # the next m samples of the block's stream, as one draw of the whole
         # block would give them; e[i, j] is the j-th exponential of point i
         e = gen.standard_exponential(out=draw[:m]).transpose(1, 2, 0)
         # barycentric weights times the body's vertices _SCALE * [0; I3] are
         # the last three weights times _SCALE: every other matmul term is an
-        # exact 0.  The row sum is np.sum's order for four terms,
-        # ((e0 + e1) + e2) + e3, so the points are the matmul's bits.
-        total = np.add(e[:, 0], e[:, 1], out=totals[:, :m])
+        # exact 0.  The row sum, formed in place of each point's first
+        # exponential, is np.sum's order for four terms, ((e0 + e1) + e2) + e3,
+        # so the points are the matmul's bits.
+        total = e[:, 0]
+        total += e[:, 1]
         total += e[:, 2]
         total += e[:, 3]
         pts = np.divide(e[:, 1:], total[:, None], out=planes[:, :, :m])
@@ -135,8 +147,9 @@ def _block_sums(seed: int, block_index: int, count: int, mode: str, power: int
         else:
             edges = pts
             edges -= FACET_CENTROID[:, None]
-        v = _determinant(*edges.reshape(9, m), out=vol[start:start + m],
-                         a=scratch[0, :m], b=scratch[1, :m])
+        # the draw is spent: its two halves hold the determinant's scratch
+        a, b = draw.reshape(2, -1)[:, :m]
+        v = _determinant(*edges.reshape(9, m), out=vol[start:start + m], a=a, b=b)
         np.abs(v, out=v)
         v /= 6.0
     # the power and both sums run once over the whole block: np.sum's
@@ -177,13 +190,14 @@ def estimate(mode: str, power: int, n_samples: int, seed: int) -> EstimatorResul
 
     def work() -> None:
         try:
+            workspace = _workspace(mode, min(BLOCK_SIZE, n_samples))
             while True:
                 with next_block:  # after a failure, no worker starts a block
                     index = None if errors else next(blocks, None)
                 if index is None:
                     return
                 count = min(BLOCK_SIZE, n_samples - index * BLOCK_SIZE)
-                sums[:, index] = _block_sums(seed, index, count, mode, power)
+                sums[:, index] = _block_sums(seed, index, count, mode, power, workspace)
         except BaseException as exc:  # re-raised by estimate, once all are joined
             errors.append(exc)
 

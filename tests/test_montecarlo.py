@@ -98,20 +98,26 @@ def test_estimate_same_bits_for_any_worker_count(monkeypatch, cpus):
 
 
 def test_estimate_memory_grows_with_the_workers_not_the_blocks(monkeypatch):
-    """10**9 samples are 30,518 blocks.  With the kernel stubbed out, what
-    estimate allocates is its own bookkeeping: two sums per block (0.5 MB)
-    and one thread per worker.  Submitting each block to a pool as its own
-    task, with a future to keep per block, peaked at 52 MB."""
+    """10**9 samples are 30,518 blocks.  With the kernel and its workspace
+    stubbed out, what estimate allocates is its own bookkeeping: two sums
+    per block (0.5 MB) and one thread per worker.  Submitting each block to a
+    pool as its own task, with a future to keep per block, peaked at 52 MB.
+    Each worker makes its one workspace before its first block."""
     n = 10**9
-    calls = [0]
+    calls = {"blocks": 0, "workspaces": 0}
     lock = threading.Lock()
 
-    def stub(seed, index, count, mode, power):
+    def stub(seed, index, count, mode, power, workspace):
         with lock:
-            calls[0] += 1
+            calls["blocks"] += 1
         return float(count), 1.0
 
+    def workspace(mode, size):
+        with lock:
+            calls["workspaces"] += 1
+
     monkeypatch.setattr(montecarlo, "_block_sums", stub)
+    monkeypatch.setattr(montecarlo, "_workspace", workspace)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
     tracemalloc.start()
     try:
@@ -119,7 +125,7 @@ def test_estimate_memory_grows_with_the_workers_not_the_blocks(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert calls == [-(-n // BLOCK_SIZE)]
+    assert calls == {"blocks": -(-n // BLOCK_SIZE), "workspaces": 3}
     assert result.mean == 1.0  # every sample counted once
     assert peak < 2_000_000
 
@@ -132,7 +138,7 @@ class BlockFailed(Exception):
 def test_estimate_raises_a_blocks_exception_after_joining_every_thread(monkeypatch, cpus):
     """A block that raises in a sample thread raises from estimate, and
     every sample thread has ended by then."""
-    def stub(seed, index, count, mode, power):
+    def stub(seed, index, count, mode, power, workspace):
         if index == 5:
             raise BlockFailed(f"block {index}")
         return float(count), 1.0
@@ -141,6 +147,26 @@ def test_estimate_raises_a_blocks_exception_after_joining_every_thread(monkeypat
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     before = threading.enumerate()
     with pytest.raises(BlockFailed, match="^block 5$"):
+        estimate(MODE_CENTROID, 1, 20 * BLOCK_SIZE, seed=1)
+    assert threading.enumerate() == before
+
+
+def test_estimate_raises_a_helpers_workspace_failure_after_joining_every_thread(monkeypatch):
+    """A helper that cannot allocate its workspace records the error like a
+    failed block: estimate raises it once every sample thread has ended,
+    rather than the thread printing it while the caller runs every block."""
+    caller = threading.current_thread()
+    real_workspace = montecarlo._workspace
+
+    def workspace(mode, size):
+        if threading.current_thread() is not caller:
+            raise MemoryError("helper workspace")
+        return real_workspace(mode, size)
+
+    monkeypatch.setattr(montecarlo, "_workspace", workspace)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    before = threading.enumerate()
+    with pytest.raises(MemoryError, match="^helper workspace$"):
         estimate(MODE_CENTROID, 1, 20 * BLOCK_SIZE, seed=1)
     assert threading.enumerate() == before
 
@@ -158,7 +184,7 @@ from tetravol import montecarlo
 
 taken = []
 
-def block(seed, index, count, mode, power):
+def block(seed, index, count, mode, power, workspace):
     taken.append(index)
     if index == 3:
         signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
@@ -195,7 +221,7 @@ def test_an_interrupt_while_helpers_start_leaves_no_thread_running(monkeypatch):
                 raise KeyboardInterrupt
             super().start()
 
-    def stub(seed, index, count, mode, power):
+    def stub(seed, index, count, mode, power, workspace):
         time.sleep(0.002)
         return float(count), 1.0
 
@@ -214,7 +240,7 @@ def test_one_usable_cpu_runs_every_block_on_the_calling_thread(monkeypatch):
     blocks, the caller and two helpers."""
     runners = set()
 
-    def stub(seed, index, count, mode, power):
+    def stub(seed, index, count, mode, power, workspace):
         runners.add(threading.current_thread())
         return float(count), 1.0
 
@@ -233,7 +259,7 @@ def test_estimate_runs_every_block_once_under_contention(monkeypatch):
     taken once, and every sample is counted once."""
     taken = []
 
-    def stub(seed, index, count, mode, power):
+    def stub(seed, index, count, mode, power, workspace):
         taken.append(index)
         return float(count), 1.0
 
@@ -249,7 +275,7 @@ def test_estimate_runs_every_block_once_under_contention(monkeypatch):
     assert result.mean == 1.0
 
 
-@pytest.mark.parametrize("chunk_size", [1000, 4096, BLOCK_SIZE])
+@pytest.mark.parametrize("chunk_size", [1000, 4096, 8192, BLOCK_SIZE])
 def test_estimate_bits_do_not_depend_on_the_chunk_size(monkeypatch, chunk_size):
     monkeypatch.setattr(montecarlo, "_CHUNK_SIZE", chunk_size)
     for case in PINNED:
@@ -268,24 +294,39 @@ def test_estimate_bits_do_not_depend_on_the_chunk_size(monkeypatch, chunk_size):
     2 * montecarlo._CHUNK_SIZE - 1,
 ])
 def test_block_sums_equal_the_whole_block_kernel(mode, power, count):
-    got = montecarlo._block_sums(21, 2, count, mode, power)
+    got = montecarlo._block_sums(21, 2, count, mode, power, montecarlo._workspace(mode, count))
     want = block_sums_slice(21, 2, count, mode, power)
     assert [s.hex() for s in got] == [s.hex() for s in want]
 
 
+@pytest.mark.parametrize("mode", [MODE_ALL_RANDOM, MODE_CENTROID])
+def test_one_workspace_serves_full_and_partial_blocks(mode):
+    """A worker's workspace runs a full block, the pinned partial block of
+    1,699 samples, then a full block again: a tail of the draw or of the
+    volumes left from one block must not reach the next."""
+    workspace = montecarlo._workspace(mode, BLOCK_SIZE)
+    for index, count in [(1, BLOCK_SIZE), (3, 1_699), (2, BLOCK_SIZE)]:
+        got = montecarlo._block_sums(17, index, count, mode, 2, workspace)
+        want = block_sums_slice(17, index, count, mode, 2)
+        assert [s.hex() for s in got] == [s.hex() for s in want], (index, count)
+
+
 def test_block_sums_allocate_no_block_sized_temporaries():
-    """A block's kernel allocates its chunk buffers and its volumes once and
-    works in them: 1.45 MB for four random points.  One block-sized
-    temporary more (0.26 MB) fails the bound; one draw of the whole block
-    alone is 4.2 MB."""
-    montecarlo._block_sums(4, 0, BLOCK_SIZE, MODE_ALL_RANDOM, 2)  # numpy's one-time setup
+    """A block runs in its worker's workspace and allocates nothing
+    chunk-sized: its generator and a few array views, about 3 KB.  One
+    chunk-sized row more (64 KB) fails the bound.  The workspace of four
+    random points is a chunk's draw (1 MiB) and planes (0.75 MiB) and a
+    block's volumes (0.25 MiB), within a core's 2 MiB L2 cache."""
+    workspace = montecarlo._workspace(MODE_ALL_RANDOM, BLOCK_SIZE)
+    assert sum(buffer.nbytes for buffer in workspace) <= 2 * 1024 * 1024
+    montecarlo._block_sums(4, 0, BLOCK_SIZE, MODE_ALL_RANDOM, 2, workspace)  # numpy's one-time setup
     tracemalloc.start()
     try:
-        montecarlo._block_sums(4, 1, BLOCK_SIZE, MODE_ALL_RANDOM, 2)
+        montecarlo._block_sums(4, 1, BLOCK_SIZE, MODE_ALL_RANDOM, 2, workspace)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_600_000
+    assert peak < 16_000
 
 
 def test_chunked_draws_continue_the_stream():
