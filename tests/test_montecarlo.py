@@ -288,6 +288,8 @@ def test_estimate_bits_do_not_depend_on_the_chunk_size(monkeypatch, chunk_size):
     BLOCK_SIZE,
     1_699,  # the partial last block of the pinned 100,003 samples
     1_000,  # less than one chunk
+    4_097,  # the earlier 4,096-sample chunk and a one-sample chunk
+    8_191,  # one sample short of a chunk, and twice the earlier chunk less one
     montecarlo._CHUNK_SIZE + 1,  # a chunk and a one-sample chunk
     # a full chunk, then a partial one in the same buffers: a tail left from
     # the full chunk would change the sums
